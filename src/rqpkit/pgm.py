@@ -31,7 +31,8 @@ def read_pgm(path) -> np.ndarray:
     """Read a binary PGM file into a (height, width) uint8 array.
 
     Only 8-bit P5 is supported; a max value above 255 (16-bit data) is
-    rejected as an unsupported depth.
+    rejected as an unsupported depth, and so is any sample above the
+    header's max value.
     """
     data = Path(path).read_bytes()
     magic, pos = _next_token(data, 0)
@@ -57,7 +58,11 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(
             f"PGM raster truncated: expected {width * height} bytes, got {len(raster)}"
         )
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    peak = int(pixels.max())
+    if peak > maxval:
+        raise ValueError(f"PGM sample {peak} exceeds the header's max value {maxval}")
+    return pixels
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:

@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rqpkit.entropy import (
     CauchyParams,
-    MAX_TRUNCATION,
     bin_probability,
     default_qstep_grid,
     entropy,
@@ -151,6 +150,52 @@ class TestEntropy:
             assert math.isfinite(h) and h >= 0.0
 
 
+def reference_entropy(scale: float, q: float, bins: int = 1 << 21) -> float:
+    """Independent entropy: `bins` side bins from the Cauchy CDF plus the tail.
+
+    Side bin n has mass S((n - 1/2) q) - S((n + 1/2) q) with survival
+    S(x) = atan(scale / x) / pi.  Beyond bin `bins` the mass tends to
+    c / n^2, c = scale / (pi q); the integral of -p log2 p of that from
+    x = bins + 1/2 on is c / x (2 ln x + 2 - ln c) / ln 2, off by a
+    relative (scale/q)^2 / x^2 <= 3e-9 of a tail below 2e-3 bits here.
+    """
+    a = scale / q
+    survival = np.arctan(a / np.arange(0.5, bins + 1.0)) / math.pi
+    p = survival[:-1] - survival[1:]
+    side = float(np.sum(-p * np.log2(p)))
+    c, x = a / math.pi, bins + 0.5
+    tail = c / x * (2.0 * math.log(x) + 2.0 - math.log(c)) / math.log(2.0)
+    p0 = 1.0 - 2.0 / math.pi * math.atan(2.0 * a)
+    return -p0 * math.log2(p0) + 2.0 * (side + tail)
+
+
+class TestUntruncatedEntropy:
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 10.0, 100.0])
+    def test_matches_long_reference(self, scale):
+        for q in default_qstep_grid()[::7]:
+            truth = reference_entropy(scale, float(q))
+            assert entropy(CauchyParams(scale), float(q)) == pytest.approx(truth, rel=1e-8)
+
+    # q2 >= q1 * (1 + 1e-3) for scale/q from 2^-9 to 2^8; the examples
+    # straddle scale/q = 16, where the head outgrows its 1024-bin minimum.
+    @given(
+        scale=st.floats(0.5, 100.0),
+        log2_a=st.floats(-9.0, 8.0),
+        step=st.one_of(st.just(1e-3), st.floats(1e-3, 1.0)),
+    )
+    @example(scale=32.0, log2_a=math.log2(16.008), step=1e-3)
+    @example(scale=1.0, log2_a=math.log2(16.0001), step=1e-3)
+    @settings(max_examples=200, deadline=None)
+    def test_strictly_decreasing_in_qstep(self, scale, log2_a, step):
+        params = CauchyParams(scale)
+        q1 = scale / 2.0**log2_a
+        assert entropy(params, q1 * (1.0 + step)) < entropy(params, q1)
+
+    def test_step_too_fine_for_head_rejected(self):
+        with pytest.raises(ValueError, match="truncation_n"):
+            entropy(CauchyParams(1.0), 1e-6)
+
+
 class TestTotalProbability:
     def test_term_by_term_sums_to_one(self):
         # At small scale / large step the heavy tail is affordable to sum
@@ -171,11 +216,6 @@ class TestTotalProbability:
         strict = CauchyParams(scale, include_zero_bin=False)
         assert total_probability(strict, q) == pytest.approx(1.0 - P0_G1_Q1, abs=1e-6)
 
-    def test_truncation_cap_respected(self):
-        # Adaptive resolution never exceeds the cap even for slow tails.
-        from rqpkit.entropy import _resolve_truncation
-
-        assert _resolve_truncation(CauchyParams(100.0), 1.0) == MAX_TRUNCATION
 
 
 class TestQpConversion:

@@ -33,6 +33,19 @@ def test_sixteen_bit_rejected(tmp_path):
         read_pgm(path)
 
 
+def test_sample_above_maxval_rejected(tmp_path):
+    path = tmp_path / "hot.pgm"
+    path.write_bytes(b"P5\n3 1\n100\n" + bytes([0, 100, 101]))
+    with pytest.raises(ValueError, match="sample 101 exceeds the header's max value 100"):
+        read_pgm(path)
+
+
+def test_samples_up_to_maxval_accepted(tmp_path):
+    path = tmp_path / "dim.pgm"
+    path.write_bytes(b"P5\n2 1\n100\n" + bytes([0, 100]))
+    assert np.array_equal(read_pgm(path), np.array([[0, 100]], dtype=np.uint8))
+
+
 def test_wrong_magic(tmp_path):
     path = tmp_path / "ascii.pgm"
     path.write_bytes(b"P2\n1 1\n255\n0\n")
