@@ -22,6 +22,7 @@ from .evaluate import (
     AblationConfig,
     ErrorReport,
     ReportRow,
+    TrainedRun,
     curve_dump,
     evaluate_frames,
     evaluate_run,
@@ -63,6 +64,7 @@ from .ingest import (
 )
 from .model import (
     DegenerateFitError,
+    InversionError,
     ModelParams,
     ModelSpec,
     NoRealRootError,

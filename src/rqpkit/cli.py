@@ -18,7 +18,7 @@ from . import ingest
 from .features import CHANNEL_ORDER, stack_from_coding
 from .model import predict_rate
 from .pgm import write_pgm
-from .regressor import TrainConfig, load_checkpoint, save_checkpoint
+from .regressor import TrainConfig
 
 
 def _parse_channels(text: str) -> tuple[str, ...]:
@@ -154,19 +154,7 @@ def cmd_train(args) -> int:
     run = ev.run_training(corpus, split, args.spec, args.fasten, args.features,
                           _train_config(args))
     checkpoint_path = out / "checkpoint.npz"
-    save_checkpoint(
-        checkpoint_path,
-        run.network,
-        run.scaler,
-        extra={
-            "form": run.form,
-            "fastened": run.fastened,
-            "channels": list(run.channels),
-            "test_ids": list(run.test_ids),
-            "seed": args.seed,
-            "test_fraction": args.test_fraction,
-        },
-    )
+    run.save(checkpoint_path, seed=args.seed, test_fraction=args.test_fraction)
     history = ["epoch,train_loss,val_loss"]
     for i, tl in enumerate(run.result.train_loss):
         vl = f"{run.result.val_loss[i]:.10g}" if run.result.val_loss else ""
@@ -180,21 +168,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _run_from_checkpoint(path):
-    network, scaler, extra = load_checkpoint(path)
-    for key in ("form", "fastened", "channels", "test_ids"):
-        if key not in extra:
-            raise ValueError(f"checkpoint {path} lacks metadata field {key!r}")
-    return network, scaler, extra
-
-
 def cmd_predict(args) -> int:
-    network, scaler, extra = _run_from_checkpoint(args.checkpoint)
+    run = ev.TrainedRun.load(args.checkpoint)
     frame = ingest.load_frame(args.frame)
     md = ingest.load_metadata(args.sidecar)
-    predictor = ev.net_predictor(network, scaler, extra["form"], extra["fastened"],
-                                 extra["channels"])
-    rate = predict_rate(predictor(frame, md), args.qp)
+    rate = predict_rate(run.predictor()(frame, md), args.qp)
     print(f"{rate:.6f}")
     return 0
 
@@ -202,22 +180,11 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     corpus = ingest.load_corpus(args.corpus)
-    by_id = ev.corpus_index(corpus)
-    network, scaler, extra = _run_from_checkpoint(args.checkpoint)
-    ids = [i for i in extra["test_ids"] if i in by_id]
-    if not ids:
-        raise ValueError("none of the checkpoint's test frames appear in the corpus")
-    row, details = ev.evaluate_frames(
-        [by_id[i] for i in ids],
-        ev.net_predictor(network, scaler, extra["form"], extra["fastened"], extra["channels"]),
-        args.thresholds,
-        model=extra["form"],
-        fastened=extra["fastened"],
-        features="+".join(extra["channels"]),
-    )
+    run = ev.TrainedRun.load(args.checkpoint)
+    row, details = ev.evaluate_run(corpus, run, args.thresholds)
     report = ev.ErrorReport(thresholds=args.thresholds, rows=[row], metadata={
         "aggregation": "per (frame, label-qp) pair, anchor qp excluded",
-        "test_frames": len(ids),
+        "test_frames": len({d.frame_id for d in details}),
     })
     (out / "report.csv").write_text(report.to_csv())
     (out / "report.txt").write_text(report.to_table())
@@ -250,13 +217,9 @@ def cmd_curves(args) -> int:
     frame, md = by_id[args.frame_id]
     predictors = {}
     for path in args.checkpoint:
-        network, scaler, extra = _run_from_checkpoint(path)
-        name = f"{extra['form']}_{'fastened' if extra['fastened'] else 'free'}_" + "_".join(
-            extra["channels"]
-        )
-        predictors[name] = ev.net_predictor(
-            network, scaler, extra["form"], extra["fastened"], extra["channels"]
-        )
+        run = ev.TrainedRun.load(path)
+        name = f"{run.form}_{'fastened' if run.fastened else 'free'}_" + "_".join(run.channels)
+        predictors[name] = run.predictor()
     csv_text = ev.curve_dump(frame, md, predictors)
     path = out / "curves.csv"
     path.write_text(csv_text)

@@ -4,8 +4,9 @@ Accuracy is scored per (frame, label QP) pair: the model coefficients are
 predicted from the frame's features, the rate at the label QP is solved
 from the model, and the signed percentage error against the measured rate
 is thresholded.  The one-pass anchor QP is excluded (its rate is known,
-not predicted), and quadratic inversions with no real root count as
-misses beyond every threshold rather than being dropped.
+not predicted), and inversions with no finite solution (no real root, or
+a rate that over- or underflows) count as misses beyond every threshold
+rather than being dropped.
 """
 
 from __future__ import annotations
@@ -17,20 +18,23 @@ import numpy as np
 from .features import CHANNEL_ORDER, GrayFrame, stack_from_coding
 from .ingest import CodingMetadata, DatasetSplit
 from .model import (
+    InversionError,
     ModelParams,
     ModelSpec,
-    NoRealRootError,
     fit,
     predict_rate,
     relative_error,
 )
 from .regressor import (
     Network,
+    TargetScaler,
     TrainConfig,
     TrainResult,
     default_config,
+    load_checkpoint,
     mean_predictor_mse,
     predict_params,
+    save_checkpoint,
     train,
 )
 
@@ -164,7 +168,7 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
             try:
                 predicted = predict_rate(params, sample.qp)
                 delta = relative_error(sample.rate, predicted)
-            except NoRealRootError:
+            except InversionError:
                 n_failures += 1
                 details.append(PairOutcome(md.frame_id, sample.qp, sample.rate, None, None))
                 continue
@@ -216,20 +220,42 @@ def net_predictor(network: Network, scaler, form: str, fastened: bool, channels)
 
 @dataclass
 class TrainedRun:
+    """A trained predictor: network, target scaler, model form, feature channels
+    and the frames held out to test it.
+
+    `result` and `baseline_val_mse` are None on a run loaded from a checkpoint.
+    """
+
     form: str
     fastened: bool
     channels: tuple[str, ...]
     network: Network
-    result: TrainResult
-    baseline_val_mse: float | None
+    scaler: TargetScaler
     test_ids: tuple[str, ...]
-
-    @property
-    def scaler(self):
-        return self.result.scaler
+    result: TrainResult | None = None
+    baseline_val_mse: float | None = None
 
     def predictor(self):
         return net_predictor(self.network, self.scaler, self.form, self.fastened, self.channels)
+
+    def save(self, path, **provenance) -> None:
+        """Write a checkpoint; `provenance` adds JSON-serializable metadata."""
+        save_checkpoint(path, self.network, self.scaler, extra={
+            "form": self.form,
+            "fastened": self.fastened,
+            "channels": list(self.channels),
+            "test_ids": list(self.test_ids),
+            **provenance,
+        })
+
+    @classmethod
+    def load(cls, path) -> "TrainedRun":
+        network, scaler, extra = load_checkpoint(path)
+        for key in ("form", "fastened", "channels", "test_ids"):
+            if key not in extra:
+                raise ValueError(f"checkpoint {path} lacks metadata field {key!r}")
+        return cls(extra["form"], extra["fastened"], tuple(extra["channels"]), network, scaler,
+                   tuple(extra["test_ids"]))
 
 
 def corpus_index(corpus) -> dict[str, tuple[GrayFrame, CodingMetadata]]:
@@ -277,20 +303,20 @@ def run_training(corpus, split: DatasetSplit, form: str, fastened: bool, channel
         fastened=fastened,
         channels=channels,
         network=network,
+        scaler=result.scaler,
+        test_ids=tuple(split.test),
         result=result,
         baseline_val_mse=baseline,
-        test_ids=tuple(split.test),
     )
 
 
-def evaluate_run(corpus, run: TrainedRun, thresholds=DEFAULT_THRESHOLDS,
-                 ids=None) -> tuple[ReportRow, list[PairOutcome]]:
-    """Score a trained run on its test frames (or an explicit id list)."""
+def evaluate_run(corpus, run: TrainedRun,
+                 thresholds=DEFAULT_THRESHOLDS) -> tuple[ReportRow, list[PairOutcome]]:
+    """Score a trained run on those of its test frames the corpus holds."""
     by_id = corpus_index(corpus)
-    ids = tuple(ids) if ids is not None else run.test_ids
-    if not ids:
-        raise ValueError("no frames to evaluate")
-    items = [by_id[i] for i in ids]
+    items = [by_id[i] for i in run.test_ids if i in by_id]
+    if not items:
+        raise ValueError("none of the run's test frames appear in the corpus")
     return evaluate_frames(
         items,
         run.predictor(),
@@ -365,7 +391,7 @@ def curve_dump(frame: GrayFrame, md: CodingMetadata, predictors: dict, qp_grid=N
         for name in predictors:
             try:
                 cells.append(f"{predict_rate(params_by_name[name], qp):.6f}")
-            except NoRealRootError:
+            except InversionError:
                 cells.append("")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -88,6 +88,20 @@ def _require(doc: dict, key: str, kind, path: str):
     return value
 
 
+def _parse_items(items: list, path: str, make, keys: tuple[str, ...], kind) -> list:
+    """make(*values) per object of a JSON list; errors name the item as path[i]."""
+    parsed = []
+    for i, item in enumerate(items):
+        where = f"{path}[{i}]"
+        if not isinstance(item, dict):
+            raise MetadataError(f"{where}: expected an object")
+        try:
+            parsed.append(make(*(_require(item, key, kind, where) for key in keys)))
+        except ValueError as exc:
+            raise MetadataError(f"{where}: {exc}") from exc
+    return parsed
+
+
 def parse_metadata(text: str) -> CodingMetadata:
     """Parse and fully validate one sidecar document."""
     try:
@@ -107,54 +121,14 @@ def parse_metadata(text: str) -> CodingMetadata:
         r0=_require(anchor_doc, "r0_bits", float, "$.anchor"),
     )
 
-    cus = []
-    for i, item in enumerate(_require(doc, "cus", list, "$")):
-        if not isinstance(item, dict):
-            raise MetadataError(f"$.cus[{i}]: expected an object")
-        try:
-            cus.append(
-                CuRect(
-                    x=_require(item, "x", int, f"$.cus[{i}]"),
-                    y=_require(item, "y", int, f"$.cus[{i}]"),
-                    w=_require(item, "w", int, f"$.cus[{i}]"),
-                    h=_require(item, "h", int, f"$.cus[{i}]"),
-                )
-            )
-        except ValueError as exc:
-            raise MetadataError(f"$.cus[{i}]: {exc}") from exc
-
-    pus = []
-    for i, item in enumerate(_require(doc, "pus", list, "$")):
-        if not isinstance(item, dict):
-            raise MetadataError(f"$.pus[{i}]: expected an object")
-        try:
-            pus.append(
-                PuMode(
-                    x=_require(item, "x", int, f"$.pus[{i}]"),
-                    y=_require(item, "y", int, f"$.pus[{i}]"),
-                    mode=_require(item, "mode", int, f"$.pus[{i}]"),
-                )
-            )
-        except ValueError as exc:
-            raise MetadataError(f"$.pus[{i}]: {exc}") from exc
+    cus = _parse_items(_require(doc, "cus", list, "$"), "$.cus", CuRect, ("x", "y", "w", "h"), int)
+    pus = _parse_items(_require(doc, "pus", list, "$"), "$.pus", PuMode, ("x", "y", "mode"), int)
 
     labels = None
     if doc.get("labels") is not None:
         if not isinstance(doc["labels"], list):
             raise MetadataError("$.labels: expected a list")
-        samples = []
-        for i, item in enumerate(doc["labels"]):
-            if not isinstance(item, dict):
-                raise MetadataError(f"$.labels[{i}]: expected an object")
-            try:
-                samples.append(
-                    RQPSample(
-                        qp=_require(item, "qp", float, f"$.labels[{i}]"),
-                        rate=_require(item, "bits", float, f"$.labels[{i}]"),
-                    )
-                )
-            except ValueError as exc:
-                raise MetadataError(f"$.labels[{i}]: {exc}") from exc
+        samples = _parse_items(doc["labels"], "$.labels", RQPSample, ("qp", "bits"), float)
         try:
             labels = RQPCurve(tuple(samples))
         except ValueError as exc:
@@ -339,7 +313,6 @@ class DatasetSplit:
     train: tuple[str, ...]
     validation: tuple[str, ...]
     test: tuple[str, ...]
-    test_fraction: float = 0.0
 
     def __post_init__(self):
         groups = (set(self.train), set(self.validation), set(self.test))
@@ -364,7 +337,6 @@ def split_dataset(ids, seed: int, test_fraction: float) -> DatasetSplit:
         train=tuple(pool[n_val:]),
         validation=tuple(pool[:n_val]),
         test=tuple(shuffled[:n_test]),
-        test_fraction=test_fraction,
     )
 
 

@@ -15,7 +15,7 @@ degenerate above a condition bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,11 @@ class DegenerateFitError(ValueError):
     """Least-squares system is under-determined or numerically singular."""
 
 
-class NoRealRootError(ValueError):
+class InversionError(ValueError):
+    """No finite positive rate solves the model at the requested QP."""
+
+
+class NoRealRootError(InversionError):
     """The quadratic model never reaches the requested QP.
 
     Carries the vertex of the parabola (the extreme QP the model can
@@ -132,10 +136,6 @@ class ModelSpec:
     def param_count(self) -> int:
         base = 2 if self.form == "linear" else 3
         return base - (1 if self.fastened else 0)
-
-    def with_anchor(self, anchor: OperationalPoint | None) -> "ModelSpec":
-        """Same form/fastening bound to a different frame's anchor."""
-        return replace(self, anchor=anchor if self.fastened else None)
 
     def label(self) -> str:
         return f"{self.form}-{'fastened' if self.fastened else 'free'}"
@@ -247,12 +247,25 @@ def _branch_sign(params: ModelParams, alpha: float, beta: float) -> float:
     return -1.0 if slope <= 0 else 1.0
 
 
+def _rate(u: float, qp: float) -> float:
+    """exp(u), or InversionError when the rate overflows or underflows to 0."""
+    try:
+        rate = math.exp(u)
+    except OverflowError:
+        rate = math.inf
+    if not 0.0 < rate < math.inf:
+        raise InversionError(f"no finite positive rate solves the model at qp={qp:g} "
+                             f"(ln rate {u:g})")
+    return rate
+
+
 def predict_rate(params: ModelParams, qp: float) -> float:
     """Rate in bits at which the model reaches `qp` (inverse of model_qp).
 
     Quadratic forms pick the root on the same monotone branch as the
     anchor (or the fitted data for free specs); a negative discriminant
-    raises NoRealRootError carrying the vertex QP.
+    raises NoRealRootError carrying the vertex QP.  A rate that overflows
+    or underflows to 0 raises InversionError.
     """
     spec = params.spec
     if spec.form == "linear":
@@ -266,7 +279,7 @@ def predict_rate(params: ModelParams, qp: float) -> float:
             if a == 0:
                 raise DegenerateFitError("linear coefficient is zero; model is constant")
             u = (qp - b) / a
-        return math.exp(u)
+        return _rate(u, qp)
 
     if spec.fastened:
         alpha, beta = params.coeffs
@@ -279,7 +292,7 @@ def predict_rate(params: ModelParams, qp: float) -> float:
     if alpha == 0:
         if beta == 0:
             raise DegenerateFitError("both quadratic coefficients are zero; model is constant")
-        return math.exp(-c / beta)
+        return _rate(-c / beta, qp)
 
     disc = beta * beta - 4.0 * alpha * c
     if disc < 0:
@@ -292,7 +305,7 @@ def predict_rate(params: ModelParams, qp: float) -> float:
         u = (-beta - sqrt_d) / (2.0 * alpha)
     else:
         u = (-beta + sqrt_d) / (2.0 * alpha)
-    return math.exp(u)
+    return _rate(u, qp)
 
 
 def relative_error(actual: float, predicted: float) -> float:

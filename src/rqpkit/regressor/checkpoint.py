@@ -14,7 +14,7 @@ import numpy as np
 from .network import Network, NetworkConfig
 from .training import TargetScaler
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(path, network: Network, scaler: TargetScaler,

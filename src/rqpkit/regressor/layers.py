@@ -29,7 +29,7 @@ class Conv2d:
     """2-d convolution with symmetric zero padding (kernel // 2 per side)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
-                 stride: int = 1, *, rng: np.random.Generator, weight_scale: float | None = None):
+                 stride: int = 1, *, rng: np.random.Generator):
         if kernel < 1 or kernel % 2 == 0:
             raise ValueError(f"kernel must be odd and positive, got {kernel}")
         if stride < 1:
@@ -38,9 +38,7 @@ class Conv2d:
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
-        scale = weight_scale if weight_scale is not None else 1.0 / np.sqrt(
-            in_channels * kernel * kernel
-        )
+        scale = 1.0 / np.sqrt(in_channels * kernel * kernel)
         self.w = rng.uniform(-scale, scale, (out_channels, in_channels, kernel, kernel))
         self.b = np.zeros(out_channels)
         self.dw = np.zeros_like(self.w)
@@ -166,9 +164,8 @@ class Flatten:
 class Dense:
     """Fully connected layer: y = x @ w.T + b."""
 
-    def __init__(self, in_features: int, out_features: int, *,
-                 rng: np.random.Generator, weight_scale: float | None = None):
-        scale = weight_scale if weight_scale is not None else 1.0 / np.sqrt(in_features)
+    def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator):
+        scale = 1.0 / np.sqrt(in_features)
         self.w = rng.uniform(-scale, scale, (out_features, in_features))
         self.b = np.zeros(out_features)
         self.dw = np.zeros_like(self.w)

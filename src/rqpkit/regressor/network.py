@@ -43,7 +43,6 @@ class NetworkConfig:
     conv: tuple[ConvLayerSpec, ...]
     outputs: int
     seed: int = 0
-    dense_weight_scale: float | None = None
 
     def __post_init__(self):
         if self.input_channels not in (1, 2, 3):
@@ -132,10 +131,7 @@ class Network:
             self.layers.append(AvgPool2d(spec.pool))
             in_ch = spec.out_channels
         self.layers.append(Flatten())
-        self.layers.append(
-            Dense(config.flat_features, config.outputs, rng=rng,
-                  weight_scale=config.dense_weight_scale)
-        )
+        self.layers.append(Dense(config.flat_features, config.outputs, rng=rng))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.config.input_channels or (

@@ -118,9 +118,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 10
     epochs: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -190,7 +187,7 @@ def train(network: Network, train_items, cfg: TrainConfig, val_items=None) -> Tr
         x_val, y_val_raw = _dataset_arrays(val_items, network.config)
         y_val = scaler.transform(y_val_raw)
 
-    optimizer = Adam(network.parameters(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    optimizer = Adam(network.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult(network=network, scaler=scaler)
     n = len(x)

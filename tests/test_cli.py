@@ -7,6 +7,7 @@ from rqpkit.cli import main
 from rqpkit.features import stack_from_coding
 from rqpkit.ingest import load_frame, load_metadata, read_manifest
 from rqpkit.pgm import read_pgm
+from rqpkit.regressor import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,18 @@ class TestTrainPredict:
         assert code == 0
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(md.anchor.r0, rel=1e-6)
+
+    def test_checkpoint_without_channels_is_reported(self, workdir, corpus_dir, checkpoint,
+                                                     capsys):
+        network, scaler, extra = load_checkpoint(checkpoint)
+        del extra["channels"]
+        stripped = workdir / "no_channels.npz"
+        save_checkpoint(stripped, network, scaler, extra=extra)
+        frame_path, sidecar_path = read_manifest(corpus_dir / "manifest.txt")[0]
+        code = main(["predict", "--checkpoint", str(stripped),
+                     "--frame", str(frame_path), "--sidecar", str(sidecar_path), "--qp", "26"])
+        assert code == 2
+        assert "'channels'" in capsys.readouterr().err
 
     def test_missing_file_is_reported(self, checkpoint, capsys):
         code = main(["predict", "--checkpoint", str(checkpoint),

@@ -9,6 +9,8 @@ from rqpkit.evaluate import (
     AblationConfig,
     ErrorReport,
     ReportRow,
+    TrainedRun,
+    corpus_index,
     curve_dump,
     details_to_csv,
     evaluate_frames,
@@ -55,6 +57,11 @@ def on_model_metadata(frame_id: str, coeffs=(-0.6, -2.5), qp0=10.0, u0=9.0) -> t
     )
     frame = GrayFrame(np.full((16, 16), 100, dtype=np.uint8))
     return frame, md
+
+
+def overflowing(frame, md):
+    """A rising slope of 0.005 puts ln rate above 800 at every label QP past the anchor."""
+    return ModelParams(frame_spec("linear", True, md), (0.005,))
 
 
 class TestMakeLabels:
@@ -188,6 +195,14 @@ class TestEvaluateFrames:
         assert row.proportions == (0.0, 0.0, 0.0)
         assert all(d.predicted is None for d in details)
 
+    def test_overflowing_rates_scored_as_misses(self):
+        frame, md = on_model_metadata("f0")
+        row, details = evaluate_frames(
+            [(frame, md)], overflowing, model="linear", fastened=True, features="x"
+        )
+        assert row.n_failures == row.n_pairs == len(QP_GRID) - 1
+        assert all(d.predicted is None for d in details)
+
     def test_oracle_nesting_direction(self, tiny_corpus):
         rows = {}
         for form in ("quadratic", "linear"):
@@ -265,6 +280,33 @@ class TestTrainingRuns:
         assert row.n_pairs == len(split.test) * (len(QP_GRID) - 1)
         assert row.features == "rec"
 
+    def test_save_load_round_trip(self, tiny_corpus, tmp_path):
+        ids = [md.frame_id for _, md in tiny_corpus]
+        split = split_dataset(ids, seed=0, test_fraction=0.25)
+        run = run_training(tiny_corpus, split, "quadratic", True, ("rec", "intra"),
+                           TrainConfig(epochs=1, seed=0))
+        run.save(tmp_path / "run.npz", seed=0)
+        loaded = TrainedRun.load(tmp_path / "run.npz")
+        assert (loaded.form, loaded.fastened, loaded.channels, loaded.test_ids) == (
+            run.form, run.fastened, run.channels, run.test_ids)
+        assert loaded.result is None and loaded.baseline_val_mse is None
+        by_id = corpus_index(tiny_corpus)
+        for frame_id in run.test_ids:
+            frame, md = by_id[frame_id]
+            assert loaded.predictor()(frame, md).coeffs == run.predictor()(frame, md).coeffs
+
+    def test_evaluate_run_scores_test_frames_in_corpus(self, tiny_corpus):
+        ids = [md.frame_id for _, md in tiny_corpus]
+        split = split_dataset(ids, seed=0, test_fraction=0.25)
+        run = run_training(tiny_corpus, split, "linear", True, ("rec",),
+                           TrainConfig(epochs=1, seed=0))
+        held = [item for item in tiny_corpus if item[1].frame_id == run.test_ids[0]]
+        others = [item for item in tiny_corpus if item[1].frame_id not in run.test_ids]
+        row, _ = evaluate_run(held + others, run)
+        assert row.n_pairs == len(QP_GRID) - 1
+        with pytest.raises(ValueError, match="test frames"):
+            evaluate_run(others, run)
+
     def test_channels_canonicalized(self, tiny_corpus):
         ids = [md.frame_id for _, md in tiny_corpus]
         split = split_dataset(ids, seed=0, test_fraction=0.25)
@@ -325,3 +367,9 @@ class TestCurveDump:
         )
         predicted = float(anchor_line.split(",")[2])
         assert predicted == pytest.approx(md.anchor.r0, rel=1e-6)
+
+    def test_inversion_failure_leaves_cell_empty(self):
+        frame, md = on_model_metadata("f0")
+        lines = curve_dump(frame, md, {"up": overflowing}).splitlines()
+        assert lines[1] == f"10,{md.anchor.r0:.6f},{md.anchor.r0:.6f}"
+        assert all(line.endswith(",") for line in lines[2:])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rqpkit.entropy import CauchyParams, synth_curve
 from rqpkit.model import (
     DegenerateFitError,
+    InversionError,
     ModelParams,
     ModelSpec,
     NoRealRootError,
@@ -240,6 +241,7 @@ class TestPredictRate:
         vertex_qp = const - 9.0 / (4.0 * -0.5)
         with pytest.raises(NoRealRootError) as err:
             predict_rate(params, vertex_qp + 1.0)
+        assert isinstance(err.value, InversionError)
         assert err.value.requested_qp == vertex_qp + 1.0
         assert err.value.vertex_qp == pytest.approx(vertex_qp, rel=1e-12)
         assert err.value.vertex_rate == pytest.approx(math.exp(err.value.vertex_u), rel=1e-12)
@@ -257,6 +259,34 @@ class TestPredictRate:
             predict_rate(ModelParams(ModelSpec("linear"), (0.0, 30.0)), 20.0)
         with pytest.raises(DegenerateFitError):
             predict_rate(ModelParams(ModelSpec("quadratic"), (0.0, 0.0, 30.0)), 20.0)
+
+    def test_overflowing_rate_is_an_inversion_error(self):
+        # A rising slope of 0.01 puts ln rate at 8.5 + 28 / 0.01 at qp 38.
+        params = ModelParams(ModelSpec("linear", True, OperationalPoint(10, 5000)), (0.01,))
+        with pytest.raises(InversionError, match="qp=38"):
+            predict_rate(params, 38)
+
+    def test_underflowing_rate_is_an_inversion_error(self):
+        with pytest.raises(InversionError):
+            predict_rate(ModelParams(ModelSpec("linear"), (1.0, 2000.0)), 0.0)
+
+    @given(
+        st.sampled_from(["linear", "quadratic"]),
+        st.booleans(),
+        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=3),
+        st.floats(min_value=0.0, max_value=51.0),
+        st.one_of(st.none(), st.floats(min_value=-50.0, max_value=50.0)),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_total_over_finite_coefficients(self, form, fastened, coeffs, qp, branch_u):
+        spec = ModelSpec(form, fastened, ANCHOR if fastened else None)
+        params = ModelParams(spec, tuple(coeffs[: spec.param_count]),
+                             None if fastened else branch_u)
+        try:
+            rate = predict_rate(params, qp)
+        except (InversionError, DegenerateFitError):
+            return
+        assert 0.0 < rate < math.inf
 
     def test_returns_positive(self):
         rng = np.random.default_rng(23)

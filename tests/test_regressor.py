@@ -363,7 +363,8 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unfitted"):
             save_checkpoint(tmp_path / "x.npz", net, TargetScaler())
 
-    def test_version_guard(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 999])
+    def test_version_guard(self, tmp_path, version):
         rng = np.random.default_rng(18)
         net = Network(default_config(2, 8, 2, seed=16))
         scaler = TargetScaler().fit(rng.normal(0, 1, (4, 2)))
@@ -374,7 +375,7 @@ class TestCheckpoint:
         with np.load(path) as archive:
             meta = json_mod.loads(bytes(archive["meta"]).decode())
             arrays = {k: archive[k] for k in archive.files}
-        meta["format_version"] = 999
+        meta["format_version"] = version
         arrays["meta"] = np.frombuffer(json_mod.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="format"):
