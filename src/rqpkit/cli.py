@@ -16,7 +16,7 @@ from pathlib import Path
 from . import evaluate as ev
 from . import ingest
 from .features import CHANNEL_ORDER, stack_from_coding
-from .model import predict_rate
+from .model import FORMS, predict_rate
 from .pgm import write_pgm
 from .regressor import TrainConfig
 
@@ -61,7 +61,7 @@ def _parse_forms(text: str) -> tuple[tuple[str, bool], ...]:
             raise argparse.ArgumentTypeError(
                 f"forms look like quadratic:fastened or linear:free, got {part!r}"
             ) from None
-        if name not in ("linear", "quadratic") or mode not in ("fastened", "free"):
+        if name not in FORMS or mode not in ("fastened", "free"):
             raise argparse.ArgumentTypeError(f"bad form {part!r}")
         forms.append((name, mode == "fastened"))
     if not forms:
@@ -83,7 +83,7 @@ def _out_dir(args) -> Path:
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--spec", choices=("linear", "quadratic"), default="quadratic",
+    p.add_argument("--spec", choices=FORMS, default="quadratic",
                    help="model form (default: quadratic)")
     p.add_argument("--fasten", action=argparse.BooleanOptionalAction, default=True,
                    help="anchor the model to the one-pass operating point (default: on)")

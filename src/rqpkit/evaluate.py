@@ -4,9 +4,9 @@ Accuracy is scored per (frame, label QP) pair: the model coefficients are
 predicted from the frame's features, the rate at the label QP is solved
 from the model, and the signed percentage error against the measured rate
 is thresholded.  The one-pass anchor QP is excluded (its rate is known,
-not predicted), and inversions with no finite solution (no real root, or
-a rate that over- or underflows) count as misses beyond every threshold
-rather than being dropped.
+not predicted), and inversions with no finite solution (no real root, a
+constant model, or a rate that over- or underflows) count as misses beyond
+every threshold rather than being dropped.
 """
 
 from __future__ import annotations
@@ -286,11 +286,10 @@ def run_training(corpus, split: DatasetSplit, form: str, fastened: bool, channel
     sample_md = by_id[split.train[0]][1]
     if sample_md.width != sample_md.height:
         raise ValueError("the regressor expects square frames")
-    n_outputs = ModelSpec(form).param_count - (1 if fastened else 0)
     config = default_config(
         input_channels=len(channels),
         input_size=sample_md.width,
-        outputs=n_outputs,
+        outputs=frame_spec(form, fastened, sample_md).param_count,
         seed=train_cfg.seed,
     )
     network = Network(config)

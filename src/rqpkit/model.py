@@ -6,8 +6,10 @@ polynomials in ln(R), each either free or "fastened" to the operating
 point (qp0, r0) measured during the one mandatory coding pass.  Fastening
 substitutes the measured point for the constant term, so the fitted curve
 passes through it exactly and one fewer coefficient remains to estimate.
+Every form is one centred quadratic, alpha (u^2 - u_ref^2) + beta (u - u_ref)
++ qp_ref with u = ln R, so evaluation, fitting and inversion share one path.
 
-Fitting is ordinary least squares on the transformed regressors; the
+Fitting is ordinary least squares on the centred regressors; the
 normal equations are at most 3x3, solved directly and rejected as
 degenerate above a condition bound.
 """
@@ -15,6 +17,7 @@ degenerate above a condition bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,47 +168,38 @@ class ModelParams:
             raise ValueError(f"coefficients must be finite, got {self.coeffs}")
 
 
+def _centred(spec: ModelSpec, coeffs: tuple, branch_u: float | None = None):
+    """(alpha, beta, u_ref, qp_ref, u_branch) of the centred quadratic
+
+        qp = alpha * (u^2 - u_ref^2) + beta * (u - u_ref) + qp_ref,   u = ln R,
+
+    that `coeffs` describe under `spec`.  Linear forms have alpha = 0.
+    Fastened forms centre on the anchor (u_ref = ln r0, qp_ref = qp0), which
+    also marks their branch; free forms centre on u_ref = 0, take their
+    constant as qp_ref, and keep `branch_u` as given.
+    """
+    if spec.fastened:
+        u_ref = math.log(spec.anchor.r0)
+        qp_ref, slopes, u_branch = spec.anchor.qp0, coeffs, u_ref
+    else:
+        u_ref, qp_ref, slopes, u_branch = 0.0, coeffs[-1], coeffs[:-1], branch_u
+    alpha, beta = (0.0, *slopes) if spec.form == "linear" else slopes
+    return alpha, beta, u_ref, qp_ref, u_branch
+
+
 def model_qp(params: ModelParams, rate: float) -> float:
     """QP the model assigns to a frame coded at `rate` bits."""
     if not (rate > 0 and math.isfinite(rate)):
         raise ValueError(f"rate must be positive and finite, got {rate}")
     u = math.log(rate)
-    spec = params.spec
-    if spec.form == "linear":
-        if spec.fastened:
-            (a,) = params.coeffs
-            return a * (u - math.log(spec.anchor.r0)) + spec.anchor.qp0
-        a, b = params.coeffs
-        return a * u + b
-    if spec.fastened:
-        alpha, beta = params.coeffs
-        u0 = math.log(spec.anchor.r0)
-        return alpha * (u * u - u0 * u0) + beta * (u - u0) + spec.anchor.qp0
-    alpha, beta, mu = params.coeffs
-    return alpha * u * u + beta * u + mu
+    alpha, beta, u_ref, qp_ref, _ = _centred(params.spec, params.coeffs)
+    # Centred evaluation keeps a fastened model exact at its anchor.
+    return alpha * (u * u - u_ref * u_ref) + beta * (u - u_ref) + qp_ref
 
 
 def residuals(params: ModelParams, curve: RQPCurve) -> np.ndarray:
     """Signed model-minus-measured QP residual per curve sample."""
     return np.array([model_qp(params, s.rate) - s.qp for s in curve.samples])
-
-
-def _design(spec: ModelSpec, u: np.ndarray, qp: np.ndarray):
-    """Transformed regressors and target for the linear least-squares fit."""
-    if spec.fastened:
-        u0 = math.log(spec.anchor.r0)
-        y = qp - spec.anchor.qp0
-        if spec.form == "linear":
-            x = np.column_stack([u - u0])
-        else:
-            x = np.column_stack([u * u - u0 * u0, u - u0])
-    else:
-        y = qp
-        if spec.form == "linear":
-            x = np.column_stack([u, np.ones_like(u)])
-        else:
-            x = np.column_stack([u * u, u, np.ones_like(u)])
-    return x, y
 
 
 def fit(spec: ModelSpec, curve: RQPCurve) -> ModelParams:
@@ -222,7 +216,11 @@ def fit(spec: ModelSpec, curve: RQPCurve) -> ModelParams:
             f"curve offers {len(set(rates.tolist()))}"
         )
     u = np.log(rates)
-    x, y = _design(spec, u, curve.qps())
+    # None placeholders mark the slots the coefficients fill; the rest are fixed.
+    alpha, beta, u_ref, qp_ref, u_branch = _centred(spec, (None,) * spec.param_count)
+    columns = (u * u - u_ref * u_ref, u - u_ref, np.ones_like(u))
+    x = np.column_stack([col for col, slot in zip(columns, (alpha, beta, qp_ref)) if slot is None])
+    y = curve.qps() - (0.0 if qp_ref is None else qp_ref)
     gram = x.T @ x
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > COND_LIMIT:
@@ -231,29 +229,22 @@ def fit(spec: ModelSpec, curve: RQPCurve) -> ModelParams:
             "the curve does not determine the coefficients"
         )
     theta = np.linalg.solve(gram, x.T @ y)
-    branch_u = None if spec.fastened else float(np.mean(u))
+    # Without an anchor to mark the branch, record where the data lived.
+    branch_u = float(np.mean(u)) if u_branch is None else None
     return ModelParams(spec, tuple(float(t) for t in theta), branch_u)
 
 
-def _branch_sign(params: ModelParams, alpha: float, beta: float) -> float:
-    """Sign of dQP/d(ln R) on the branch the model's data lives on."""
-    if params.spec.fastened:
-        u_ref = math.log(params.spec.anchor.r0)
-    else:
-        u_ref = params.branch_u
-    if u_ref is None:
-        return -1.0  # physical default: rate falls as QP rises
-    slope = 2.0 * alpha * u_ref + beta
-    return -1.0 if slope <= 0 else 1.0
-
-
 def _rate(u: float, qp: float) -> float:
-    """exp(u), or InversionError when the rate overflows or underflows to 0."""
+    """exp(u), or InversionError when the rate overflows or underflows.
+
+    A subnormal rate counts as underflow: it keeps too few bits for ln(rate)
+    to give back the requested QP.
+    """
     try:
         rate = math.exp(u)
     except OverflowError:
         rate = math.inf
-    if not 0.0 < rate < math.inf:
+    if not sys.float_info.min <= rate < math.inf:
         raise InversionError(f"no finite positive rate solves the model at qp={qp:g} "
                              f"(ln rate {u:g})")
     return rate
@@ -263,48 +254,29 @@ def predict_rate(params: ModelParams, qp: float) -> float:
     """Rate in bits at which the model reaches `qp` (inverse of model_qp).
 
     Quadratic forms pick the root on the same monotone branch as the
-    anchor (or the fitted data for free specs); a negative discriminant
-    raises NoRealRootError carrying the vertex QP.  A rate that overflows
-    or underflows to 0 raises InversionError.
+    anchor (or the fitted data for free specs; the falling branch when a
+    free spec records none); a negative discriminant raises NoRealRootError
+    carrying the vertex QP.  A constant model, or a rate that overflows or
+    underflows, raises InversionError.
     """
-    spec = params.spec
-    if spec.form == "linear":
-        if spec.fastened:
-            (a,) = params.coeffs
-            if a == 0:
-                raise DegenerateFitError("linear coefficient is zero; model is constant")
-            u = math.log(spec.anchor.r0) + (qp - spec.anchor.qp0) / a
-        else:
-            a, b = params.coeffs
-            if a == 0:
-                raise DegenerateFitError("linear coefficient is zero; model is constant")
-            u = (qp - b) / a
-        return _rate(u, qp)
-
-    if spec.fastened:
-        alpha, beta = params.coeffs
-        u0 = math.log(spec.anchor.r0)
-        const = spec.anchor.qp0 - alpha * u0 * u0 - beta * u0
-    else:
-        alpha, beta, const = params.coeffs
-
-    c = const - qp
+    alpha, beta, u_ref, qp_ref, u_branch = _centred(params.spec, params.coeffs, params.branch_u)
     if alpha == 0:
         if beta == 0:
-            raise DegenerateFitError("both quadratic coefficients are zero; model is constant")
-        return _rate(-c / beta, qp)
+            raise InversionError(f"the model is constant at qp={qp_ref:g}; "
+                                 f"no rate reaches qp={qp:g}")
+        return _rate(u_ref + (qp - qp_ref) / beta, qp)
 
+    const = qp_ref - alpha * u_ref * u_ref - beta * u_ref
+    c = const - qp
     disc = beta * beta - 4.0 * alpha * c
     if disc < 0:
-        vertex_u = -beta / (2.0 * alpha)
-        vertex_qp = const - beta * beta / (4.0 * alpha)
-        raise NoRealRootError(qp, vertex_qp, vertex_u)
-    sqrt_d = math.sqrt(disc)
-    # The two roots carry slopes -sqrt_d and +sqrt_d respectively.
-    if _branch_sign(params, alpha, beta) < 0:
-        u = (-beta - sqrt_d) / (2.0 * alpha)
-    else:
-        u = (-beta + sqrt_d) / (2.0 * alpha)
+        raise NoRealRootError(qp, const - beta * beta / (4.0 * alpha), -beta / (2.0 * alpha))
+    # Roots h/alpha and c/h never subtract nearly equal terms; h/alpha has
+    # slope dqp/du = -sign(beta)*sqrt(disc) and c/h the opposite slope.
+    sign = math.copysign(1.0, beta)
+    h = -0.5 * (beta + sign * math.sqrt(disc))
+    falling = u_branch is None or 2.0 * alpha * u_branch + beta <= 0
+    u = h / alpha if h == 0 or falling == (sign > 0) else c / h
     return _rate(u, qp)
 
 

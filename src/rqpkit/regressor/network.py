@@ -60,12 +60,10 @@ class NetworkConfig:
         size = self.input_size
         sizes = []
         for i, spec in enumerate(self.conv):
-            if spec.out_channels < 1:
-                raise ValueError(f"conv[{i}]: out_channels must be positive")
             size = Conv2d.out_size(size, spec.kernel, spec.stride)
             if size < 1:
                 raise ValueError(f"conv[{i}]: spatial size collapsed to {size}")
-            if spec.pool < 1 or size % spec.pool:
+            if size % spec.pool:
                 raise ValueError(
                     f"conv[{i}]: pooling window {spec.pool} does not divide size {size}"
                 )

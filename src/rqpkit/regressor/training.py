@@ -129,7 +129,6 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    network: Network
     scaler: TargetScaler
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
@@ -189,7 +188,7 @@ def train(network: Network, train_items, cfg: TrainConfig, val_items=None) -> Tr
 
     optimizer = Adam(network.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
-    result = TrainResult(network=network, scaler=scaler)
+    result = TrainResult(scaler=scaler)
     n = len(x)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)

@@ -203,6 +203,18 @@ class TestEvaluateFrames:
         assert row.n_failures == row.n_pairs == len(QP_GRID) - 1
         assert all(d.predicted is None for d in details)
 
+    def test_constant_models_scored_as_misses(self):
+        frame, md = on_model_metadata("f0")
+        row, details = evaluate_frames(
+            [(frame, md)],
+            lambda f, m: ModelParams(ModelSpec("linear", True, m.anchor), (0.0,)),
+            model="linear",
+            fastened=True,
+            features="rec",
+        )
+        assert row.n_failures == row.n_pairs == len(QP_GRID) - 1
+        assert all(d.predicted is None for d in details)
+
     def test_oracle_nesting_direction(self, tiny_corpus):
         rows = {}
         for form in ("quadratic", "linear"):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rqpkit.entropy import CauchyParams, synth_curve
 from rqpkit.model import (
@@ -250,14 +250,17 @@ class TestPredictRate:
         # branch_u marks the data's side of the parabola; here the rising side.
         params = ModelParams(ModelSpec("quadratic"), (1.0, 0.0, 0.0), branch_u=2.0)
         assert predict_rate(params, 4.0) == pytest.approx(math.e**2, rel=1e-9)
+        # A negative zero slope term must not flip the branch.
+        negzero = ModelParams(ModelSpec("quadratic"), (1.0, -0.0, 0.0), branch_u=2.0)
+        assert predict_rate(negzero, 4.0) == pytest.approx(math.e**2, rel=1e-9)
         # Without a branch hint the falling side is assumed.
         bare = ModelParams(ModelSpec("quadratic"), (1.0, 0.0, 0.0))
         assert predict_rate(bare, 4.0) == pytest.approx(math.e**-2, rel=1e-9)
 
     def test_constant_models_cannot_invert(self):
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(InversionError, match="constant"):
             predict_rate(ModelParams(ModelSpec("linear"), (0.0, 30.0)), 20.0)
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(InversionError, match="constant"):
             predict_rate(ModelParams(ModelSpec("quadratic"), (0.0, 0.0, 30.0)), 20.0)
 
     def test_overflowing_rate_is_an_inversion_error(self):
@@ -277,6 +280,12 @@ class TestPredictRate:
         st.floats(min_value=0.0, max_value=51.0),
         st.one_of(st.none(), st.floats(min_value=-50.0, max_value=50.0)),
     )
+    # A tiny square term made (-beta + sqrt(disc)) / (2 alpha) cancel to ln rate 0.
+    @example("quadratic", True, [5.415003722627524e-201, 1.0, 0.0], 0.0, None)
+    # A subnormal rate (2.4e-321) keeps too few bits to give back the QP.
+    @example("linear", True, [-0.003349336873738672, 0.0, 0.0], 12.499391321994102, None)
+    # A double root at the vertex with beta = 0 leaves no c/h to divide by.
+    @example("quadratic", False, [1.0, 0.0, 20.0], 20.0, 5.0)
     @settings(max_examples=500, deadline=None)
     def test_total_over_finite_coefficients(self, form, fastened, coeffs, qp, branch_u):
         spec = ModelSpec(form, fastened, ANCHOR if fastened else None)
@@ -284,9 +293,10 @@ class TestPredictRate:
                              None if fastened else branch_u)
         try:
             rate = predict_rate(params, qp)
-        except (InversionError, DegenerateFitError):
+        except InversionError:
             return
         assert 0.0 < rate < math.inf
+        assert model_qp(params, rate) == pytest.approx(qp, abs=1e-6)
 
     def test_returns_positive(self):
         rng = np.random.default_rng(23)
