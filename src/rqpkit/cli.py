@@ -10,8 +10,12 @@ inputs and exits nonzero with a one-line diagnostic on failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
+from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import evaluate as ev
 from . import ingest
@@ -151,15 +155,28 @@ def cmd_fit_labels(args) -> int:
 def cmd_train(args) -> int:
     out = _out_dir(args)
     corpus, split = _load_split_corpus(args)
-    run = ev.run_training(corpus, split, args.spec, args.fasten, args.features,
-                          _train_config(args))
+    train_cfg = _train_config(args)
+    run = ev.run_training(corpus, split, args.spec, args.fasten, args.features, train_cfg)
     checkpoint_path = out / "checkpoint.npz"
-    run.save(checkpoint_path, seed=args.seed, test_fraction=args.test_fraction)
+    run.save(
+        checkpoint_path,
+        **asdict(train_cfg),
+        test_fraction=args.test_fraction,
+        numpy=np.__version__,
+        corpus_sha256=hashlib.sha256(Path(args.corpus).read_bytes()).hexdigest(),
+    )
     history = ["epoch,train_loss,val_loss"]
     for i, tl in enumerate(run.result.train_loss):
         vl = f"{run.result.val_loss[i]:.10g}" if run.result.val_loss else ""
         history.append(f"{i},{tl:.10g},{vl}")
     (out / "history.csv").write_text("\n".join(history) + "\n")
+    # One gradient-norm column per parameter array, in Network.parameters() order.
+    stages = [f"conv{k}" for k in range(len(run.network.config.conv))] + ["dense"]
+    telemetry = [",".join(["epoch", "epoch_s"]
+                          + [f"grad_norm_{stage}_{p}" for stage in stages for p in "wb"])]
+    for i, (secs, norms) in enumerate(zip(run.result.epoch_s, run.result.grad_norms)):
+        telemetry.append(f"{i},{secs:.6g}," + ",".join(f"{g:.10g}" for g in norms))
+    (out / "telemetry.csv").write_text("\n".join(telemetry) + "\n")
     final = run.result.train_loss[-1]
     print(f"wrote {checkpoint_path} (final training loss {final:.6g})")
     if run.baseline_val_mse is not None:

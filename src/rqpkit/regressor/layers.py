@@ -2,8 +2,9 @@
 
 Every layer caches what its backward pass needs during forward; backward
 consumes the cache, stores parameter gradients on the layer (dw/db), and
-returns the gradient with respect to its input.  All math is float64 so
-the analytic gradients can be checked against central finite differences.
+returns the gradient with respect to its input (which Conv2d can skip).
+All math is float64 so the analytic gradients can be checked against
+central finite differences.
 """
 
 from __future__ import annotations
@@ -58,23 +59,27 @@ class Conv2d:
         self._cache = (x.shape, win)
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Store dw/db; return the input gradient, or None when input_grad is False."""
         x_shape, win = self._cache
         self.dw = np.einsum("bchwij,bohw->ocij", win, dout, optimize=True)
         self.db = dout.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None
         pad = self.kernel // 2
         b, c, h, w = x_shape
         _, _, out_h, out_w = dout.shape
         dx_padded = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
-        # Scatter each kernel tap's contribution back onto the padded input grid.
+        # One contraction gives every tap's contribution; col2im scatters
+        # each back onto the padded input grid.
+        taps = np.einsum("bohw,ocij->ijbchw", dout, self.w, optimize=True)
         for i in range(self.kernel):
             for j in range(self.kernel):
-                contrib = np.einsum("bohw,oc->bchw", dout, self.w[:, :, i, j], optimize=True)
                 dx_padded[
                     :, :,
                     i : i + self.stride * out_h : self.stride,
                     j : j + self.stride * out_w : self.stride,
-                ] += contrib
+                ] += taps[i, j]
         return dx_padded[:, :, pad : pad + h, pad : pad + w]
 
     def parameters(self):

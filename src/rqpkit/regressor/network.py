@@ -144,10 +144,15 @@ class Network:
             out = layer.forward(out)
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, dout: np.ndarray) -> None:
+        """Store every layer's parameter gradients.
+
+        Nothing reads the gradient with respect to the input planes, so the
+        first conv stage computes parameter gradients only.
+        """
+        for layer in reversed(self.layers[1:]):
             dout = layer.backward(dout)
-        return dout
+        self.layers[0].backward(dout, input_grad=False)
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.parameters()]

@@ -9,6 +9,7 @@ and fitted coefficients in standardized space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -129,9 +130,18 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
+    """Per-epoch history of a run.
+
+    `epoch_s` is each epoch's wall time; `grad_norms` holds, per epoch, the
+    L2 norm of every parameter array's gradient at the epoch's last step,
+    in `Network.parameters()` order.
+    """
+
     scaler: TargetScaler
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
+    epoch_s: list[float] = field(default_factory=list)
+    grad_norms: list[tuple[float, ...]] = field(default_factory=list)
 
 
 def _dataset_arrays(items, config) -> tuple[np.ndarray, np.ndarray]:
@@ -191,6 +201,7 @@ def train(network: Network, train_items, cfg: TrainConfig, val_items=None) -> Tr
     result = TrainResult(scaler=scaler)
     n = len(x)
     for epoch in range(cfg.epochs):
+        start_s = perf_counter()
         order = rng.permutation(n)
         squared_sum = 0.0
         for start in range(0, n, cfg.batch_size):
@@ -208,8 +219,10 @@ def train(network: Network, train_items, cfg: TrainConfig, val_items=None) -> Tr
             network.backward(grad)
             optimizer.step(network.gradients())
         result.train_loss.append(squared_sum / y.size)
+        result.grad_norms.append(tuple(float(np.linalg.norm(g)) for g in network.gradients()))
         if x_val is not None:
             result.val_loss.append(_batched_loss(network, x_val, y_val))
+        result.epoch_s.append(perf_counter() - start_s)
     return result
 
 

@@ -1,5 +1,7 @@
 """Command-line interface, run in-process against a temporary corpus."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,28 @@ class TestTrainPredict:
         history = (checkpoint.parent / "history.csv").read_text().strip().splitlines()
         assert history[0] == "epoch,train_loss,val_loss"
         assert len(history) == 3
+
+    def test_telemetry_written(self, checkpoint):
+        rows = (checkpoint.parent / "telemetry.csv").read_text().strip().splitlines()
+        header = rows[0].split(",")
+        assert header[:2] == ["epoch", "epoch_s"]
+        assert header[2:4] == ["grad_norm_conv0_w", "grad_norm_conv0_b"]
+        assert header[-2:] == ["grad_norm_dense_w", "grad_norm_dense_b"]
+        assert len(header) == 2 + 10  # four conv stages and the dense layer, w and b each
+        assert len(rows) == 3
+        for i, row in enumerate(rows[1:]):
+            values = row.split(",")
+            assert len(values) == len(header) and values[0] == str(i)
+            assert all(float(v) >= 0 for v in values[1:])
+
+    def test_checkpoint_records_provenance(self, corpus_dir, checkpoint):
+        _, _, extra = load_checkpoint(checkpoint)
+        manifest = (corpus_dir / "manifest.txt").read_bytes()
+        assert extra["corpus_sha256"] == hashlib.sha256(manifest).hexdigest()
+        assert extra["numpy"] == np.__version__
+        assert (extra["seed"], extra["test_fraction"]) == (7, 0.2)
+        assert (extra["epochs"], extra["batch_size"]) == (2, 10)
+        assert extra["learning_rate"] == 1e-4
 
     def test_predict_at_anchor_returns_r0(self, corpus_dir, checkpoint, capsys):
         pairs = read_manifest(corpus_dir / "manifest.txt")

@@ -100,6 +100,67 @@ class TestLayerGradients:
             assert skipped <= checked // 10
 
 
+def naive_conv_input_grad(layer: Conv2d, dout: np.ndarray, x_shape) -> np.ndarray:
+    """Input gradient of a conv layer, one output position at a time."""
+    k, s, pad = layer.kernel, layer.stride, layer.kernel // 2
+    b, c, h, w = x_shape
+    dx = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    for n in range(b):
+        for o in range(layer.out_channels):
+            for y in range(dout.shape[2]):
+                for x in range(dout.shape[3]):
+                    for ci in range(c):
+                        for i in range(k):
+                            for j in range(k):
+                                dx[n, ci, y * s + i, x * s + j] += (
+                                    dout[n, o, y, x] * layer.w[o, ci, i, j]
+                                )
+    return dx[:, :, pad : pad + h, pad : pad + w]
+
+
+class TestConvBackward:
+    @pytest.mark.parametrize(
+        "in_ch,out_ch,kernel,stride,shape",
+        [(3, 5, 3, 1, (6, 6)), (3, 5, 3, 2, (7, 7)), (2, 4, 5, 1, (8, 8)),
+         (2, 4, 5, 2, (9, 9)), (1, 3, 3, 2, (6, 9))],
+    )
+    def test_input_grad_matches_naive(self, in_ch, out_ch, kernel, stride, shape):
+        rng = np.random.default_rng(30)
+        layer = Conv2d(in_ch, out_ch, kernel, stride, rng=np.random.default_rng(31))
+        x = rng.standard_normal((2, in_ch, *shape))
+        dout = rng.standard_normal(layer.forward(x).shape)
+        dx = layer.backward(dout)
+        ref = naive_conv_input_grad(layer, dout, x.shape)
+        assert dx.shape == x.shape
+        assert np.max(np.abs(dx - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_parameter_only_backward(self, stride):
+        rng = np.random.default_rng(32)
+        full, bare = (Conv2d(3, 4, 3, stride, rng=np.random.default_rng(33)) for _ in range(2))
+        x = rng.standard_normal((2, 3, 8, 8))
+        dout = rng.standard_normal(full.forward(x).shape)
+        bare.forward(x)
+        assert full.backward(dout) is not None
+        assert bare.backward(dout, input_grad=False) is None
+        assert np.array_equal(bare.dw, full.dw)
+        assert np.array_equal(bare.db, full.db)
+
+    def test_network_gradients_match_full_backward(self):
+        net, twin = (Network(default_config(3, 16, 2, seed=34)) for _ in range(2))
+        rng = np.random.default_rng(35)
+        x = rng.uniform(0.0, 1.0, (4, 3, 16, 16))
+        _, grad = mse_loss(net.forward(x), rng.standard_normal((4, 2)))
+        twin.forward(x)
+        net.backward(grad)
+        dout = grad
+        for layer in reversed(twin.layers):
+            dout = layer.backward(dout)
+        assert dout.shape == x.shape
+        for got, want in zip(net.gradients(), twin.gradients()):
+            assert np.array_equal(got, want)
+
+
 class TestShapeAlgebra:
     @pytest.mark.parametrize("size", [8, 16, 32, 48, 64, 512])
     def test_default_config_is_consistent(self, size):
@@ -249,6 +310,17 @@ class TestTraining:
             net = Network(default_config(2, 8, 2, seed=4))
             histories.append(train(net, data, TrainConfig(epochs=6, seed=4)).train_loss)
         assert histories[0] == histories[1]
+
+    def test_epoch_telemetry(self):
+        rng = np.random.default_rng(19)
+        data = toy_dataset(rng, 12)
+        net = Network(default_config(2, 8, 2, seed=18))
+        result = train(net, data, TrainConfig(epochs=3, seed=18))
+        assert len(result.epoch_s) == 3 and all(s > 0 for s in result.epoch_s)
+        assert len(result.grad_norms) == 3
+        assert all(len(norms) == len(net.parameters()) for norms in result.grad_norms)
+        # The last epoch's norms are those of the gradients its last step left behind.
+        assert result.grad_norms[-1] == tuple(float(np.linalg.norm(g)) for g in net.gradients())
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_loss_aborts(self):
