@@ -24,8 +24,8 @@ from .model import RQPCurve, RQPSample
 # Bins whose mass underflows below this are treated as empty (0*log 0 == 0).
 _P_FLOOR = 1e-300
 
-# Without an explicit truncation the head holds max(1024, 64*a) bin pairs,
-# a = scale/q; _MAX_A bounds it at 4M bins (32 MB of masses).
+# The head holds max(1024, 64*a) bin pairs, a = scale/q; _MAX_A bounds it
+# at 4M bins (32 MB of masses).
 _MAX_A = 65_536.0
 
 
@@ -35,24 +35,18 @@ class CauchyParams:
 
     scale: Cauchy scale parameter; larger means heavier tails, i.e. more
         high-frequency content surviving the transform.
-    truncation_n: explicit number of bin pairs to sum strictly, or None
-        for the whole distribution: a head of max(1024, 64*scale/q) bin
-        pairs summed outright plus the closed-form integral of the tail's
-        asymptote, accurate to 3e-10 relative (scale/q up to 65536).
-    include_zero_bin: count the deadzone bin around zero so the bin masses
-        form a complete probability distribution.  Disable for the strict
-        two-sided sum that omits it.
+
+    Sums cover the whole distribution, deadzone bin included: a head of
+    max(1024, 64*scale/q) side-bin pairs summed outright plus the
+    closed-form integral of the tail's asymptote, accurate to 3e-10
+    relative (scale/q up to 65536).
     """
 
     scale: float
-    truncation_n: int | None = None
-    include_zero_bin: bool = True
 
     def __post_init__(self):
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if self.truncation_n is not None and self.truncation_n < 1:
-            raise ValueError(f"truncation_n must be >= 1, got {self.truncation_n}")
 
 
 def _check_qstep(q: float) -> None:
@@ -75,12 +69,10 @@ def bin_probability(params: CauchyParams, q: float, n) -> float | np.ndarray:
     """Probability mass of quantizer bin `n` at step size `q`.
 
     Symmetric in n.  Accepts a scalar or an integer array; n = 0 addresses
-    the deadzone bin and is only valid when the params include it.
+    the deadzone bin.
     """
     _check_qstep(q)
     n_arr = np.asarray(n)
-    if not params.include_zero_bin and np.any(n_arr == 0):
-        raise ValueError("bin n=0 requires include_zero_bin")
     p = _side_bin_mass(params.scale, q, n_arr)
     if np.any(n_arr == 0):
         p = np.where(n_arr == 0, _zero_bin_mass(params.scale, q), p)
@@ -93,15 +85,12 @@ def _plogp(p):
         return np.where(p >= _P_FLOOR, -p * np.log2(p), 0.0)
 
 
-def _head_masses(params: CauchyParams, q: float) -> np.ndarray:
-    """Masses of side bins 1..N: the explicit truncation, or the tail's head."""
-    n_bins = params.truncation_n
-    if n_bins is None:
-        a = params.scale / q
-        if a > _MAX_A:
-            raise ValueError(f"scale/q = {a:.3g} exceeds {_MAX_A:g}; pass an explicit truncation_n")
-        n_bins = max(1024, math.ceil(64.0 * a))
-    return _side_bin_mass(params.scale, q, np.arange(1, n_bins + 1))
+def _head_masses(scale: float, q: float) -> np.ndarray:
+    """Masses of side bins 1..N summed outright, N = max(1024, 64*scale/q)."""
+    a = scale / q
+    if a > _MAX_A:
+        raise ValueError(f"scale/q = {a:.3g} exceeds {_MAX_A:g}: the head would pass 4M bins")
+    return _side_bin_mass(scale, q, np.arange(1, max(1024, math.ceil(64.0 * a)) + 1))
 
 
 def _tail_bits(scale: float, q: float, n_bins: int) -> float:
@@ -130,37 +119,26 @@ def _tail_bits(scale: float, q: float, n_bins: int) -> float:
 def entropy(params: CauchyParams, q: float) -> float:
     """Entropy in bits of the quantized coefficient distribution at step q.
 
-    Without an explicit truncation, scale/q above 65536 raises ValueError.
+    scale/q above 65536 raises ValueError.
     """
     _check_qstep(q)
-    p = _head_masses(params, q)
-    side = float(_plogp(p).sum())
-    if params.truncation_n is None:
-        side += _tail_bits(params.scale, q, p.size)
-    total = 2.0 * side
-    if params.include_zero_bin:
-        total += float(_plogp(_zero_bin_mass(params.scale, q)))
-    return total
+    p = _head_masses(params.scale, q)
+    side = float(_plogp(p).sum()) + _tail_bits(params.scale, q, p.size)
+    return 2.0 * side + float(_plogp(_zero_bin_mass(params.scale, q)))
 
 
-def total_probability(params: CauchyParams, q: float, *, analytic_tail: bool = True) -> float:
-    """Summed mass of every bin the params cover at step size q.
+def total_probability(params: CauchyParams, q: float) -> float:
+    """Summed mass of every bin at step size q; 1 up to float accumulation.
 
-    Bins up to the truncation limit are summed explicitly; with
-    analytic_tail the exact Cauchy mass beyond the last bin edge is added,
-    since summing heavy Cauchy tails bin by bin to 1e-6 accuracy would
-    take ~1e9 terms at large scale/small step.  A correct bin formula
-    therefore returns 1 (up to float accumulation) whenever the zero bin
-    is included.
+    The head's bins and the deadzone are summed explicitly and the exact
+    Cauchy mass beyond the head's last bin edge is added, since summing
+    heavy Cauchy tails bin by bin to 1e-6 accuracy would take ~1e9 terms
+    at large scale/small step.
     """
     _check_qstep(q)
-    p = _head_masses(params, q)
-    total = 2.0 * float(p.sum())
-    if params.include_zero_bin:
-        total += _zero_bin_mass(params.scale, q)
-    if analytic_tail:
-        total += 2.0 / math.pi * math.atan(params.scale / ((p.size + 0.5) * q))
-    return total
+    p = _head_masses(params.scale, q)
+    tail = 2.0 / math.pi * math.atan(params.scale / ((p.size + 0.5) * q))
+    return 2.0 * float(p.sum()) + _zero_bin_mass(params.scale, q) + tail
 
 
 def qstep_to_qp(qstep: float) -> float:
@@ -182,17 +160,11 @@ def synth_curve(params: CauchyParams, qp_grid, bits_scale: float) -> RQPCurve:
     The grid must be nonempty and strictly increasing; rates come out
     strictly positive and nonincreasing in QP.
     """
-    qps = [float(v) for v in qp_grid]
-    if not qps:
-        raise ValueError("qp_grid must be nonempty")
-    if any(b <= a for a, b in zip(qps, qps[1:])):
-        raise ValueError(f"qp_grid must be strictly increasing, got {qps}")
     if not (bits_scale > 0 and math.isfinite(bits_scale)):
         raise ValueError(f"bits_scale must be positive and finite, got {bits_scale}")
-    samples = tuple(
-        RQPSample(qp, bits_scale * entropy(params, qp_to_qstep(qp))) for qp in qps
-    )
-    return RQPCurve(samples)
+    qps = [float(v) for v in qp_grid]
+    samples = tuple(RQPSample(qp, bits_scale * entropy(params, qp_to_qstep(qp))) for qp in qps)
+    return RQPCurve(samples)  # rejects an empty or non-increasing grid
 
 
 def default_qstep_grid() -> np.ndarray:
@@ -200,19 +172,14 @@ def default_qstep_grid() -> np.ndarray:
     return np.geomspace(1.0, 256.0, 64)
 
 
-def entropy_loglog_curve(params: CauchyParams, q_grid=None) -> RQPCurve:
-    """(ln q as the target, H(q) as the rate) samples for log-log fits.
+def entropy_loglog_curve(params: CauchyParams) -> RQPCurve:
+    """(ln q as the target, H(q) as the rate) samples over default_qstep_grid().
 
     Feeding the result to the model fitter regresses ln(q) on powers of
     ln(H), which is how the quadratic-versus-linear shape of the H-q
     relationship is judged.
     """
-    q_values = default_qstep_grid() if q_grid is None else np.asarray(q_grid, dtype=float)
-    if q_values.size == 0:
-        raise ValueError("q_grid must be nonempty")
-    if np.any(np.diff(q_values) <= 0):
-        raise ValueError("q_grid must be strictly increasing")
     samples = tuple(
-        RQPSample(math.log(q), entropy(params, float(q))) for q in q_values
+        RQPSample(math.log(q), entropy(params, float(q))) for q in default_qstep_grid()
     )
     return RQPCurve(samples)

@@ -18,6 +18,7 @@ import numpy as np
 from .features import CHANNEL_ORDER, GrayFrame, stack_from_coding
 from .ingest import CodingMetadata, DatasetSplit
 from .model import (
+    QP_MATCH_TOL,
     InversionError,
     ModelParams,
     ModelSpec,
@@ -39,8 +40,6 @@ from .regressor import (
 )
 
 DEFAULT_THRESHOLDS = (30.0, 20.0, 10.0)
-
-_QP_MATCH_TOL = 1e-9
 
 
 def frame_spec(form: str, fastened: bool, md: CodingMetadata) -> ModelSpec:
@@ -83,8 +82,18 @@ class ReportRow:
     features: str
     n_pairs: int
     n_failures: int
+    # |delta| statistics over successful inversions; NaN when none succeeded.
     mean_abs_delta: float
+    median_abs_delta: float
+    p90_abs_delta: float
     proportions: tuple[float, ...]  # aligned with the report thresholds
+
+    def _cells(self, yes: str, no: str) -> list[str]:
+        return [self.model, yes if self.fastened else no, self.features,
+                str(self.n_pairs), str(self.n_failures)]
+
+    def _abs_deltas(self) -> tuple[float, float, float]:
+        return self.mean_abs_delta, self.median_abs_delta, self.p90_abs_delta
 
 
 @dataclass
@@ -94,39 +103,24 @@ class ErrorReport:
     metadata: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        header = ["model", "fastened", "features", "n_pairs", "n_failures", "mean_abs_delta_pct"]
+        header = ["model", "fastened", "features", "n_pairs", "n_failures",
+                  "mean_abs_delta_pct", "median_abs_delta_pct", "p90_abs_delta_pct"]
         header += [f"prop_le_{t:g}pct" for t in self.thresholds]
         lines = [",".join(header)]
         for r in self.rows:
-            cells = [
-                r.model,
-                "yes" if r.fastened else "no",
-                r.features,
-                str(r.n_pairs),
-                str(r.n_failures),
-                f"{r.mean_abs_delta:.6f}",
-            ]
-            cells += [f"{p:.6f}" for p in r.proportions]
+            cells = r._cells("yes", "no") + [f"{v:.6f}" for v in r._abs_deltas() + r.proportions]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
     def to_table(self) -> str:
         """Aligned text table with percentage cells, two decimals."""
-        head = ["model", "P0", "features", "pairs", "fail", "mean|d|"]
+        head = ["model", "P0", "features", "pairs", "fail", "mean|d|", "median|d|", "p90|d|"]
         head += [f"<={t:g}%" for t in self.thresholds]
-        body = []
-        for r in self.rows:
-            body.append(
-                [
-                    r.model,
-                    "x" if r.fastened else "-",
-                    r.features,
-                    str(r.n_pairs),
-                    str(r.n_failures),
-                    f"{r.mean_abs_delta:.2f}%",
-                ]
-                + [f"{100.0 * p:.2f}%" for p in r.proportions]
-            )
+        body = [
+            r._cells("x", "-") + [f"{d:.2f}%" for d in r._abs_deltas()]
+            + [f"{100.0 * p:.2f}%" for p in r.proportions]
+            for r in self.rows
+        ]
         widths = [max(len(row[i]) for row in [head] + body) for i in range(len(head))]
         render = lambda row: "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
         lines = [render(head), render(["-" * w for w in widths])]
@@ -163,7 +157,7 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
             raise ValueError(f"frame {md.frame_id} carries no label curve to score against")
         params = params_fn(frame, md)
         for sample in md.labels.samples:
-            if abs(sample.qp - md.anchor.qp0) <= _QP_MATCH_TOL:
+            if abs(sample.qp - md.anchor.qp0) <= QP_MATCH_TOL:
                 continue  # the one-pass point is measured, never predicted
             try:
                 predicted = predict_rate(params, sample.qp)
@@ -180,7 +174,13 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
     proportions = tuple(
         sum(1 for d in abs_deltas if d <= t) / n_pairs for t in thresholds
     )
-    mean_abs = float(np.mean(abs_deltas)) if abs_deltas else float("nan")
+    if abs_deltas:
+        ranked, n = sorted(abs_deltas), len(abs_deltas)
+        mean_abs = float(np.mean(abs_deltas))
+        median_abs = ranked[n // 2] if n % 2 else (ranked[n // 2 - 1] + ranked[n // 2]) / 2
+        p90_abs = ranked[(9 * n - 1) // 10]  # nearest rank: >= 90 % of them lie within it
+    else:
+        mean_abs = median_abs = p90_abs = float("nan")
     row = ReportRow(
         model=model,
         fastened=fastened,
@@ -188,6 +188,8 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
         n_pairs=n_pairs,
         n_failures=n_failures,
         mean_abs_delta=mean_abs,
+        median_abs_delta=median_abs,
+        p90_abs_delta=p90_abs,
         proportions=proportions,
     )
     return row, details
@@ -368,8 +370,8 @@ def run_ablation(corpus, split: DatasetSplit, ablation: AblationConfig,
     return report, runs
 
 
-def curve_dump(frame: GrayFrame, md: CodingMetadata, predictors: dict, qp_grid=None) -> str:
-    """CSV of actual vs predicted rates for one frame, one column per predictor.
+def curve_dump(frame: GrayFrame, md: CodingMetadata, predictors: dict) -> str:
+    """CSV of actual vs predicted rates at a frame's label QPs, one column per predictor.
 
     Predictors map a column name to a params_fn(frame, md); inversion
     failures leave the cell empty.
@@ -378,18 +380,13 @@ def curve_dump(frame: GrayFrame, md: CodingMetadata, predictors: dict, qp_grid=N
         raise ValueError("at least one predictor is required")
     if md.labels is None:
         raise ValueError(f"frame {md.frame_id} carries no label curve")
-    qps = [s.qp for s in md.labels.samples] if qp_grid is None else [float(q) for q in qp_grid]
     params_by_name = {name: fn(frame, md) for name, fn in predictors.items()}
     lines = ["qp,actual_bits," + ",".join(f"predicted_bits_{n}" for n in predictors)]
-    for qp in qps:
-        try:
-            actual = f"{md.labels.rate_at(qp):.6f}"
-        except KeyError:
-            actual = ""
-        cells = [f"{qp:g}", actual]
+    for sample in md.labels.samples:
+        cells = [f"{sample.qp:g}", f"{sample.rate:.6f}"]
         for name in predictors:
             try:
-                cells.append(f"{predict_rate(params_by_name[name], qp):.6f}")
+                cells.append(f"{predict_rate(params_by_name[name], sample.qp):.6f}")
             except InversionError:
                 cells.append("")
         lines.append(",".join(cells))

@@ -24,6 +24,9 @@ import numpy as np
 
 FORMS = ("linear", "quadratic")
 
+# Two QPs this close address the same label sample.
+QP_MATCH_TOL = 1e-9
+
 # Normal matrices above this condition number are treated as degenerate.
 COND_LIMIT = 1e12
 
@@ -98,9 +101,9 @@ class RQPCurve:
     def rates(self) -> np.ndarray:
         return np.array([s.rate for s in self.samples])
 
-    def rate_at(self, qp: float, tol: float = 1e-9) -> float:
+    def rate_at(self, qp: float) -> float:
         for s in self.samples:
-            if abs(s.qp - qp) <= tol:
+            if abs(s.qp - qp) <= QP_MATCH_TOL:
                 return s.rate
         raise KeyError(f"no sample at qp={qp}")
 

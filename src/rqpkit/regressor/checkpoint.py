@@ -20,8 +20,6 @@ FORMAT_VERSION = 2
 def save_checkpoint(path, network: Network, scaler: TargetScaler,
                     extra: dict | None = None) -> None:
     """Write a checkpoint; `extra` must be JSON-serializable run metadata."""
-    if not scaler.fitted:
-        raise ValueError("refusing to checkpoint an unfitted scaler")
     meta = {
         "format_version": FORMAT_VERSION,
         "config": json.loads(network.config.to_json()),
@@ -50,5 +48,10 @@ def load_checkpoint(path) -> tuple[Network, TargetScaler, dict]:
         network = Network(config)
         params = [archive[f"param_{i}"] for i in range(len(network.parameters()))]
         network.set_parameters(params)
-        scaler = TargetScaler(mean=archive["scaler_mean"], scale=archive["scaler_scale"])
+        scaler = TargetScaler(archive["scaler_mean"], archive["scaler_scale"])
+    mean, scale = scaler.mean, scaler.scale
+    if not (mean.shape == scale.shape == (config.outputs,) and np.isfinite(mean).all()
+            and np.isfinite(scale).all() and (scale > 0).all()):
+        raise ValueError(f"checkpoint scaler must hold {config.outputs} finite means and positive "
+                         f"finite scales; got shapes {mean.shape} and {scale.shape}")
     return network, scaler, meta["extra"]

@@ -101,7 +101,7 @@ class ReLU:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self.mask = x > 0
-        return np.where(self.mask, x, 0.0)
+        return np.maximum(x, 0.0)  # NaN propagates
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         return np.where(self.mask, dout, 0.0)

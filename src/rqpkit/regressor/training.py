@@ -19,6 +19,9 @@ from .network import Network
 
 INPUT_SCALE = 1.0 / 255.0
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class DegenerateLabelsError(ValueError):
     """Training labels have zero variance in some coefficient."""
@@ -34,46 +37,36 @@ def normalize_stack(stack: FeatureStack) -> np.ndarray:
 
 
 class TargetScaler:
-    """Per-coefficient standardizer fitted on training labels.
+    """Per-coefficient standardizer: values map to (values - mean) / scale.
 
-    A coefficient with zero deviation is an error when there are several
-    samples (it cannot be standardized); with a single sample the scale
-    falls back to 1 and only the mean is removed, which is what the
-    usual standard-scaler implementations do.
+    `fit` builds one from training labels.  A coefficient with zero
+    deviation is an error when there are several samples (it cannot be
+    standardized); with a single sample the scale falls back to 1 and only
+    the mean is removed, which is what the usual standard-scaler
+    implementations do.
     """
 
-    def __init__(self, mean: np.ndarray | None = None, scale: np.ndarray | None = None):
-        self.mean = None if mean is None else np.asarray(mean, dtype=float)
-        self.scale = None if scale is None else np.asarray(scale, dtype=float)
+    def __init__(self, mean: np.ndarray, scale: np.ndarray):
+        self.mean = np.asarray(mean, dtype=float)
+        self.scale = np.asarray(scale, dtype=float)
 
-    @property
-    def fitted(self) -> bool:
-        return self.mean is not None and self.scale is not None
-
-    def fit(self, labels: np.ndarray) -> "TargetScaler":
+    @classmethod
+    def fit(cls, labels: np.ndarray) -> "TargetScaler":
         labels = np.asarray(labels, dtype=float)
         if labels.ndim != 2 or labels.shape[0] < 1:
             raise ValueError(f"labels must be (samples, coefficients), got {labels.shape}")
-        self.mean = labels.mean(axis=0)
         std = labels.std(axis=0)
         if labels.shape[0] > 1 and np.any(std == 0):
             flat = [i for i, s in enumerate(std) if s == 0]
             raise DegenerateLabelsError(
                 f"coefficients {flat} are constant across the {labels.shape[0]} training labels"
             )
-        self.scale = np.where(std == 0, 1.0, std)
-        return self
-
-    def _check(self):
-        if not self.fitted:
-            raise ValueError("scaler has not been fitted")
+        return cls(labels.mean(axis=0), np.where(std == 0, 1.0, std))
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        self._check()
         return (np.asarray(values, dtype=float) - self.mean) / self.scale
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
-        self._check()
         return np.asarray(values, dtype=float) * self.scale + self.mean
 
 
@@ -88,13 +81,9 @@ def mse_loss(predicted: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarr
 class Adam:
     """Adaptive-moment gradient descent with bias correction."""
 
-    def __init__(self, params, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, learning_rate: float):
         self.params = list(params)
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
@@ -104,14 +93,14 @@ class Adam:
         if len(grads) != len(self.params):
             raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
+        correct1 = 1.0 - ADAM_BETA1 ** self.t
+        correct2 = 1.0 - ADAM_BETA2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -189,7 +178,7 @@ def train(network: Network, train_items, cfg: TrainConfig, val_items=None) -> Tr
     if not train_items:
         raise ValueError("training set is empty")
     x, y_raw = _dataset_arrays(train_items, network.config)
-    scaler = TargetScaler().fit(y_raw)
+    scaler = TargetScaler.fit(y_raw)
     y = scaler.transform(y_raw)
     x_val = y_val = None
     if val_items:
@@ -236,8 +225,6 @@ def mean_predictor_mse(scaler: TargetScaler, val_items) -> float:
 def predict_params(network: Network, scaler: TargetScaler, stack: FeatureStack,
                    spec: ModelSpec) -> ModelParams:
     """Forward pass plus inverse standardization, tagged with the target spec."""
-    if not scaler.fitted:
-        raise ValueError("scaler has not been fitted; train first")
     if spec.param_count != network.config.outputs:
         raise ValueError(
             f"{spec.label()} takes {spec.param_count} coefficients but the network "

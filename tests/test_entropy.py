@@ -27,11 +27,11 @@ P0_G1_Q1 = 0.2951672353008665
 
 class TestBinProbability:
     def test_frozen_single_bin(self):
-        params = CauchyParams(1.0, include_zero_bin=False)
+        params = CauchyParams(1.0)
         assert bin_probability(params, 1.0, 1) == pytest.approx(P_G1_Q1_N1, abs=1e-12)
 
     def test_symmetric_in_n(self):
-        params = CauchyParams(1.0, include_zero_bin=False)
+        params = CauchyParams(1.0)
         assert bin_probability(params, 1.0, -1) == bin_probability(params, 1.0, 1)
 
     def test_symmetry_random_params(self):
@@ -43,17 +43,12 @@ class TestBinProbability:
             assert bin_probability(params, q, n) == bin_probability(params, q, -n)
 
     def test_huge_step_tends_to_zero(self):
-        params = CauchyParams(1.0, include_zero_bin=False)
+        params = CauchyParams(1.0)
         assert bin_probability(params, 1e12, 1) < 1e-12
 
     def test_zero_bin_mass(self):
         params = CauchyParams(1.0)
         assert bin_probability(params, 1.0, 0) == pytest.approx(P0_G1_Q1, abs=1e-12)
-
-    def test_zero_bin_requires_flag(self):
-        params = CauchyParams(1.0, include_zero_bin=False)
-        with pytest.raises(ValueError, match="zero"):
-            bin_probability(params, 1.0, 0)
 
     def test_vectorized_matches_scalar(self):
         params = CauchyParams(3.0)
@@ -76,8 +71,6 @@ class TestBinProbability:
         with pytest.raises(ValueError):
             CauchyParams(-1.0)
         with pytest.raises(ValueError):
-            CauchyParams(1.0, truncation_n=0)
-        with pytest.raises(ValueError):
             bin_probability(CauchyParams(1.0), 0.0, 1)
         with pytest.raises(ValueError):
             bin_probability(CauchyParams(1.0), -2.0, 1)
@@ -97,10 +90,22 @@ def brute_entropy(scale: float, q: float, limit: int, zero_bin: bool) -> float:
     return total
 
 
+def strict_entropy(scale: float, q: float, limit: int, zero_bin: bool) -> float:
+    """Entropy of side bins +-1..limit (plus the deadzone if zero_bin), no tail,
+    from the library's own bin masses."""
+    params = CauchyParams(scale)
+    p = bin_probability(params, q, np.arange(1, limit + 1))
+    p = p[p > 0]
+    total = 2.0 * float(np.sum(-p * np.log2(p)))
+    if zero_bin:
+        p0 = bin_probability(params, q, 0)
+        total += -p0 * math.log2(p0) if p0 > 0 else 0.0
+    return total
+
+
 class TestEntropy:
     def test_frozen_two_term(self):
-        params = CauchyParams(1.0, truncation_n=1, include_zero_bin=False)
-        assert entropy(params, 1.0) == pytest.approx(H_TWO_TERM, abs=1e-12)
+        assert strict_entropy(1.0, 1.0, 1, False) == pytest.approx(H_TWO_TERM, abs=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -109,20 +114,24 @@ class TestEntropy:
             q = float(rng.uniform(0.2, 50.0))
             limit = int(rng.integers(1, 500))
             zero_bin = bool(rng.integers(0, 2))
-            params = CauchyParams(scale, truncation_n=limit, include_zero_bin=zero_bin)
-            assert entropy(params, q) == pytest.approx(
+            assert strict_entropy(scale, q, limit, zero_bin) == pytest.approx(
                 brute_entropy(scale, q, limit, zero_bin), rel=1e-12
             )
 
     def test_all_terms_underflow_gives_zero(self):
-        params = CauchyParams(1.0, truncation_n=3, include_zero_bin=False)
-        assert entropy(params, 1e308) == 0.0
+        assert strict_entropy(1.0, 1e308, 3, False) == 0.0
+        # Every head bin underflows; only the tail integral's subnormal remains.
+        assert 0.0 <= entropy(CauchyParams(1.0), 1e308) < 1e-300
 
     def test_coarser_quantization_less_entropy(self):
-        params = CauchyParams(10.0, truncation_n=1000, include_zero_bin=False)
+        params = CauchyParams(10.0)
         h_fine, h_coarse = entropy(params, 1.0), entropy(params, 100.0)
-        assert h_fine == pytest.approx(brute_entropy(10.0, 1.0, 1000, False), rel=1e-12)
-        assert h_coarse == pytest.approx(brute_entropy(10.0, 100.0, 1000, False), rel=1e-12)
+        assert strict_entropy(10.0, 1.0, 1000, False) == pytest.approx(
+            brute_entropy(10.0, 1.0, 1000, False), rel=1e-12
+        )
+        assert strict_entropy(10.0, 100.0, 1000, False) == pytest.approx(
+            brute_entropy(10.0, 100.0, 1000, False), rel=1e-12
+        )
         assert h_fine > h_coarse
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 10.0, 100.0])
@@ -136,11 +145,9 @@ class TestEntropy:
         for _ in range(10):
             scale = float(rng.uniform(0.2, 50.0))
             q = float(rng.uniform(0.2, 50.0))
-            values = [
-                entropy(CauchyParams(scale, truncation_n=n, include_zero_bin=False), q)
-                for n in (1, 2, 5, 20, 100, 1000)
-            ]
+            values = [strict_entropy(scale, q, n, False) for n in (1, 2, 5, 20, 100, 1000)]
             assert all(b >= a for a, b in zip(values, values[1:]))
+            assert entropy(CauchyParams(scale), q) >= values[-1]
 
     def test_nonnegative_and_finite(self):
         rng = np.random.default_rng(9)
@@ -192,7 +199,7 @@ class TestUntruncatedEntropy:
         assert entropy(params, q1 * (1.0 + step)) < entropy(params, q1)
 
     def test_step_too_fine_for_head_rejected(self):
-        with pytest.raises(ValueError, match="truncation_n"):
+        with pytest.raises(ValueError, match="exceeds"):
             entropy(CauchyParams(1.0), 1e-6)
 
 
@@ -202,8 +209,10 @@ class TestTotalProbability:
         # outright: enough explicit bins for the remainder to dip below 1e-9.
         scale, q = 0.5, 256.0
         limit = math.ceil(2.0 * scale / (math.pi * q * 1e-9))
-        params = CauchyParams(scale, truncation_n=limit)
-        assert total_probability(params, q, analytic_tail=False) == pytest.approx(1.0, abs=1e-6)
+        params = CauchyParams(scale)
+        side = bin_probability(params, q, np.arange(1, limit + 1))
+        total = 2.0 * float(side.sum()) + bin_probability(params, q, 0)
+        assert total == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 10.0, 100.0])
     def test_adaptive_with_tail(self, scale):
@@ -213,8 +222,9 @@ class TestTotalProbability:
 
     def test_without_zero_bin_misses_its_mass(self):
         scale, q = 1.0, 1.0
-        strict = CauchyParams(scale, include_zero_bin=False)
-        assert total_probability(strict, q) == pytest.approx(1.0 - P0_G1_Q1, abs=1e-6)
+        params = CauchyParams(scale)
+        side = total_probability(params, q) - bin_probability(params, q, 0)
+        assert side == pytest.approx(1.0 - P0_G1_Q1, abs=1e-6)
 
 
 

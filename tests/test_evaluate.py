@@ -109,6 +109,33 @@ class TestMakeLabels:
             ModelSpec("quadratic", fastened=True)
 
 
+def log_linear_metadata(frame_id: str) -> tuple[GrayFrame, CodingMetadata]:
+    """A 16x16 frame whose six labels lie exactly on a fastened log-linear model."""
+    anchor = OperationalPoint(10.0, math.exp(9.0))
+    truth = ModelParams(ModelSpec("linear", True, anchor), (-5.0,))
+    rates = [math.exp(9.0 - 0.3 * i) for i in range(6)]
+    labels = RQPCurve(
+        tuple(sorted((RQPSample(model_qp(truth, r), r) for r in rates), key=lambda s: s.qp))
+    )
+    md = CodingMetadata(
+        frame_id=frame_id, width=16, height=16,
+        cus=(CuRect(0, 0, 16, 16),), pus=(PuMode(0, 0, 3),),
+        anchor=anchor, labels=labels,
+    )
+    return GrayFrame(np.full((16, 16), 100, dtype=np.uint8)), md
+
+
+def scaled_linear(factor_of):
+    """Predictor that keeps the true slope but scales the anchor rate, and so
+    every predicted rate, by factor_of(md)."""
+
+    def params_fn(frame, md):
+        scaled = OperationalPoint(md.anchor.qp0, factor_of(md) * md.anchor.r0)
+        return ModelParams(ModelSpec("linear", True, scaled), (-5.0,))
+
+    return params_fn
+
+
 class TestEvaluateFrames:
     def test_exact_predictor_scores_one(self):
         items = [on_model_metadata(f"f{i}") for i in range(3)]
@@ -136,34 +163,16 @@ class TestEvaluateFrames:
         assert all(d.qp != 10.0 for d in details)
 
     def test_fifteen_percent_low_predictor(self):
-        # Labels on an exact log-linear model; the predictor keeps the slope
-        # but scales the anchor rate by 0.85, which scales every predicted
-        # rate by exactly 0.85: |delta| = 15%, so thresholds 30/20/10
-        # score 1/1/0.
-        anchor = OperationalPoint(10.0, math.exp(9.0))
-        truth = ModelParams(ModelSpec("linear", True, anchor), (-5.0,))
-        rates = [math.exp(9.0 - 0.3 * i) for i in range(6)]
-        labels = RQPCurve(
-            tuple(
-                sorted((RQPSample(model_qp(truth, r), r) for r in rates), key=lambda s: s.qp)
-            )
-        )
-        md = CodingMetadata(
-            frame_id="f0", width=16, height=16,
-            cus=(CuRect(0, 0, 16, 16),), pus=(PuMode(0, 0, 3),),
-            anchor=anchor, labels=labels,
-        )
-        frame = GrayFrame(np.full((16, 16), 100, dtype=np.uint8))
-
-        def params_fn(frame, md):
-            scaled = OperationalPoint(md.anchor.qp0, 0.85 * md.anchor.r0)
-            return ModelParams(ModelSpec("linear", True, scaled), (-5.0,))
-
+        # The predictor scales every rate by exactly 0.85: |delta| = 15%, so
+        # thresholds 30/20/10 score 1/1/0.
         row, _ = evaluate_frames(
-            [(frame, md)], params_fn, model="linear", fastened=True, features="x"
+            [log_linear_metadata("f0")], scaled_linear(lambda md: 0.85),
+            model="linear", fastened=True, features="x",
         )
         assert row.proportions == (1.0, 1.0, 0.0)
         assert row.mean_abs_delta == pytest.approx(15.0, abs=1e-6)
+        assert row.median_abs_delta == pytest.approx(15.0, abs=1e-6)
+        assert row.p90_abs_delta == pytest.approx(15.0, abs=1e-6)
 
     def test_threshold_monotonicity(self):
         items = [on_model_metadata(f"f{i}") for i in range(2)]
@@ -194,6 +203,39 @@ class TestEvaluateFrames:
         assert row.n_failures == row.n_pairs
         assert row.proportions == (0.0, 0.0, 0.0)
         assert all(d.predicted is None for d in details)
+        assert math.isnan(row.median_abs_delta) and math.isnan(row.p90_abs_delta)
+
+    def test_median_and_nearest_rank_p90(self):
+        # Frame i is off by i% at each of its 5 scored QPs: 50 pairs whose
+        # middle two are 5% and 6%, and whose 45th smallest is 9%.
+        items = [log_linear_metadata(f"f{i}") for i in range(1, 11)]
+        row, _ = evaluate_frames(
+            items, scaled_linear(lambda md: 1.0 - int(md.frame_id[1:]) / 100.0),
+            model="linear", fastened=True, features="x",
+        )
+        assert row.n_pairs == 50 and row.n_failures == 0
+        assert row.median_abs_delta == pytest.approx(5.5, abs=1e-6)
+        assert row.p90_abs_delta == pytest.approx(9.0, abs=1e-6)
+
+    def test_one_absurd_frame_spares_the_median(self):
+        # A fastened quadratic (1e-4, 1e-2) inverts to finite but absurd
+        # rates: it owns the mean, not the median.
+        items = [on_model_metadata(f"f{i}") for i in range(5)]
+        absurd = on_model_metadata("absurd")
+        exact = label_fit_predictor("quadratic", True)
+
+        def params_fn(frame, md):
+            if md.frame_id == "absurd":
+                return ModelParams(frame_spec("quadratic", True, md), (1e-4, 1e-2))
+            return exact(frame, md)
+
+        row, _ = evaluate_frames(
+            items + [absurd], params_fn, model="quadratic", fastened=True, features="x"
+        )
+        assert row.n_failures == 0
+        assert row.mean_abs_delta > 1e100
+        assert row.median_abs_delta < 1.0
+        assert row.median_abs_delta <= row.p90_abs_delta
 
     def test_overflowing_rates_scored_as_misses(self):
         frame, md = on_model_metadata("f0")
@@ -252,6 +294,8 @@ class TestReportFormats:
             n_pairs=70,
             n_failures=3,
             mean_abs_delta=7.123456,
+            median_abs_delta=2.5,
+            p90_abs_delta=19.75,
             proportions=(0.9, 0.8, 0.55),
         )
         return ErrorReport(thresholds=(30.0, 20.0, 10.0), rows=[row], metadata={"seed": 1})
@@ -261,13 +305,17 @@ class TestReportFormats:
         lines = text.strip().split("\n")
         assert lines[0] == (
             "model,fastened,features,n_pairs,n_failures,mean_abs_delta_pct,"
+            "median_abs_delta_pct,p90_abs_delta_pct,"
             "prop_le_30pct,prop_le_20pct,prop_le_10pct"
         )
-        assert lines[1] == "quadratic,yes,rec+seg,70,3,7.123456,0.900000,0.800000,0.550000"
+        assert lines[1] == (
+            "quadratic,yes,rec+seg,70,3,7.123456,2.500000,19.750000,0.900000,0.800000,0.550000"
+        )
 
     def test_table_has_percent_cells(self):
         table = self.make_report().to_table()
         assert "90.00%" in table and "55.00%" in table and "7.12%" in table
+        assert "median|d|" in table and "2.50%" in table and "19.75%" in table
         assert "# seed: 1" in table
 
     def test_details_csv(self):

@@ -69,6 +69,10 @@ class TestLayerGradients:
         layer = Dense(5, 3, rng=np.random.default_rng(8))
         check_layer(layer, rng.standard_normal((4, 5)), rng)
 
+    def test_relu_propagates_nan(self):
+        out = ReLU().forward(np.array([np.nan, -1.0, 2.0]))
+        assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == 2.0
+
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((3, 2, 4, 4))
@@ -225,7 +229,7 @@ class TestForward:
 class TestTargetScaler:
     def test_round_trip(self):
         rng = np.random.default_rng(1)
-        scaler = TargetScaler().fit(rng.normal(3.0, 5.0, (40, 3)))
+        scaler = TargetScaler.fit(rng.normal(3.0, 5.0, (40, 3)))
         vec = rng.standard_normal(3)
         assert np.allclose(scaler.inverse(scaler.transform(vec)), vec, atol=1e-9)
         assert np.allclose(scaler.transform(scaler.inverse(vec)), vec, atol=1e-9)
@@ -233,23 +237,19 @@ class TestTargetScaler:
     def test_standardizes(self):
         rng = np.random.default_rng(2)
         labels = rng.normal(-7.0, 0.5, (200, 2))
-        z = TargetScaler().fit(labels).transform(labels)
+        z = TargetScaler.fit(labels).transform(labels)
         assert np.allclose(z.mean(axis=0), 0.0, atol=1e-9)
         assert np.allclose(z.std(axis=0), 1.0, atol=1e-9)
 
     def test_zero_variance_rejected_for_multiple_samples(self):
         labels = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
         with pytest.raises(DegenerateLabelsError, match=r"\[0\]"):
-            TargetScaler().fit(labels)
+            TargetScaler.fit(labels)
 
     def test_single_sample_falls_back_to_unit_scale(self):
-        scaler = TargetScaler().fit(np.array([[3.0, -1.0]]))
+        scaler = TargetScaler.fit(np.array([[3.0, -1.0]]))
         assert np.array_equal(scaler.scale, [1.0, 1.0])
         assert np.allclose(scaler.transform([[3.0, -1.0]]), 0.0)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(ValueError, match="fitted"):
-            TargetScaler().transform(np.zeros(2))
 
     def test_normalize_stack_range(self):
         stack = FeatureStack(("rec",), np.array([[[0, 255], [128, 7]]], dtype=np.uint8))
@@ -396,7 +396,7 @@ class TestPredictParams:
         spec = ModelSpec(form, fastened, anchor)
         rng = np.random.default_rng(14)
         net = Network(default_config(2, 8, count, seed=12))
-        scaler = TargetScaler().fit(rng.normal(0, 1, (5, count)))
+        scaler = TargetScaler.fit(rng.normal(0, 1, (5, count)))
         params = predict_params(net, scaler, toy_stack(rng), spec)
         assert len(params.coeffs) == count
 
@@ -406,13 +406,13 @@ class TestPredictParams:
         with pytest.raises(ValueError, match="emits"):
             predict_params(net, scaler, toy_stack(rng), ModelSpec("quadratic"))
 
-    def test_unfitted_scaler_rejected(self):
-        net = Network(default_config(2, 8, 2, seed=13))
-        rng = np.random.default_rng(16)
-        anchor = OperationalPoint(10.0, 5000.0)
-        with pytest.raises(ValueError, match="fitted"):
-            predict_params(net, TargetScaler(), toy_stack(rng),
-                           ModelSpec("quadratic", True, anchor))
+    def test_nan_weights_are_not_hidden(self):
+        # The rectifier must let NaN through, or all-NaN conv0 weights
+        # would come out as finite coefficients.
+        net, scaler, data = self.make_trained()
+        net.layers[0].w[...] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            predict_params(net, scaler, data[0][0], data[0][1].spec)
 
 
 class TestCheckpoint:
@@ -430,16 +430,26 @@ class TestCheckpoint:
         assert np.array_equal(loaded_scaler.mean, result.scaler.mean)
         assert np.array_equal(loaded_scaler.scale, result.scaler.scale)
 
-    def test_unfitted_scaler_refused(self, tmp_path):
+    @pytest.mark.parametrize("mean,scale", [
+        ([5.0], [1.0]),
+        ([[5.0, 5.0]], [[1.0, 1.0]]),
+        ([5.0, np.nan], [1.0, 1.0]),
+        ([5.0, 5.0], [1.0, np.inf]),
+        ([5.0, 5.0], [1.0, 0.0]),
+    ], ids=["one_entry", "two_d", "nan_mean", "inf_scale", "zero_scale"])
+    def test_scaler_that_does_not_fit_network_rejected(self, tmp_path, mean, scale):
         net = Network(default_config(2, 8, 2, seed=15))
-        with pytest.raises(ValueError, match="unfitted"):
-            save_checkpoint(tmp_path / "x.npz", net, TargetScaler())
+        path = tmp_path / "x.npz"
+        save_checkpoint(path, net, TargetScaler(mean, scale))
+        with pytest.raises(ValueError, match="checkpoint scaler") as info:
+            load_checkpoint(path)
+        assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("version", [1, 999])
     def test_version_guard(self, tmp_path, version):
         rng = np.random.default_rng(18)
         net = Network(default_config(2, 8, 2, seed=16))
-        scaler = TargetScaler().fit(rng.normal(0, 1, (4, 2)))
+        scaler = TargetScaler.fit(rng.normal(0, 1, (4, 2)))
         path = tmp_path / "c.npz"
         save_checkpoint(path, net, scaler)
         import json as json_mod
