@@ -78,11 +78,11 @@ from .model import (
     residuals,
 )
 from .regressor import (
+    CheckpointError,
     Network,
     NetworkConfig,
     TargetScaler,
     TrainConfig,
-    default_config,
     load_checkpoint,
     predict_params,
     save_checkpoint,

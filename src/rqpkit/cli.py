@@ -22,7 +22,7 @@ from . import ingest
 from .features import CHANNEL_ORDER, stack_from_coding
 from .model import FORMS, predict_rate
 from .pgm import write_pgm
-from .regressor import TrainConfig
+from .regressor import CONV_CHANNELS, TrainConfig
 
 
 def _parse_channels(text: str) -> tuple[str, ...]:
@@ -171,7 +171,7 @@ def cmd_train(args) -> int:
         history.append(f"{i},{tl:.10g},{vl}")
     (out / "history.csv").write_text("\n".join(history) + "\n")
     # One gradient-norm column per parameter array, in Network.parameters() order.
-    stages = [f"conv{k}" for k in range(len(run.network.config.conv))] + ["dense"]
+    stages = [f"conv{k}" for k in range(len(CONV_CHANNELS))] + ["dense"]
     telemetry = [",".join(["epoch", "epoch_s"]
                           + [f"grad_norm_{stage}_{p}" for stage in stages for p in "wb"])]
     for i, (secs, norms) in enumerate(zip(run.result.epoch_s, run.result.grad_norms)):

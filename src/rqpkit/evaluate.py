@@ -27,11 +27,12 @@ from .model import (
     relative_error,
 )
 from .regressor import (
+    CheckpointError,
     Network,
+    NetworkConfig,
     TargetScaler,
     TrainConfig,
     TrainResult,
-    default_config,
     load_checkpoint,
     mean_predictor_mse,
     predict_params,
@@ -255,7 +256,7 @@ class TrainedRun:
         network, scaler, extra = load_checkpoint(path)
         for key in ("form", "fastened", "channels", "test_ids"):
             if key not in extra:
-                raise ValueError(f"checkpoint {path} lacks metadata field {key!r}")
+                raise CheckpointError(f"checkpoint {path} lacks metadata field {key!r}")
         return cls(extra["form"], extra["fastened"], tuple(extra["channels"]), network, scaler,
                    tuple(extra["test_ids"]))
 
@@ -288,13 +289,12 @@ def run_training(corpus, split: DatasetSplit, form: str, fastened: bool, channel
     sample_md = by_id[split.train[0]][1]
     if sample_md.width != sample_md.height:
         raise ValueError("the regressor expects square frames")
-    config = default_config(
+    network = Network(NetworkConfig(
         input_channels=len(channels),
         input_size=sample_md.width,
         outputs=frame_spec(form, fastened, sample_md).param_count,
         seed=train_cfg.seed,
-    )
-    network = Network(config)
+    ))
     train_items = _labelled_items(by_id, split.train, form, fastened, channels)
     val_items = _labelled_items(by_id, split.validation, form, fastened, channels)
     result = train(network, train_items, train_cfg, val_items or None)

@@ -59,18 +59,18 @@ class CodingMetadata:
         try:
             validate_tiling(self.width, self.height, self.cus)
         except ValueError as exc:
-            raise MetadataError(f"frame {self.frame_id}: {exc}") from exc
+            raise MetadataError(f"frame {self.frame_id!r}: {exc}") from exc
         if self.labels is not None:
             try:
                 r_at_anchor = self.labels.rate_at(self.anchor.qp0)
             except KeyError:
                 raise MetadataError(
-                    f"frame {self.frame_id}: labels do not include the anchor qp "
+                    f"frame {self.frame_id!r}: labels do not include the anchor qp "
                     f"{self.anchor.qp0:g}"
                 ) from None
             if abs(r_at_anchor - self.anchor.r0) / self.anchor.r0 >= _ANCHOR_RTOL:
                 raise MetadataError(
-                    f"frame {self.frame_id}: label rate {r_at_anchor:g} at qp0 disagrees "
+                    f"frame {self.frame_id!r}: label rate {r_at_anchor:g} at qp0 disagrees "
                     f"with anchor r0 {self.anchor.r0:g}"
                 )
 
@@ -116,10 +116,12 @@ def parse_metadata(text: str) -> CodingMetadata:
     height = _require(doc, "height", int, "$")
 
     anchor_doc = _require(doc, "anchor", dict, "$")
-    anchor = OperationalPoint(
-        qp0=_require(anchor_doc, "qp0", float, "$.anchor"),
-        r0=_require(anchor_doc, "r0_bits", float, "$.anchor"),
-    )
+    qp0 = _require(anchor_doc, "qp0", float, "$.anchor")
+    r0 = _require(anchor_doc, "r0_bits", float, "$.anchor")
+    try:
+        anchor = OperationalPoint(qp0, r0)
+    except ValueError as exc:
+        raise MetadataError(f"$.anchor: {exc}") from exc
 
     cus = _parse_items(_require(doc, "cus", list, "$"), "$.cus", CuRect, ("x", "y", "w", "h"), int)
     pus = _parse_items(_require(doc, "pus", list, "$"), "$.pus", PuMode, ("x", "y", "mode"), int)
@@ -161,7 +163,12 @@ def serialize_metadata(md: CodingMetadata) -> str:
 
 
 def load_metadata(path) -> CodingMetadata:
-    return parse_metadata(Path(path).read_text())
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MetadataError(
+            f"{path}: sidecar is not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    return parse_metadata(text)
 
 
 def save_metadata(path, md: CodingMetadata) -> None:

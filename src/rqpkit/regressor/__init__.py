@@ -6,7 +6,7 @@ with an adaptive-moment optimizer on a mean-squared parameter loss.
 """
 
 from .layers import AvgPool2d, Conv2d, Dense, Flatten, ReLU
-from .network import ConvLayerSpec, Network, NetworkConfig, default_config
+from .network import CONV_CHANNELS, Network, NetworkConfig
 from .training import (
     Adam,
     DegenerateLabelsError,
@@ -20,13 +20,14 @@ from .training import (
     predict_params,
     train,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 __all__ = [
     "Adam",
     "AvgPool2d",
+    "CONV_CHANNELS",
+    "CheckpointError",
     "Conv2d",
-    "ConvLayerSpec",
     "DegenerateLabelsError",
     "Dense",
     "Flatten",
@@ -37,7 +38,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "TrainingError",
-    "default_config",
     "load_checkpoint",
     "mean_predictor_mse",
     "mse_loss",

@@ -7,6 +7,7 @@ loaded network reproduces predictions bit for bit.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,11 @@ import numpy as np
 from .network import Network, NetworkConfig
 from .training import TargetScaler
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be read back as the predictor it describes."""
 
 
 def save_checkpoint(path, network: Network, scaler: TargetScaler,
@@ -22,7 +27,7 @@ def save_checkpoint(path, network: Network, scaler: TargetScaler,
     """Write a checkpoint; `extra` must be JSON-serializable run metadata."""
     meta = {
         "format_version": FORMAT_VERSION,
-        "config": json.loads(network.config.to_json()),
+        "config": asdict(network.config),
         "extra": extra or {},
     }
     arrays = {f"param_{i}": p for i, p in enumerate(network.parameters())}
@@ -36,22 +41,43 @@ def save_checkpoint(path, network: Network, scaler: TargetScaler,
 
 
 def load_checkpoint(path) -> tuple[Network, TargetScaler, dict]:
-    """Rebuild (network, scaler, extra metadata) from a checkpoint file."""
-    with np.load(Path(path)) as archive:
+    """Rebuild (network, scaler, extra metadata) from a checkpoint file.
+
+    Any failure raises CheckpointError with a one-line message naming the file.
+    """
+    try:
+        return _load(Path(path))
+    except Exception as exc:
+        # zipfile, the npy reader, JSON and the decompressors a corrupted
+        # method field selects raise an open-ended set of error types.
+        detail = str(exc) if isinstance(exc, CheckpointError) else f"{type(exc).__name__}: {exc}"
+        raise CheckpointError(f"{path}: {' '.join(detail.split())}") from exc
+
+
+def _load(path: Path) -> tuple[Network, TargetScaler, dict]:
+    with np.load(path) as archive:
+        # Reading an array stops at its header's size, so a corrupted header
+        # could pass unread bytes unchecked; test every member's CRC first.
+        bad = archive.zip.testzip()
+        if bad is not None:
+            raise CheckpointError(f"member {bad} fails its CRC check")
         meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
         if meta.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
+            raise CheckpointError(
                 f"checkpoint format {meta.get('format_version')} is not supported "
                 f"(expected {FORMAT_VERSION})"
             )
-        config = NetworkConfig.from_json(json.dumps(meta["config"]))
+        config = NetworkConfig(**meta["config"])
         network = Network(config)
         params = [archive[f"param_{i}"] for i in range(len(network.parameters()))]
         network.set_parameters(params)
         scaler = TargetScaler(archive["scaler_mean"], archive["scaler_scale"])
+    if not all(np.isfinite(p).all() for p in params):
+        raise CheckpointError("checkpoint weights must be finite")
     mean, scale = scaler.mean, scaler.scale
     if not (mean.shape == scale.shape == (config.outputs,) and np.isfinite(mean).all()
             and np.isfinite(scale).all() and (scale > 0).all()):
-        raise ValueError(f"checkpoint scaler must hold {config.outputs} finite means and positive "
-                         f"finite scales; got shapes {mean.shape} and {scale.shape}")
+        raise CheckpointError(
+            f"checkpoint scaler must hold {config.outputs} finite means and positive "
+            f"finite scales; got shapes {mean.shape} and {scale.shape}")
     return network, scaler, meta["extra"]

@@ -46,10 +46,6 @@ class Conv2d:
         self.db = np.zeros_like(self.b)
         self._cache = None
 
-    @staticmethod
-    def out_size(size: int, kernel: int, stride: int) -> int:
-        return (size + 2 * (kernel // 2) - kernel) // stride + 1
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         pad = self.kernel // 2
         padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))

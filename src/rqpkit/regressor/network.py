@@ -1,46 +1,29 @@
 """Five-layer regression network: four conv stages and a dense readout.
 
-Each conv stage is convolution -> rectifier -> average pooling; the dense
-layer consumes the flattened final volume and emits one value per model
-coefficient.  The architecture is deliberately small so it trains on a
-CPU in minutes.
+Each conv stage is a 3x3 convolution -> rectifier -> average pooling, with
+8/16/32/32 output channels and the pooling window chosen from the input
+size; the dense layer consumes the flattened final volume and emits one
+value per model coefficient.  The architecture is fixed and deliberately
+small so it trains on a CPU in minutes.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .layers import AvgPool2d, Conv2d, Dense, Flatten, ReLU
 
-DEFAULT_CONV_CHANNELS = (8, 16, 32, 32)
-
-
-@dataclass(frozen=True)
-class ConvLayerSpec:
-    """One conv stage: channel count, odd kernel, stride, pooling window."""
-
-    out_channels: int
-    kernel: int = 3
-    stride: int = 1
-    pool: int = 4
-
-    def __post_init__(self):
-        if self.out_channels < 1:
-            raise ValueError(f"out_channels must be positive, got {self.out_channels}")
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
-        if self.stride < 1 or self.pool < 1:
-            raise ValueError(f"stride and pool must be >= 1, got {self}")
+CONV_CHANNELS = (8, 16, 32, 32)
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
+    """The four values a caller chooses; the conv stages follow from them."""
+
     input_channels: int
     input_size: int
-    conv: tuple[ConvLayerSpec, ...]
     outputs: int
     seed: int = 0
 
@@ -49,70 +32,8 @@ class NetworkConfig:
             raise ValueError(f"input_channels must be 1, 2, or 3, got {self.input_channels}")
         if self.input_size < 1:
             raise ValueError(f"input_size must be positive, got {self.input_size}")
-        if len(self.conv) != 4:
-            raise ValueError(f"exactly 4 conv stages are required, got {len(self.conv)}")
         if self.outputs < 1:
             raise ValueError(f"outputs must be >= 1, got {self.outputs}")
-        self.spatial_sizes()  # raises if the shape chain breaks
-
-    def spatial_sizes(self) -> list[int]:
-        """Spatial size after each conv stage; validates the chain."""
-        size = self.input_size
-        sizes = []
-        for i, spec in enumerate(self.conv):
-            size = Conv2d.out_size(size, spec.kernel, spec.stride)
-            if size < 1:
-                raise ValueError(f"conv[{i}]: spatial size collapsed to {size}")
-            if size % spec.pool:
-                raise ValueError(
-                    f"conv[{i}]: pooling window {spec.pool} does not divide size {size}"
-                )
-            size //= spec.pool
-            sizes.append(size)
-        return sizes
-
-    @property
-    def flat_features(self) -> int:
-        return self.conv[-1].out_channels * self.spatial_sizes()[-1] ** 2
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkConfig":
-        doc = json.loads(text)
-        doc["conv"] = tuple(ConvLayerSpec(**c) for c in doc["conv"])
-        return cls(**doc)
-
-
-def _auto_pool(size: int) -> int:
-    if size >= 4 and size % 4 == 0:
-        return 4
-    if size >= 2 and size % 2 == 0:
-        return 2
-    return 1
-
-
-def default_config(input_channels: int, input_size: int, outputs: int,
-                   seed: int = 0) -> NetworkConfig:
-    """Stock architecture: 8/16/32/32 channels, 3x3 kernels, aggressive pooling.
-
-    Pooling windows shrink automatically once the spatial size runs out, so
-    the same recipe covers 512x512 production frames and 8x8 toy inputs.
-    """
-    size = input_size
-    conv = []
-    for out_channels in DEFAULT_CONV_CHANNELS:
-        pool = _auto_pool(size)
-        conv.append(ConvLayerSpec(out_channels=out_channels, pool=pool))
-        size //= pool
-    return NetworkConfig(
-        input_channels=input_channels,
-        input_size=input_size,
-        conv=tuple(conv),
-        outputs=outputs,
-        seed=seed,
-    )
 
 
 class Network:
@@ -122,14 +43,15 @@ class Network:
         self.config = config
         rng = np.random.default_rng(config.seed)
         self.layers = []
-        in_ch = config.input_channels
-        for spec in config.conv:
-            self.layers.append(Conv2d(in_ch, spec.out_channels, spec.kernel, spec.stride, rng=rng))
-            self.layers.append(ReLU())
-            self.layers.append(AvgPool2d(spec.pool))
-            in_ch = spec.out_channels
+        in_ch, size = config.input_channels, config.input_size
+        for out_ch in CONV_CHANNELS:
+            # Pool as hard as the size allows, so one recipe covers 512x512
+            # production frames and 8x8 toy inputs.
+            pool = 4 if size % 4 == 0 else 2 if size % 2 == 0 else 1
+            self.layers += [Conv2d(in_ch, out_ch, 3, rng=rng), ReLU(), AvgPool2d(pool)]
+            in_ch, size = out_ch, size // pool
         self.layers.append(Flatten())
-        self.layers.append(Dense(config.flat_features, config.outputs, rng=rng))
+        self.layers.append(Dense(in_ch * size * size, config.outputs, rng=rng))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.config.input_channels or (

@@ -36,7 +36,7 @@ from rqpkit.model import (
     predict_rate,
     residuals,
 )
-from rqpkit.regressor import Network, TrainConfig, default_config, mse_loss, train
+from rqpkit.regressor import Network, NetworkConfig, TrainConfig, mse_loss, train
 from rqpkit.regressor.layers import AvgPool2d, Conv2d, Dense, ReLU
 from rqpkit.evaluate import make_labels, frame_spec
 
@@ -175,7 +175,7 @@ def test_criterion_5_gradient_checks():
             numeric = (mse_loss(bump, target)[0] - mse_loss(dip, target)[0]) / (2 * h)
             assert abs(grad[idx] - numeric) <= 1e-4 * max(abs(grad[idx]), abs(numeric), 1.0)
 
-        net = Network(default_config(2, 8, 3, seed=seed))
+        net = Network(NetworkConfig(2, 8, 3, seed=seed))
         x = rng.uniform(0.0, 1.0, (3, 2, 8, 8))
         y = rng.standard_normal((3, 3))
         checked, skipped = check_network(net, x, y, rng)
@@ -192,7 +192,7 @@ def test_criterion_6_trainability():
     frame, md = synth_corpus(1, seed=ACCEPT_SEED + 6, size=(64, 64))[0]
     stack = stack_from_coding(frame, md.cus, md.pus)
     label = make_labels(md, frame_spec("quadratic", True, md))
-    net = Network(default_config(3, 64, 2, seed=ACCEPT_SEED))
+    net = Network(NetworkConfig(3, 64, 2, seed=ACCEPT_SEED))
     result = train(net, [(stack, label)], TrainConfig(epochs=200, seed=ACCEPT_SEED))
     ratio = result.train_loss[-1] / result.train_loss[0]
     _report(6, ratio < 1e-3,

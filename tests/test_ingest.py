@@ -11,6 +11,7 @@ from rqpkit.ingest import (
     MetadataError,
     load_corpus,
     load_frame,
+    load_metadata,
     parse_metadata,
     read_manifest,
     save_corpus,
@@ -80,6 +81,22 @@ class TestParseMetadata:
             parse_metadata(json.dumps(minimal_doc(width="wide")))
         with pytest.raises(MetadataError, match="expected"):
             parse_metadata(json.dumps(minimal_doc(pus=["nope"])))
+
+    @pytest.mark.parametrize("anchor", [
+        {"qp0": float("nan"), "r0_bits": 5000.0},
+        {"qp0": 10.0, "r0_bits": -1.0},
+    ], ids=["nan_qp0", "negative_r0"])
+    def test_anchor_value_errors_name_path(self, anchor):
+        with pytest.raises(MetadataError, match=r"^\$\.anchor: "):
+            parse_metadata(json.dumps(minimal_doc(anchor=anchor)))
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "frame0.json"
+        text = json.dumps(minimal_doc(frame_id="frame\u00e9"), ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(MetadataError, match="UTF-8") as info:
+            load_metadata(path)
+        assert str(path) in str(info.value)
 
     def test_invalid_json(self):
         with pytest.raises(MetadataError, match="JSON"):

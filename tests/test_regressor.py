@@ -1,5 +1,7 @@
 """Regressor: layer gradients, shape algebra, training loop, scalers, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,13 @@ from rqpkit.features import FeatureStack
 from rqpkit.model import ModelSpec, ModelParams, OperationalPoint
 from rqpkit.regressor import (
     Adam,
+    CheckpointError,
     DegenerateLabelsError,
     Network,
     NetworkConfig,
     TargetScaler,
     TrainConfig,
     TrainingError,
-    default_config,
     load_checkpoint,
     mean_predictor_mse,
     mse_loss,
@@ -24,7 +26,6 @@ from rqpkit.regressor import (
     train,
 )
 from rqpkit.regressor.layers import AvgPool2d, Conv2d, Dense, ReLU
-from rqpkit.regressor.network import ConvLayerSpec
 
 
 def toy_stack(rng, channels=2, size=8) -> FeatureStack:
@@ -95,7 +96,7 @@ class TestLayerGradients:
 
     def test_full_network(self):
         for seed in (0, 1):
-            net = Network(default_config(2, 8, 3, seed=seed))
+            net = Network(NetworkConfig(2, 8, 3, seed=seed))
             rng = np.random.default_rng(seed + 100)
             x = rng.uniform(0.0, 1.0, (3, 2, 8, 8))
             y = rng.standard_normal((3, 3))
@@ -151,7 +152,7 @@ class TestConvBackward:
         assert np.array_equal(bare.db, full.db)
 
     def test_network_gradients_match_full_backward(self):
-        net, twin = (Network(default_config(3, 16, 2, seed=34)) for _ in range(2))
+        net, twin = (Network(NetworkConfig(3, 16, 2, seed=34)) for _ in range(2))
         rng = np.random.default_rng(35)
         x = rng.uniform(0.0, 1.0, (4, 3, 16, 16))
         _, grad = mse_loss(net.forward(x), rng.standard_normal((4, 2)))
@@ -168,60 +169,42 @@ class TestConvBackward:
 class TestShapeAlgebra:
     @pytest.mark.parametrize("size", [8, 16, 32, 48, 64, 512])
     def test_default_config_is_consistent(self, size):
-        cfg = default_config(3, size, 2)
-        sizes = cfg.spatial_sizes()
-        assert len(sizes) == 4 and sizes[-1] >= 1
-        assert cfg.flat_features == cfg.conv[-1].out_channels * sizes[-1] ** 2
+        net = Network(NetworkConfig(3, size, 2))
+        assert net.forward(np.zeros((2, 3, size, size))).shape == (2, 2)
 
     def test_forward_shape_matches_config(self):
-        cfg = default_config(1, 16, 3, seed=2)
+        cfg = NetworkConfig(1, 16, 3, seed=2)
         net = Network(cfg)
         out = net.forward(np.zeros((5, 1, 16, 16)))
         assert out.shape == (5, 3)
 
-    def test_pool_divisibility_enforced(self):
-        with pytest.raises(ValueError, match="pool"):
-            NetworkConfig(1, 10, tuple(ConvLayerSpec(4, pool=4) for _ in range(4)), 2)
-
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            NetworkConfig(1, 16, tuple(ConvLayerSpec(4, kernel=2, pool=1) for _ in range(4)), 2)
-
-    def test_exactly_four_stages(self):
-        with pytest.raises(ValueError, match="4 conv"):
-            NetworkConfig(1, 16, (ConvLayerSpec(4, pool=1),) * 3, 2)
-
     def test_channel_count_bounds(self):
         with pytest.raises(ValueError):
-            default_config(4, 16, 2)
+            NetworkConfig(4, 16, 2)
 
     def test_input_shape_validated(self):
-        net = Network(default_config(2, 8, 2))
+        net = Network(NetworkConfig(2, 8, 2))
         with pytest.raises(ValueError, match="shape"):
             net.forward(np.zeros((1, 3, 8, 8)))
         with pytest.raises(ValueError, match="shape"):
             net.forward(np.zeros((1, 2, 16, 16)))
 
-    def test_config_json_round_trip(self):
-        cfg = default_config(2, 32, 3, seed=9)
-        assert NetworkConfig.from_json(cfg.to_json()) == cfg
-
 
 class TestForward:
     def test_deterministic(self):
-        net = Network(default_config(2, 8, 2, seed=4))
+        net = Network(NetworkConfig(2, 8, 2, seed=4))
         x = np.random.default_rng(0).uniform(0, 1, (2, 2, 8, 8))
         assert np.array_equal(net.forward(x), net.forward(x))
 
     def test_zero_weights_zero_output(self):
-        net = Network(default_config(2, 8, 2, seed=4))
+        net = Network(NetworkConfig(2, 8, 2, seed=4))
         net.set_parameters([np.zeros_like(p) for p in net.parameters()])
         x = np.random.default_rng(0).uniform(0, 1, (3, 2, 8, 8))
         assert (net.forward(x) == 0).all()
 
     def test_seeded_init_reproducible(self):
-        a = Network(default_config(2, 8, 2, seed=11))
-        b = Network(default_config(2, 8, 2, seed=11))
+        a = Network(NetworkConfig(2, 8, 2, seed=11))
+        b = Network(NetworkConfig(2, 8, 2, seed=11))
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa, pb)
 
@@ -276,21 +259,21 @@ class TestTraining:
     def test_zero_learning_rate_freezes_loss(self):
         rng = np.random.default_rng(3)
         data = toy_dataset(rng, 6)
-        net = Network(default_config(2, 8, 2, seed=0))
+        net = Network(NetworkConfig(2, 8, 2, seed=0))
         result = train(net, data, TrainConfig(learning_rate=0.0, epochs=5, seed=0))
         assert len(set(result.train_loss)) == 1
 
     def test_loss_decreases(self):
         rng = np.random.default_rng(4)
         data = toy_dataset(rng, 8)
-        net = Network(default_config(2, 8, 2, seed=1))
+        net = Network(NetworkConfig(2, 8, 2, seed=1))
         result = train(net, data, TrainConfig(learning_rate=1e-3, epochs=40, seed=1))
         assert result.train_loss[-1] < result.train_loss[0]
 
     def test_memorizes_single_sample(self):
         rng = np.random.default_rng(5)
         data = toy_dataset(rng, 1)
-        net = Network(default_config(2, 8, 2, seed=2))
+        net = Network(NetworkConfig(2, 8, 2, seed=2))
         result = train(net, data, TrainConfig(epochs=200, seed=2))
         assert result.train_loss[-1] < 1e-3 * result.train_loss[0]
 
@@ -298,7 +281,7 @@ class TestTraining:
         rng = np.random.default_rng(6)
         data = toy_dataset(rng, 6)
         val = toy_dataset(rng, 2)
-        net = Network(default_config(2, 8, 2, seed=3))
+        net = Network(NetworkConfig(2, 8, 2, seed=3))
         result = train(net, data, TrainConfig(epochs=4, seed=3), val)
         assert len(result.train_loss) == 4 and len(result.val_loss) == 4
 
@@ -307,14 +290,14 @@ class TestTraining:
         data = toy_dataset(rng, 6)
         histories = []
         for _ in range(2):
-            net = Network(default_config(2, 8, 2, seed=4))
+            net = Network(NetworkConfig(2, 8, 2, seed=4))
             histories.append(train(net, data, TrainConfig(epochs=6, seed=4)).train_loss)
         assert histories[0] == histories[1]
 
     def test_epoch_telemetry(self):
         rng = np.random.default_rng(19)
         data = toy_dataset(rng, 12)
-        net = Network(default_config(2, 8, 2, seed=18))
+        net = Network(NetworkConfig(2, 8, 2, seed=18))
         result = train(net, data, TrainConfig(epochs=3, seed=18))
         assert len(result.epoch_s) == 3 and all(s > 0 for s in result.epoch_s)
         assert len(result.grad_norms) == 3
@@ -326,12 +309,12 @@ class TestTraining:
     def test_non_finite_loss_aborts(self):
         rng = np.random.default_rng(8)
         data = toy_dataset(rng, 4)
-        net = Network(default_config(2, 8, 2, seed=5))
+        net = Network(NetworkConfig(2, 8, 2, seed=5))
         with pytest.raises(TrainingError, match="non-finite"):
             train(net, data, TrainConfig(learning_rate=1e30, epochs=10, seed=5))
 
     def test_empty_dataset_rejected(self):
-        net = Network(default_config(2, 8, 2, seed=6))
+        net = Network(NetworkConfig(2, 8, 2, seed=6))
         with pytest.raises(ValueError, match="empty"):
             train(net, [], TrainConfig())
 
@@ -341,21 +324,21 @@ class TestTraining:
             (toy_dataset(rng, 1, outputs=2)[0][0],
              ModelParams(ModelSpec("linear"), (1.0, 2.0))),
         ]
-        net = Network(default_config(2, 8, 2, seed=7))
+        net = Network(NetworkConfig(2, 8, 2, seed=7))
         with pytest.raises(ValueError, match="mix"):
             train(net, mixed, TrainConfig())
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(10)
         data = toy_dataset(rng, 2, size=16)
-        net = Network(default_config(2, 8, 2, seed=8))
+        net = Network(NetworkConfig(2, 8, 2, seed=8))
         with pytest.raises(ValueError, match="network expects"):
             train(net, data, TrainConfig())
 
     def test_label_width_must_match_outputs(self):
         rng = np.random.default_rng(11)
         data = toy_dataset(rng, 4, outputs=3)
-        net = Network(default_config(2, 8, 2, seed=9))
+        net = Network(NetworkConfig(2, 8, 2, seed=9))
         with pytest.raises(ValueError, match="coefficients"):
             train(net, data, TrainConfig())
 
@@ -363,7 +346,7 @@ class TestTraining:
         rng = np.random.default_rng(12)
         data = toy_dataset(rng, 10)
         val = toy_dataset(rng, 4)
-        net = Network(default_config(2, 8, 2, seed=10))
+        net = Network(NetworkConfig(2, 8, 2, seed=10))
         result = train(net, data, TrainConfig(epochs=1, seed=10), val)
         labels = np.array([p.coeffs for _, p in val])
         z = result.scaler.transform(labels)
@@ -374,7 +357,7 @@ class TestPredictParams:
     def make_trained(self, outputs=2):
         rng = np.random.default_rng(13)
         data = toy_dataset(rng, 4, outputs=outputs)
-        net = Network(default_config(2, 8, outputs, seed=11))
+        net = Network(NetworkConfig(2, 8, outputs, seed=11))
         result = train(net, data, TrainConfig(epochs=1, seed=11))
         return net, result.scaler, data
 
@@ -395,7 +378,7 @@ class TestPredictParams:
         anchor = OperationalPoint(10.0, 5000.0) if fastened else None
         spec = ModelSpec(form, fastened, anchor)
         rng = np.random.default_rng(14)
-        net = Network(default_config(2, 8, count, seed=12))
+        net = Network(NetworkConfig(2, 8, count, seed=12))
         scaler = TargetScaler.fit(rng.normal(0, 1, (5, count)))
         params = predict_params(net, scaler, toy_stack(rng), spec)
         assert len(params.coeffs) == count
@@ -415,11 +398,49 @@ class TestPredictParams:
             predict_params(net, scaler, data[0][0], data[0][1].spec)
 
 
+def _rewrite(path, edit):
+    """Apply edit(arrays) to a saved checkpoint's arrays and save them again."""
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
+def _edit_meta(change):
+    """A file edit that replaces the checkpoint's meta document with change(meta)."""
+    def edit(arrays):
+        doc = change(json.loads(bytes(arrays["meta"])))
+        arrays["meta"] = np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8)
+    return lambda path: _rewrite(path, edit)
+
+
+def _stale_crc(path):
+    """Halve param_2's dtype in its npy header without updating the zip CRC."""
+    data = path.read_bytes()
+    at = data.index(b"'<f8'", data.index(b"param_2.npy"))
+    path.write_bytes(data[:at] + b"'<f4'" + data[at + 5:])
+
+
+MALFORMED_CHECKPOINTS = {
+    "truncated": lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+    "empty": lambda p: p.write_bytes(b""),
+    "missing_param": lambda p: _rewrite(p, lambda a: a.pop("param_3")),
+    "non_utf8_meta": lambda p: _rewrite(
+        p, lambda a: a.update(meta=np.frombuffer(b"\xff\xfe{}", dtype=np.uint8))),
+    "meta_is_list": _edit_meta(lambda doc: [doc]),
+    "config_is_string": _edit_meta(lambda doc: {**doc, "config": "2x8x8"}),
+    "config_unknown_key": _edit_meta(lambda doc: {**doc, "config": {**doc["config"], "kernel": 5}}),
+    "conv0_nan": lambda p: _rewrite(p, lambda a: a["param_0"].fill(np.nan)),
+    "wrong_weight_shape": lambda p: _rewrite(p, lambda a: a.update(param_0=np.zeros((1, 1)))),
+    "stale_crc": _stale_crc,
+}
+
+
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
         data = toy_dataset(rng, 5)
-        net = Network(default_config(2, 8, 2, seed=14))
+        net = Network(NetworkConfig(2, 8, 2, seed=14))
         result = train(net, data, TrainConfig(epochs=2, seed=14))
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, net, result.scaler, extra={"note": "test"})
@@ -438,33 +459,38 @@ class TestCheckpoint:
         ([5.0, 5.0], [1.0, 0.0]),
     ], ids=["one_entry", "two_d", "nan_mean", "inf_scale", "zero_scale"])
     def test_scaler_that_does_not_fit_network_rejected(self, tmp_path, mean, scale):
-        net = Network(default_config(2, 8, 2, seed=15))
+        net = Network(NetworkConfig(2, 8, 2, seed=15))
         path = tmp_path / "x.npz"
         save_checkpoint(path, net, TargetScaler(mean, scale))
-        with pytest.raises(ValueError, match="checkpoint scaler") as info:
+        with pytest.raises(CheckpointError, match="checkpoint scaler") as info:
             load_checkpoint(path)
         assert "\n" not in str(info.value)
 
-    @pytest.mark.parametrize("version", [1, 999])
+    @pytest.mark.parametrize("version", [1, 2, 999])
     def test_version_guard(self, tmp_path, version):
         rng = np.random.default_rng(18)
-        net = Network(default_config(2, 8, 2, seed=16))
+        net = Network(NetworkConfig(2, 8, 2, seed=16))
         scaler = TargetScaler.fit(rng.normal(0, 1, (4, 2)))
         path = tmp_path / "c.npz"
         save_checkpoint(path, net, scaler)
-        import json as json_mod
-
-        with np.load(path) as archive:
-            meta = json_mod.loads(bytes(archive["meta"]).decode())
-            arrays = {k: archive[k] for k in archive.files}
-        meta["format_version"] = version
-        arrays["meta"] = np.frombuffer(json_mod.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="format"):
+        _edit_meta(lambda doc: {**doc, "format_version": version})(path)
+        with pytest.raises(CheckpointError, match="format"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("corrupt", MALFORMED_CHECKPOINTS.values(),
+                             ids=MALFORMED_CHECKPOINTS.keys())
+    def test_malformed_file_raises_checkpoint_error(self, tmp_path, corrupt):
+        net = Network(NetworkConfig(2, 8, 2, seed=19))
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, net, TargetScaler(np.zeros(2), np.ones(2)))
+        corrupt(path)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        message = str(info.value)
+        assert "\n" not in message and str(path) in message
+
     def test_set_parameters_validates(self):
-        net = Network(default_config(2, 8, 2, seed=17))
+        net = Network(NetworkConfig(2, 8, 2, seed=17))
         with pytest.raises(ValueError):
             net.set_parameters([np.zeros(3)])
         wrong = [np.zeros_like(p) for p in net.parameters()]
