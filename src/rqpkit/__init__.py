@@ -41,10 +41,9 @@ from .features import (
     GrayFrame,
     PuMode,
     TilingError,
-    assemble,
     build_intra,
-    build_rec,
     build_seg,
+    channel_order,
     stack_from_coding,
 )
 from .ingest import (

@@ -19,20 +19,17 @@ import numpy as np
 
 from . import evaluate as ev
 from . import ingest
-from .features import CHANNEL_ORDER, stack_from_coding
+from .features import CHANNEL_ORDER, channel_order, stack_from_coding
 from .model import FORMS, predict_rate
 from .pgm import write_pgm
 from .regressor import CONV_CHANNELS, TrainConfig
 
 
 def _parse_channels(text: str) -> tuple[str, ...]:
-    channels = tuple(c.strip() for c in text.split(",") if c.strip())
-    bad = [c for c in channels if c not in CHANNEL_ORDER]
-    if bad or not channels:
-        raise argparse.ArgumentTypeError(
-            f"features must name a nonempty subset of {','.join(CHANNEL_ORDER)}"
-        )
-    return tuple(c for c in CHANNEL_ORDER if c in channels)
+    try:
+        return channel_order(c.strip() for c in text.split(",") if c.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import CHANNEL_ORDER, GrayFrame, stack_from_coding
+from .features import CHANNEL_ORDER, GrayFrame, channel_order, stack_from_coding
 from .ingest import CodingMetadata, DatasetSplit
 from .model import (
     QP_MATCH_TOL,
     InversionError,
     ModelParams,
     ModelSpec,
+    OperationalPoint,
     fit,
     predict_rate,
     relative_error,
@@ -238,6 +239,20 @@ class TrainedRun:
     result: TrainResult | None = None
     baseline_val_mse: float | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.fastened, bool):
+            raise ValueError(f"fastened must be true or false, got {self.fastened!r}")
+        # Any anchor will do: the coefficient count depends on form and fastening only.
+        anchor = OperationalPoint(0.0, 1.0) if self.fastened else None
+        spec = ModelSpec(self.form, self.fastened, anchor)  # validates the form
+        channels, config = self.channels, self.network.config
+        if channels != channel_order(channels) or len(channels) != config.input_channels:
+            raise ValueError(f"channels {channels} are not the network's {config.input_channels} "
+                             f"input channels in the order {CHANNEL_ORDER}")
+        if spec.param_count != config.outputs:
+            raise ValueError(f"{spec.label()} takes {spec.param_count} coefficients but the "
+                             f"network emits {config.outputs}")
+
     def predictor(self):
         return net_predictor(self.network, self.scaler, self.form, self.fastened, self.channels)
 
@@ -254,11 +269,13 @@ class TrainedRun:
     @classmethod
     def load(cls, path) -> "TrainedRun":
         network, scaler, extra = load_checkpoint(path)
-        for key in ("form", "fastened", "channels", "test_ids"):
-            if key not in extra:
-                raise CheckpointError(f"checkpoint {path} lacks metadata field {key!r}")
-        return cls(extra["form"], extra["fastened"], tuple(extra["channels"]), network, scaler,
-                   tuple(extra["test_ids"]))
+        try:
+            return cls(extra["form"], extra["fastened"], tuple(extra["channels"]), network,
+                       scaler, tuple(extra["test_ids"]))
+        except KeyError as exc:
+            raise CheckpointError(f"checkpoint {path} lacks metadata field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint {path}: {exc}") from exc
 
 
 def corpus_index(corpus) -> dict[str, tuple[GrayFrame, CodingMetadata]]:
@@ -280,9 +297,7 @@ def _labelled_items(by_id, ids, form, fastened, channels):
 def run_training(corpus, split: DatasetSplit, form: str, fastened: bool, channels,
                  train_cfg: TrainConfig) -> TrainedRun:
     """Fit labels, build stacks, and train one network for one configuration."""
-    channels = tuple(c for c in CHANNEL_ORDER if c in tuple(channels))
-    if not channels:
-        raise ValueError("at least one feature channel is required")
+    channels = channel_order(channels)
     if not split.train:
         raise ValueError("split has no training frames")
     by_id = corpus_index(corpus)
@@ -342,8 +357,7 @@ class AblationConfig:
         for form, _ in self.forms:
             ModelSpec(form)  # validates the name
         for channels in self.feature_sets:
-            if not channels or any(c not in CHANNEL_ORDER for c in channels):
-                raise ValueError(f"bad feature subset {channels}")
+            channel_order(channels)  # validates the subset
 
 
 def run_ablation(corpus, split: DatasetSplit, ablation: AblationConfig,

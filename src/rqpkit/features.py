@@ -94,6 +94,19 @@ class PuMode:
             raise ValueError(f"mode must lie in [0, {INTRA_MODE_COUNT - 1}], got {self.mode}")
 
 
+def channel_order(channels) -> tuple[str, ...]:
+    """The named channels once each, in CHANNEL_ORDER; the one rule for a channel set.
+
+    An empty selection, an unknown name or a bare string raises ValueError.
+    """
+    if isinstance(channels, str):
+        raise ValueError(f"channels must be a collection of names, not the string {channels!r}")
+    names = tuple(channels)
+    if not names or any(c not in CHANNEL_ORDER for c in names):
+        raise ValueError(f"channels must name a nonempty subset of {CHANNEL_ORDER}, got {names}")
+    return tuple(c for c in CHANNEL_ORDER if c in names)
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureStack:
     """Stacked feature planes in canonical (rec, seg, intra) channel order."""
@@ -102,10 +115,7 @@ class FeatureStack:
     planes: np.ndarray  # (channels, height, width) uint8
 
     def __post_init__(self):
-        if not self.channels:
-            raise ValueError("stack needs at least one channel")
-        order = [c for c in CHANNEL_ORDER if c in self.channels]
-        if list(self.channels) != order or len(set(self.channels)) != len(self.channels):
+        if tuple(self.channels) != channel_order(self.channels):
             raise ValueError(
                 f"channels must be a subset of {CHANNEL_ORDER} in that order, got {self.channels}"
             )
@@ -148,11 +158,6 @@ def validate_tiling(width: int, height: int, cus) -> None:
     if (owner == -1).any():
         gap_y, gap_x = np.argwhere(owner == -1)[0]
         raise TilingError(f"tiling leaves pixel ({int(gap_x)}, {int(gap_y)}) uncovered")
-
-
-def build_rec(frame: GrayFrame) -> np.ndarray:
-    """Texture plane: the reconstructed frame itself."""
-    return frame.pixels.copy()
 
 
 def build_seg(frame: GrayFrame, cus) -> np.ndarray:
@@ -203,34 +208,9 @@ def build_intra(width: int, height: int, pus) -> np.ndarray:
     return out
 
 
-def assemble(planes: dict[str, np.ndarray]) -> FeatureStack:
-    """Stack named planes in canonical channel order.
-
-    Any nonempty subset of {rec, seg, intra} is accepted; all planes must
-    share one shape.
-    """
-    unknown = set(planes) - set(CHANNEL_ORDER)
-    if unknown:
-        raise ValueError(f"unknown channels {sorted(unknown)}; valid: {CHANNEL_ORDER}")
-    if not planes:
-        raise ValueError("at least one plane is required")
-    channels = tuple(c for c in CHANNEL_ORDER if c in planes)
-    shapes = {planes[c].shape for c in channels}
-    if len(shapes) != 1:
-        raise ValueError(f"planes disagree on shape: { {c: planes[c].shape for c in channels} }")
-    return FeatureStack(channels, np.stack([planes[c] for c in channels]))
-
-
 def stack_from_coding(frame: GrayFrame, cus, pus, channels=CHANNEL_ORDER) -> FeatureStack:
-    """Build the requested feature channels for one frame and stack them."""
-    wanted = tuple(channels)
-    planes: dict[str, np.ndarray] = {}
-    if "rec" in wanted:
-        planes["rec"] = build_rec(frame)
-    if "seg" in wanted:
-        planes["seg"] = build_seg(frame, cus)
-    if "intra" in wanted:
-        planes["intra"] = build_intra(frame.width, frame.height, pus)
-    if set(wanted) != set(planes):
-        raise ValueError(f"unknown channels {sorted(set(wanted) - set(planes))}")
-    return assemble(planes)
+    """Build the requested feature planes of one frame and stack them in canonical order."""
+    channels = channel_order(channels)
+    build = {"rec": lambda: frame.pixels, "seg": lambda: build_seg(frame, cus),
+             "intra": lambda: build_intra(frame.width, frame.height, pus)}
+    return FeatureStack(channels, np.stack([build[c]() for c in channels]))

@@ -5,7 +5,7 @@ rectifier activations and average pooling, one dense output layer, trained
 with an adaptive-moment optimizer on a mean-squared parameter loss.
 """
 
-from .layers import AvgPool2d, Conv2d, Dense, Flatten, ReLU
+from .layers import AvgPool2d, Conv2d, Dense, ReLU
 from .network import CONV_CHANNELS, Network, NetworkConfig
 from .training import (
     Adam,
@@ -30,7 +30,6 @@ __all__ = [
     "Conv2d",
     "DegenerateLabelsError",
     "Dense",
-    "Flatten",
     "Network",
     "NetworkConfig",
     "ReLU",

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import Network, NetworkConfig
+from .network import Network, NetworkConfig, parameter_shapes
 from .training import TargetScaler
 
 FORMAT_VERSION = 3
@@ -68,8 +68,15 @@ def _load(path: Path) -> tuple[Network, TargetScaler, dict]:
                 f"(expected {FORMAT_VERSION})"
             )
         config = NetworkConfig(**meta["config"])
+        # Compare the stored shapes before building: a config that claims a
+        # large input would otherwise allocate its network first.
+        shapes = parameter_shapes(config)
+        params = [archive[f"param_{i}"] for i in range(len(shapes))]
+        for i, (param, shape) in enumerate(zip(params, shapes)):
+            if param.shape != shape:
+                raise CheckpointError(
+                    f"param_{i} has shape {param.shape}; the config implies {shape}")
         network = Network(config)
-        params = [archive[f"param_{i}"] for i in range(len(network.parameters()))]
         network.set_parameters(params)
         scaler = TargetScaler(archive["scaler_mean"], archive["scaler_scale"])
     if not all(np.isfinite(p).all() for p in params):

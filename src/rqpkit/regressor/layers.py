@@ -110,17 +110,15 @@ class ReLU:
 
 
 class AvgPool2d:
-    """Non-overlapping average pooling; window 1 is a pass-through."""
+    """Non-overlapping average pooling over window x window blocks."""
 
     def __init__(self, window: int):
-        if window < 1:
-            raise ValueError(f"pooling window must be >= 1, got {window}")
+        if window < 2:
+            raise ValueError(f"pooling window must be >= 2, got {window}")
         self.window = window
         self._in_shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.window == 1:
-            return x
         b, c, h, w = x.shape
         if h % self.window or w % self.window:
             raise ValueError(f"pooling window {self.window} does not divide {h}x{w}")
@@ -130,8 +128,6 @@ class AvgPool2d:
         )
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self.window == 1:
-            return dout
         shape = self._in_shape
         spread = dout / (self.window * self.window)
         spread = np.repeat(np.repeat(spread, self.window, axis=2), self.window, axis=3)
@@ -144,26 +140,8 @@ class AvgPool2d:
         return []
 
 
-class Flatten:
-    def __init__(self):
-        self._in_shape = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._in_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout.reshape(self._in_shape)
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
-
 class Dense:
-    """Fully connected layer: y = x @ w.T + b."""
+    """Fully connected layer over the flattened input: y = x.reshape(batch, -1) @ w.T + b."""
 
     def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator):
         scale = 1.0 / np.sqrt(in_features)
@@ -172,16 +150,17 @@ class Dense:
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
         self._x = None
+        self._in_shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return x @ self.w.T + self.b
+        self._in_shape = x.shape
+        self._x = x.reshape(len(x), -1)
+        return self._x @ self.w.T + self.b
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x = self._x
-        self.dw = dout.T @ x
+        self.dw = dout.T @ self._x
         self.db = dout.sum(axis=0)
-        return dout @ self.w
+        return (dout @ self.w).reshape(self._in_shape)
 
     def parameters(self):
         return [self.w, self.b]

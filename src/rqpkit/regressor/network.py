@@ -2,9 +2,10 @@
 
 Each conv stage is a 3x3 convolution -> rectifier -> average pooling, with
 8/16/32/32 output channels and the pooling window chosen from the input
-size; the dense layer consumes the flattened final volume and emits one
-value per model coefficient.  The architecture is fixed and deliberately
-small so it trains on a CPU in minutes.
+size (a stage whose size allows no pooling has no pool layer); the dense
+layer reads the flattened final volume and emits one value per model
+coefficient.  The architecture is fixed and deliberately small so it
+trains on a CPU in minutes.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import AvgPool2d, Conv2d, Dense, Flatten, ReLU
+from .layers import AvgPool2d, Conv2d, Dense, ReLU
 
 CONV_CHANNELS = (8, 16, 32, 32)
+KERNEL = 3
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,27 @@ class NetworkConfig:
             raise ValueError(f"outputs must be >= 1, got {self.outputs}")
 
 
+def _stages(config: NetworkConfig) -> tuple[list[tuple[int, int, int]], int]:
+    """Each conv stage's (in, out channels, pool window); the dense layer's input width."""
+    stages, in_ch, size = [], config.input_channels, config.input_size
+    for out_ch in CONV_CHANNELS:
+        # Pool as hard as the size allows, so one recipe covers 512x512
+        # production frames and 8x8 toy inputs.
+        pool = 4 if size % 4 == 0 else 2 if size % 2 == 0 else 1
+        stages.append((in_ch, out_ch, pool))
+        in_ch, size = out_ch, size // pool
+    return stages, in_ch * size * size
+
+
+def parameter_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
+    """Shapes of Network(config).parameters(), without building the network."""
+    stages, features = _stages(config)
+    shapes = []
+    for in_ch, out_ch, _ in stages:
+        shapes += [(out_ch, in_ch, KERNEL, KERNEL), (out_ch,)]
+    return shapes + [(config.outputs, features), (config.outputs,)]
+
+
 class Network:
     """The learnable stack; parameters update in place via .parameters()."""
 
@@ -43,15 +66,12 @@ class Network:
         self.config = config
         rng = np.random.default_rng(config.seed)
         self.layers = []
-        in_ch, size = config.input_channels, config.input_size
-        for out_ch in CONV_CHANNELS:
-            # Pool as hard as the size allows, so one recipe covers 512x512
-            # production frames and 8x8 toy inputs.
-            pool = 4 if size % 4 == 0 else 2 if size % 2 == 0 else 1
-            self.layers += [Conv2d(in_ch, out_ch, 3, rng=rng), ReLU(), AvgPool2d(pool)]
-            in_ch, size = out_ch, size // pool
-        self.layers.append(Flatten())
-        self.layers.append(Dense(in_ch * size * size, config.outputs, rng=rng))
+        stages, features = _stages(config)
+        for in_ch, out_ch, pool in stages:
+            self.layers += [Conv2d(in_ch, out_ch, KERNEL, rng=rng), ReLU()]
+            if pool > 1:
+                self.layers.append(AvgPool2d(pool))
+        self.layers.append(Dense(features, config.outputs, rng=rng))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.config.input_channels or (

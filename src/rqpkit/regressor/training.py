@@ -28,7 +28,7 @@ class DegenerateLabelsError(ValueError):
 
 
 class TrainingError(RuntimeError):
-    """Training aborted (non-finite loss)."""
+    """Training aborted (non-finite loss or weights)."""
 
 
 def normalize_stack(stack: FeatureStack) -> np.ndarray:
@@ -111,8 +111,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
 
@@ -207,6 +207,8 @@ def train(network: Network, train_items, cfg: TrainConfig, val_items=None) -> Tr
             squared_sum += loss * grad.size
             network.backward(grad)
             optimizer.step(network.gradients())
+        if not all(np.isfinite(p).all() for p in network.parameters()):
+            raise TrainingError(f"non-finite weights after epoch {epoch}; lower the learning rate")
         result.train_loss.append(squared_sum / y.size)
         result.grad_norms.append(tuple(float(np.linalg.norm(g)) for g in network.gradients()))
         if x_val is not None:

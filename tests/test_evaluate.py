@@ -1,5 +1,6 @@
 """Pipeline evaluation: label fitting, error reports, ablation, curve dumps."""
 
+import json
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from rqpkit.model import (
     RQPSample,
     model_qp,
 )
-from rqpkit.regressor import TrainConfig
+from rqpkit.regressor import CheckpointError, TrainConfig
 
 QP_GRID = (10.0, 14.0, 18.0, 22.0, 26.0, 30.0, 34.0, 38.0)
 
@@ -374,6 +375,39 @@ class TestTrainingRuns:
         run = run_training(tiny_corpus, split, "linear", False, ("intra", "rec"), cfg)
         assert run.channels == ("rec", "intra")
         assert run.network.config.outputs == 2
+
+    def test_unknown_channel_rejected(self, tiny_corpus):
+        # Dropping the unknown name would train a rec-only network.
+        split = split_dataset([md.frame_id for _, md in tiny_corpus], seed=0, test_fraction=0.25)
+        with pytest.raises(ValueError, match="luma"):
+            run_training(tiny_corpus, split, "quadratic", True, ("rec", "luma"),
+                         TrainConfig(epochs=1, seed=0))
+
+    @pytest.mark.parametrize("field,value", [
+        ("channels", ["rec"]),
+        ("channels", ["rec", "luma", "seg"]),
+        ("form", "cubic"),
+        ("fastened", False),
+        ("fastened", "yes"),
+    ], ids=["too_few_channels", "unknown_channel", "unknown_form", "free_on_fastened_net",
+            "fastened_not_bool"])
+    def test_load_refuses_metadata_that_contradicts_network(self, tiny_corpus, tmp_path,
+                                                             field, value):
+        split = split_dataset([md.frame_id for _, md in tiny_corpus], seed=0, test_fraction=0.25)
+        run = run_training(tiny_corpus, split, "quadratic", True, ("rec", "seg", "intra"),
+                           TrainConfig(epochs=1, seed=0))
+        path = tmp_path / "run.npz"
+        run.save(path)
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        meta = json.loads(bytes(arrays["meta"]))
+        meta["extra"][field] = value
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError) as info:
+            TrainedRun.load(path)
+        message = str(info.value)
+        assert "\n" not in message and str(path) in message
 
     def test_ablation_grid(self, tiny_corpus):
         ids = [md.frame_id for _, md in tiny_corpus]

@@ -11,10 +11,9 @@ from rqpkit.features import (
     GrayFrame,
     PuMode,
     TilingError,
-    assemble,
     build_intra,
-    build_rec,
     build_seg,
+    channel_order,
     stack_from_coding,
     validate_tiling,
 )
@@ -71,25 +70,28 @@ class TestGrayFrame:
             frame.pixels[0, 0] = 1
 
 
+def rec_stack(frame: GrayFrame) -> FeatureStack:
+    """The texture plane needs no coding tree."""
+    return stack_from_coding(frame, (), (), ("rec",))
+
+
 class TestBuildRec:
     def test_identity(self):
         rng = np.random.default_rng(0)
         frame = random_frame(rng, 16, 16)
-        assert np.array_equal(build_rec(frame), frame.pixels)
+        assert np.array_equal(rec_stack(frame).planes[0], frame.pixels)
 
     def test_single_pixel(self):
-        assert build_rec(GrayFrame(np.array([[42]], dtype=np.uint8)))[0, 0] == 42
+        assert rec_stack(GrayFrame(np.array([[42]], dtype=np.uint8))).planes[0][0, 0] == 42
 
     def test_checkerboard_preserved(self):
         board = np.indices((8, 8)).sum(axis=0) % 2 * 255
         frame = GrayFrame(board.astype(np.uint8))
-        assert np.array_equal(build_rec(frame), frame.pixels)
+        assert np.array_equal(rec_stack(frame).planes[0], frame.pixels)
 
     def test_returns_independent_copy(self):
         frame = GrayFrame(np.zeros((2, 2), dtype=np.uint8))
-        plane = build_rec(frame)
-        plane[0, 0] = 9
-        assert frame.pixels[0, 0] == 0
+        assert not np.shares_memory(rec_stack(frame).planes, frame.pixels)
 
 
 class TestBuildSeg:
@@ -211,42 +213,38 @@ class TestBuildIntra:
 
 
 class TestAssemble:
-    def make_planes(self):
+    """channel_order decides a stack's channels; stack_from_coding stacks them."""
+
+    def make_coding(self):
         rng = np.random.default_rng(1)
-        return {c: rng.integers(0, 256, (8, 8)).astype(np.uint8) for c in CHANNEL_ORDER}
+        frame = random_frame(rng, 16, 16)
+        return frame, random_quadtree(rng, 16, 16, root=16), [PuMode(0, 0, 9)]
 
     def test_single_channel(self):
-        planes = self.make_planes()
-        stack = assemble({"rec": planes["rec"]})
+        stack = stack_from_coding(*self.make_coding(), ("rec",))
         assert stack.channels == ("rec",)
-        assert stack.planes.shape == (1, 8, 8)
+        assert stack.planes.shape == (1, 16, 16)
 
     def test_two_channels_in_canonical_order(self):
-        planes = self.make_planes()
-        stack = assemble({"intra": planes["intra"], "seg": planes["seg"]})
+        frame, cus, pus = self.make_coding()
+        stack = stack_from_coding(frame, cus, pus, ("intra", "seg"))
         assert stack.channels == ("seg", "intra")
-        assert np.array_equal(stack.planes[0], planes["seg"])
-        assert np.array_equal(stack.planes[1], planes["intra"])
+        assert np.array_equal(stack.planes[0], build_seg(frame, cus))
+        assert np.array_equal(stack.planes[1], build_intra(16, 16, pus))
 
     def test_all_three(self):
-        stack = assemble(self.make_planes())
-        assert stack.channels == CHANNEL_ORDER
+        assert channel_order(CHANNEL_ORDER) == CHANNEL_ORDER
+        assert stack_from_coding(*self.make_coding()).channels == CHANNEL_ORDER
 
     def test_all_seven_subsets(self):
-        planes = self.make_planes()
         for mask in range(1, 8):
-            subset = {c for i, c in enumerate(CHANNEL_ORDER) if mask >> i & 1}
-            stack = assemble({c: planes[c] for c in subset})
-            assert set(stack.channels) == subset
+            subset = tuple(c for i, c in enumerate(CHANNEL_ORDER) if mask >> i & 1)
+            assert channel_order(reversed(subset)) == subset
 
     def test_errors(self):
-        planes = self.make_planes()
-        with pytest.raises(ValueError):
-            assemble({})
-        with pytest.raises(ValueError):
-            assemble({"luma": planes["rec"]})
-        with pytest.raises(ValueError):
-            assemble({"rec": planes["rec"], "seg": planes["seg"][:4]})
+        for bad in [(), ("luma",), "rec"]:
+            with pytest.raises(ValueError):
+                channel_order(bad)
 
     def test_stack_validation(self):
         with pytest.raises(ValueError):

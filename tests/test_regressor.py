@@ -1,6 +1,7 @@
 """Regressor: layer gradients, shape algebra, training loop, scalers, checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from rqpkit.regressor import (
     train,
 )
 from rqpkit.regressor.layers import AvgPool2d, Conv2d, Dense, ReLU
+from rqpkit.regressor.network import parameter_shapes
 
 
 def toy_stack(rng, channels=2, size=8) -> FeatureStack:
@@ -69,6 +71,15 @@ class TestLayerGradients:
         rng = np.random.default_rng(7)
         layer = Dense(5, 3, rng=np.random.default_rng(8))
         check_layer(layer, rng.standard_normal((4, 5)), rng)
+
+    def test_dense_reads_flattened_volume(self):
+        rng = np.random.default_rng(36)
+        layer = Dense(2 * 3 * 3, 4, rng=np.random.default_rng(37))
+        check_layer(layer, rng.standard_normal((5, 2, 3, 3)), rng)
+
+    def test_pool_window_must_pool(self):
+        with pytest.raises(ValueError, match="window"):
+            AvgPool2d(1)
 
     def test_relu_propagates_nan(self):
         out = ReLU().forward(np.array([np.nan, -1.0, 2.0]))
@@ -171,6 +182,17 @@ class TestShapeAlgebra:
     def test_default_config_is_consistent(self, size):
         net = Network(NetworkConfig(3, size, 2))
         assert net.forward(np.zeros((2, 3, size, size))).shape == (2, 2)
+
+    @pytest.mark.parametrize("size", [7, 8, 64])
+    def test_parameter_shapes_match_network(self, size):
+        cfg = NetworkConfig(2, size, 3)
+        assert parameter_shapes(cfg) == [p.shape for p in Network(cfg).parameters()]
+
+    def test_unpoolable_stage_has_no_pool_layer(self):
+        # 64 -> 16 -> 4 -> 1: the fourth stage's size allows no pooling.
+        net = Network(NetworkConfig(1, 64, 2))
+        assert [type(layer) for layer in net.layers[-3:]] == [Conv2d, ReLU, Dense]
+        assert sum(isinstance(layer, AvgPool2d) for layer in net.layers) == 3
 
     def test_forward_shape_matches_config(self):
         cfg = NetworkConfig(1, 16, 3, seed=2)
@@ -312,6 +334,22 @@ class TestTraining:
         net = Network(NetworkConfig(2, 8, 2, seed=5))
         with pytest.raises(TrainingError, match="non-finite"):
             train(net, data, TrainConfig(learning_rate=1e30, epochs=10, seed=5))
+
+    @pytest.mark.parametrize("learning_rate", [np.nan, np.inf])
+    def test_learning_rate_must_be_finite(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=learning_rate)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_weights_abort(self):
+        # One batch, one epoch: the loss is checked before the only step, so
+        # only a check of the weights themselves sees what the step did.
+        data = toy_dataset(np.random.default_rng(38), 4)
+        net = Network(NetworkConfig(2, 8, 2, seed=39))
+        cfg = TrainConfig(epochs=1, batch_size=4)
+        object.__setattr__(cfg, "learning_rate", np.inf)  # past TrainConfig's own check
+        with pytest.raises(TrainingError, match="non-finite weights"):
+            train(net, data, cfg)
 
     def test_empty_dataset_rejected(self):
         net = Network(NetworkConfig(2, 8, 2, seed=6))
@@ -488,6 +526,22 @@ class TestCheckpoint:
             load_checkpoint(path)
         message = str(info.value)
         assert "\n" not in message and str(path) in message
+
+    def test_oversized_config_refused_before_building(self, tmp_path):
+        # An odd input size admits no pooling, so Network would allocate a
+        # dense layer of 32 * 301**2 * 2 floats (and its gradient) first.
+        path = tmp_path / "big.npz"
+        save_checkpoint(path, Network(NetworkConfig(2, 8, 2, seed=20)),
+                        TargetScaler(np.zeros(2), np.ones(2)))
+        _edit_meta(lambda doc: {**doc, "config": {**doc["config"], "input_size": 301}})(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="shape"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_set_parameters_validates(self):
         net = Network(NetworkConfig(2, 8, 2, seed=17))
