@@ -53,6 +53,7 @@ from .ingest import (
     load_corpus,
     load_frame,
     load_metadata,
+    load_pair,
     parse_metadata,
     save_corpus,
     save_frame,

@@ -37,8 +37,8 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
         values = tuple(float(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad thresholds {text!r}") from None
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("thresholds must be positive percentages")
+    if not values or not all(np.isfinite(v) and v > 0 for v in values):
+        raise argparse.ArgumentTypeError("thresholds must be finite positive percentages")
     return values
 
 
@@ -126,8 +126,7 @@ def cmd_synth(args) -> int:
 
 def cmd_extract(args) -> int:
     out = _out_dir(args)
-    frame = ingest.load_frame(args.frame)
-    md = ingest.load_metadata(args.sidecar)
+    frame, md = ingest.load_pair(args.frame, args.sidecar)
     stack = stack_from_coding(frame, md.cus, md.pus, args.features)
     for channel, plane in zip(stack.channels, stack.planes):
         path = out / f"{md.frame_id}_{channel}.pgm"
@@ -184,8 +183,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     run = ev.TrainedRun.load(args.checkpoint)
-    frame = ingest.load_frame(args.frame)
-    md = ingest.load_metadata(args.sidecar)
+    frame, md = ingest.load_pair(args.frame, args.sidecar)
     rate = predict_rate(run.predictor()(frame, md), args.qp)
     print(f"{rate:.6f}")
     return 0

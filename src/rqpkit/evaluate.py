@@ -36,6 +36,7 @@ from .regressor import (
     TrainResult,
     load_checkpoint,
     mean_predictor_mse,
+    normalize_stack,
     predict_params,
     save_checkpoint,
     train,
@@ -285,13 +286,13 @@ def corpus_index(corpus) -> dict[str, tuple[GrayFrame, CodingMetadata]]:
     return index
 
 
-def _labelled_items(by_id, ids, form, fastened, channels):
-    items = []
-    for frame_id in ids:
-        frame, md = by_id[frame_id]
-        stack = stack_from_coding(frame, md.cus, md.pus, channels)
-        items.append((stack, make_labels(md, frame_spec(form, fastened, md))))
-    return items
+def _dataset(by_id, ids, form, fastened, channels) -> tuple[np.ndarray, np.ndarray]:
+    """Network inputs (n, C, H, W) in [0, 1] and fitted label coefficients (n, outputs)."""
+    pairs = [by_id[frame_id] for frame_id in ids]
+    x = np.stack([normalize_stack(stack_from_coding(frame, md.cus, md.pus, channels))
+                  for frame, md in pairs])
+    y = np.array([make_labels(md, frame_spec(form, fastened, md)).coeffs for _, md in pairs])
+    return x, y
 
 
 def run_training(corpus, split: DatasetSplit, form: str, fastened: bool, channels,
@@ -301,19 +302,15 @@ def run_training(corpus, split: DatasetSplit, form: str, fastened: bool, channel
     if not split.train:
         raise ValueError("split has no training frames")
     by_id = corpus_index(corpus)
-    sample_md = by_id[split.train[0]][1]
-    if sample_md.width != sample_md.height:
-        raise ValueError("the regressor expects square frames")
-    network = Network(NetworkConfig(
-        input_channels=len(channels),
-        input_size=sample_md.width,
-        outputs=frame_spec(form, fastened, sample_md).param_count,
-        seed=train_cfg.seed,
-    ))
-    train_items = _labelled_items(by_id, split.train, form, fastened, channels)
-    val_items = _labelled_items(by_id, split.validation, form, fastened, channels)
-    result = train(network, train_items, train_cfg, val_items or None)
-    baseline = mean_predictor_mse(result.scaler, val_items) if val_items else None
+    x, y = _dataset(by_id, split.train, form, fastened, channels)
+    if x.shape[2] != x.shape[3]:
+        raise ValueError(f"the regressor expects square frames, got {x.shape[3]}x{x.shape[2]}")
+    network = Network(NetworkConfig(len(channels), x.shape[2], y.shape[1], train_cfg.seed))
+    validation = None
+    if split.validation:
+        validation = _dataset(by_id, split.validation, form, fastened, channels)
+    result = train(network, x, y, train_cfg, validation)
+    baseline = mean_predictor_mse(result.scaler, validation[1]) if validation else None
     return TrainedRun(
         form=form,
         fastened=fastened,

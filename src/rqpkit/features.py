@@ -177,34 +177,39 @@ def build_seg(frame: GrayFrame, cus) -> np.ndarray:
     return out
 
 
-def build_intra(width: int, height: int, pus) -> np.ndarray:
-    """Mode plane: each 16x16 grid cell flooded with its mode * 7.
+def validate_coverage(width: int, height: int, pus) -> None:
+    """Check that the blocks cover the ceil(width/16) x ceil(height/16) grid exactly once.
 
-    Every cell of the ceil(width/16) x ceil(height/16) grid must be
-    supplied exactly once; blocks at the right/bottom edge are truncated
-    to the frame.
+    Raises CoverageError naming the offending block or the first empty cell.
     """
-    if width < 1 or height < 1:
-        raise ValueError(f"frame dimensions must be positive, got {width}x{height}")
-    grid_w = -(-width // PU_SIZE)
-    grid_h = -(-height // PU_SIZE)
-    seen = np.zeros((grid_h, grid_w), dtype=bool)
-    out = np.empty((height, width), dtype=np.uint8)
+    seen = np.zeros((-(-height // PU_SIZE), -(-width // PU_SIZE)), dtype=bool)
     for p in pus:
         gx, gy = p.x // PU_SIZE, p.y // PU_SIZE
-        if gx >= grid_w or gy >= grid_h:
+        if gx >= seen.shape[1] or gy >= seen.shape[0]:
             raise CoverageError(f"{p} lies outside the {width}x{height} frame")
         if seen[gy, gx]:
             raise CoverageError(f"grid cell ({p.x}, {p.y}) is covered twice")
         seen[gy, gx] = True
-        out[p.y : min(p.y + PU_SIZE, height), p.x : min(p.x + PU_SIZE, width)] = (
-            p.mode * INTRA_MODE_STEP
-        )
     if not seen.all():
         gy, gx = np.argwhere(~seen)[0]
         raise CoverageError(
             f"grid cell ({int(gx) * PU_SIZE}, {int(gy) * PU_SIZE}) has no prediction block"
         )
+
+
+def build_intra(width: int, height: int, pus) -> np.ndarray:
+    """Mode plane: each 16x16 grid cell flooded with its mode * 7.
+
+    The blocks must cover the grid (validate_coverage); blocks at the
+    right/bottom edge are truncated to the frame.
+    """
+    if width < 1 or height < 1:
+        raise ValueError(f"frame dimensions must be positive, got {width}x{height}")
+    pus = list(pus)
+    validate_coverage(width, height, pus)
+    out = np.empty((height, width), dtype=np.uint8)
+    for p in pus:
+        out[p.y : p.y + PU_SIZE, p.x : p.x + PU_SIZE] = p.mode * INTRA_MODE_STEP
     return out
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .entropy import CauchyParams, synth_curve
-from .features import CuRect, GrayFrame, PuMode, PU_SIZE, validate_tiling
+from .features import CuRect, GrayFrame, PuMode, PU_SIZE, validate_coverage, validate_tiling
 from .model import OperationalPoint, RQPCurve, RQPSample
 from .pgm import read_pgm, write_pgm
 
@@ -58,6 +58,7 @@ class CodingMetadata:
             raise MetadataError(f"bad frame dimensions {self.width}x{self.height}")
         try:
             validate_tiling(self.width, self.height, self.cus)
+            validate_coverage(self.width, self.height, self.pus)
         except ValueError as exc:
             raise MetadataError(f"frame {self.frame_id!r}: {exc}") from exc
         if self.labels is not None:
@@ -178,6 +179,15 @@ def save_metadata(path, md: CodingMetadata) -> None:
 def load_frame(path) -> GrayFrame:
     """Read an 8-bit grayscale PGM into a GrayFrame."""
     return GrayFrame(read_pgm(path))
+
+
+def load_pair(frame_path, sidecar_path) -> tuple[GrayFrame, CodingMetadata]:
+    """Read a frame and its sidecar; a size mismatch raises MetadataError naming both."""
+    frame, md = load_frame(frame_path), load_metadata(sidecar_path)
+    if (frame.width, frame.height) != (md.width, md.height):
+        raise MetadataError(f"{frame_path} is {frame.width}x{frame.height} but its sidecar "
+                            f"{sidecar_path} describes {md.width}x{md.height}")
+    return frame, md
 
 
 def save_frame(path, frame: GrayFrame) -> None:
@@ -385,9 +395,8 @@ def read_manifest(manifest_path) -> list[tuple[Path, Path]]:
 
 def load_corpus(manifest_path) -> list[tuple[GrayFrame, CodingMetadata]]:
     """Load every (frame, sidecar) pair listed in a manifest."""
-    items = []
-    for frame_path, sidecar_path in read_manifest(manifest_path):
-        items.append((load_frame(frame_path), load_metadata(sidecar_path)))
+    items = [load_pair(frame_path, sidecar_path)
+             for frame_path, sidecar_path in read_manifest(manifest_path)]
     if not items:
         raise ValueError(f"manifest {manifest_path} lists no frames")
     return items

@@ -133,33 +133,6 @@ class TrainResult:
     grad_norms: list[tuple[float, ...]] = field(default_factory=list)
 
 
-def _dataset_arrays(items, config) -> tuple[np.ndarray, np.ndarray]:
-    stacks, labels = [], []
-    template = None
-    for stack, params in items:
-        if stack.height != config.input_size or stack.width != config.input_size:
-            raise ValueError(
-                f"stack is {stack.width}x{stack.height}, network expects "
-                f"{config.input_size}x{config.input_size}"
-            )
-        if len(stack.channels) != config.input_channels:
-            raise ValueError(
-                f"stack has {len(stack.channels)} channels, network expects "
-                f"{config.input_channels}"
-            )
-        key = (params.spec.form, params.spec.fastened)
-        if template is None:
-            template = key
-        elif key != template:
-            raise ValueError(f"labels mix model specs: {template} vs {key}")
-        stacks.append(normalize_stack(stack))
-        labels.append(params.coeffs)
-    y = np.array(labels, dtype=float)
-    if y.shape[1] != config.outputs:
-        raise ValueError(f"labels have {y.shape[1]} coefficients, network emits {config.outputs}")
-    return np.stack(stacks), y
-
-
 def _batched_loss(network: Network, x: np.ndarray, y: np.ndarray, batch: int = 64) -> float:
     total = 0.0
     for start in range(0, len(x), batch):
@@ -169,21 +142,21 @@ def _batched_loss(network: Network, x: np.ndarray, y: np.ndarray, batch: int = 6
     return total / y.size
 
 
-def train(network: Network, train_items, cfg: TrainConfig, val_items=None) -> TrainResult:
-    """Train on (FeatureStack, ModelParams) pairs; returns per-epoch losses.
+def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
+          validation=None) -> TrainResult:
+    """Train on inputs x (n, C, H, W) in [0, 1] and raw coefficients y (n, outputs).
 
-    The scaler is fitted on the training labels only; validation items,
-    when given, are scored each epoch with the same scaler.
+    The scaler is fitted on y only; `validation`, an (x, y) pair, is scored
+    each epoch with the same scaler.
     """
-    if not train_items:
-        raise ValueError("training set is empty")
-    x, y_raw = _dataset_arrays(train_items, network.config)
-    scaler = TargetScaler.fit(y_raw)
-    y = scaler.transform(y_raw)
-    x_val = y_val = None
-    if val_items:
-        x_val, y_val_raw = _dataset_arrays(val_items, network.config)
-        y_val = scaler.transform(y_val_raw)
+    for xs, ys in [(x, y)] + ([validation] if validation is not None else []):
+        if len(xs) == 0 or np.shape(ys) != (len(xs), network.config.outputs):
+            raise ValueError(f"need a nonempty x and a y of {len(xs)} rows of "
+                             f"{network.config.outputs} coefficients, got {np.shape(ys)}")
+    scaler = TargetScaler.fit(y)
+    y = scaler.transform(y)
+    if validation is not None:
+        validation = validation[0], scaler.transform(validation[1])
 
     optimizer = Adam(network.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
@@ -211,15 +184,14 @@ def train(network: Network, train_items, cfg: TrainConfig, val_items=None) -> Tr
             raise TrainingError(f"non-finite weights after epoch {epoch}; lower the learning rate")
         result.train_loss.append(squared_sum / y.size)
         result.grad_norms.append(tuple(float(np.linalg.norm(g)) for g in network.gradients()))
-        if x_val is not None:
-            result.val_loss.append(_batched_loss(network, x_val, y_val))
+        if validation is not None:
+            result.val_loss.append(_batched_loss(network, *validation))
         result.epoch_s.append(perf_counter() - start_s)
     return result
 
 
-def mean_predictor_mse(scaler: TargetScaler, val_items) -> float:
+def mean_predictor_mse(scaler: TargetScaler, labels: np.ndarray) -> float:
     """Standardized-space MSE of always predicting the training-label mean."""
-    labels = np.array([params.coeffs for _, params in val_items], dtype=float)
     standardized = scaler.transform(labels)
     return float(np.mean(standardized * standardized))
 

@@ -36,7 +36,7 @@ from rqpkit.model import (
     predict_rate,
     residuals,
 )
-from rqpkit.regressor import Network, NetworkConfig, TrainConfig, mse_loss, train
+from rqpkit.regressor import Network, NetworkConfig, TrainConfig, mse_loss, normalize_stack, train
 from rqpkit.regressor.layers import AvgPool2d, Conv2d, Dense, ReLU
 from rqpkit.evaluate import make_labels, frame_spec
 
@@ -193,7 +193,8 @@ def test_criterion_6_trainability():
     stack = stack_from_coding(frame, md.cus, md.pus)
     label = make_labels(md, frame_spec("quadratic", True, md))
     net = Network(NetworkConfig(3, 64, 2, seed=ACCEPT_SEED))
-    result = train(net, [(stack, label)], TrainConfig(epochs=200, seed=ACCEPT_SEED))
+    result = train(net, normalize_stack(stack)[None], np.array([label.coeffs]),
+                   TrainConfig(epochs=200, seed=ACCEPT_SEED))
     ratio = result.train_loss[-1] / result.train_loss[0]
     _report(6, ratio < 1e-3,
             f"one-sample loss ratio after 200 epochs at lr 1e-4: {ratio:.2e}",

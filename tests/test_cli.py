@@ -8,7 +8,7 @@ import pytest
 from rqpkit.cli import main
 from rqpkit.features import stack_from_coding
 from rqpkit.ingest import load_frame, load_metadata, read_manifest
-from rqpkit.pgm import read_pgm
+from rqpkit.pgm import read_pgm, write_pgm
 from rqpkit.regressor import load_checkpoint, save_checkpoint
 
 
@@ -140,6 +140,16 @@ class TestTrainPredict:
         assert code == 2
         assert "'channels'" in capsys.readouterr().err
 
+    def test_frame_and_sidecar_sizes_must_agree(self, workdir, corpus_dir, checkpoint, capsys):
+        small = workdir / "small.pgm"
+        write_pgm(small, np.zeros((16, 16), dtype=np.uint8))
+        sidecar = read_manifest(corpus_dir / "manifest.txt")[0][1]
+        code = main(["predict", "--checkpoint", str(checkpoint),
+                     "--frame", str(small), "--sidecar", str(sidecar), "--qp", "26"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(small) in err and str(sidecar) in err
+
     def test_missing_file_is_reported(self, checkpoint, capsys):
         code = main(["predict", "--checkpoint", str(checkpoint),
                      "--frame", "nope.pgm", "--sidecar", "nope.json", "--qp", "10"])
@@ -160,6 +170,14 @@ class TestEvaluate:
         detail = (out_a / "report_detail.csv").read_text().splitlines()
         assert detail[0] == "frame_id,qp,actual_bits,predicted_bits,delta_pct"
         assert len(detail) == 1 + 2 * 7  # 2 test frames x 7 non-anchor label QPs
+
+    @pytest.mark.parametrize("thresholds", ["nan", "inf", "10,nan"])
+    def test_non_finite_thresholds_rejected(self, workdir, corpus_dir, checkpoint, thresholds):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--corpus", str(corpus_dir / "manifest.txt"),
+                  "--checkpoint", str(checkpoint), "--thresholds", thresholds,
+                  "--out", str(workdir / "eval_bad")])
+        assert exc.value.code == 2
 
     def test_foreign_corpus_rejected(self, workdir, checkpoint, capsys):
         other = workdir / "other"

@@ -23,7 +23,7 @@ from rqpkit.evaluate import (
     run_training,
 )
 from rqpkit.features import CuRect, GrayFrame, PuMode
-from rqpkit.ingest import CodingMetadata, split_dataset
+from rqpkit.ingest import CodingMetadata, split_dataset, synth_corpus
 from rqpkit.model import (
     ModelParams,
     ModelSpec,
@@ -382,6 +382,12 @@ class TestTrainingRuns:
         with pytest.raises(ValueError, match="luma"):
             run_training(tiny_corpus, split, "quadratic", True, ("rec", "luma"),
                          TrainConfig(epochs=1, seed=0))
+
+    def test_non_square_frames_rejected(self):
+        corpus = synth_corpus(6, seed=3, size=(32, 64))
+        split = split_dataset([md.frame_id for _, md in corpus], seed=0, test_fraction=0.0)
+        with pytest.raises(ValueError, match="square"):
+            run_training(corpus, split, "quadratic", True, ("rec",), TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("field,value", [
         ("channels", ["rec"]),

@@ -15,6 +15,7 @@ from rqpkit.features import (
     build_seg,
     channel_order,
     stack_from_coding,
+    validate_coverage,
     validate_tiling,
 )
 
@@ -154,6 +155,11 @@ class TestBuildSeg:
         validate_tiling(4, 4, [CuRect(0, 0, 4, 4)])
         with pytest.raises(TilingError):
             validate_tiling(4, 4, [])
+
+    def test_validate_coverage_standalone(self):
+        validate_coverage(20, 16, [PuMode(0, 0, 1), PuMode(16, 0, 2)])
+        with pytest.raises(CoverageError, match="no prediction block"):
+            validate_coverage(20, 16, [PuMode(0, 0, 1)])
 
 
 class TestBuildIntra:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rqpkit.features import CuRect, PuMode
+from rqpkit.features import CuRect, GrayFrame, PuMode
 from rqpkit.ingest import (
     LABEL_QPS,
     MetadataError,
@@ -66,6 +66,14 @@ class TestParseMetadata:
         doc = minimal_doc(pus=[{"x": 0, "y": 0, "mode": 35}])
         with pytest.raises(MetadataError, match=r"pus\[0\]"):
             parse_metadata(json.dumps(doc))
+
+    @pytest.mark.parametrize("pus,message", [
+        ([], r"\(0, 0\) has no prediction block"),
+        ([{"x": 0, "y": 0, "mode": 7}, {"x": 16, "y": 0, "mode": 1}], "outside the 16x16 frame"),
+    ], ids=["missing_block", "block_past_edge"])
+    def test_prediction_grid_checked(self, pus, message):
+        with pytest.raises(MetadataError, match=f"frame 'frame0': .*{message}"):
+            parse_metadata(json.dumps(minimal_doc(pus=pus)))
 
     def test_missing_field_names_path(self):
         doc = minimal_doc()
@@ -229,6 +237,14 @@ class TestCorpusOnDisk:
         path = tmp_path / "one.pgm"
         save_frame(path, frame)
         assert load_frame(path) == frame
+
+    def test_frame_size_must_match_sidecar(self, tiny_corpus, tmp_path):
+        manifest = save_corpus(tiny_corpus[:2], tmp_path)
+        frame_path, sidecar_path = read_manifest(manifest)[1]
+        save_frame(frame_path, GrayFrame(np.zeros((16, 16), dtype=np.uint8)))
+        with pytest.raises(MetadataError, match="16x16") as exc:
+            load_corpus(manifest)
+        assert str(frame_path) in str(exc.value) and str(sidecar_path) in str(exc.value)
 
     def test_bad_manifest_line(self, tmp_path):
         path = tmp_path / "manifest.txt"

@@ -8,7 +8,7 @@ import pytest
 
 from gradcheck import check_layer, check_network
 from rqpkit.features import FeatureStack
-from rqpkit.model import ModelSpec, ModelParams, OperationalPoint
+from rqpkit.model import ModelSpec, OperationalPoint
 from rqpkit.regressor import (
     Adam,
     CheckpointError,
@@ -36,14 +36,16 @@ def toy_stack(rng, channels=2, size=8) -> FeatureStack:
     return FeatureStack(names, planes)
 
 
+TOY_SPEC = ModelSpec("quadratic", True, OperationalPoint(10.0, 5000.0))
+
+
 def toy_dataset(rng, n, channels=2, size=8, outputs=2):
-    anchor = OperationalPoint(10.0, 5000.0)
-    spec = ModelSpec("quadratic", True, anchor) if outputs == 2 else ModelSpec("quadratic")
-    items = []
+    """n normalized random stacks (n, channels, size, size) and (n, outputs) coefficients."""
+    x, y = [], []
     for _ in range(n):
-        coeffs = tuple(float(c) for c in rng.normal(0.0, 2.0, outputs))
-        items.append((toy_stack(rng, channels, size), ModelParams(spec, coeffs)))
-    return items
+        y.append(rng.normal(0.0, 2.0, outputs))
+        x.append(normalize_stack(toy_stack(rng, channels, size)))
+    return np.stack(x), np.array(y)
 
 
 class TestLayerGradients:
@@ -282,21 +284,21 @@ class TestTraining:
         rng = np.random.default_rng(3)
         data = toy_dataset(rng, 6)
         net = Network(NetworkConfig(2, 8, 2, seed=0))
-        result = train(net, data, TrainConfig(learning_rate=0.0, epochs=5, seed=0))
+        result = train(net, *data, TrainConfig(learning_rate=0.0, epochs=5, seed=0))
         assert len(set(result.train_loss)) == 1
 
     def test_loss_decreases(self):
         rng = np.random.default_rng(4)
         data = toy_dataset(rng, 8)
         net = Network(NetworkConfig(2, 8, 2, seed=1))
-        result = train(net, data, TrainConfig(learning_rate=1e-3, epochs=40, seed=1))
+        result = train(net, *data, TrainConfig(learning_rate=1e-3, epochs=40, seed=1))
         assert result.train_loss[-1] < result.train_loss[0]
 
     def test_memorizes_single_sample(self):
         rng = np.random.default_rng(5)
         data = toy_dataset(rng, 1)
         net = Network(NetworkConfig(2, 8, 2, seed=2))
-        result = train(net, data, TrainConfig(epochs=200, seed=2))
+        result = train(net, *data, TrainConfig(epochs=200, seed=2))
         assert result.train_loss[-1] < 1e-3 * result.train_loss[0]
 
     def test_validation_history(self):
@@ -304,7 +306,7 @@ class TestTraining:
         data = toy_dataset(rng, 6)
         val = toy_dataset(rng, 2)
         net = Network(NetworkConfig(2, 8, 2, seed=3))
-        result = train(net, data, TrainConfig(epochs=4, seed=3), val)
+        result = train(net, *data, TrainConfig(epochs=4, seed=3), val)
         assert len(result.train_loss) == 4 and len(result.val_loss) == 4
 
     def test_seeded_determinism(self):
@@ -313,14 +315,14 @@ class TestTraining:
         histories = []
         for _ in range(2):
             net = Network(NetworkConfig(2, 8, 2, seed=4))
-            histories.append(train(net, data, TrainConfig(epochs=6, seed=4)).train_loss)
+            histories.append(train(net, *data, TrainConfig(epochs=6, seed=4)).train_loss)
         assert histories[0] == histories[1]
 
     def test_epoch_telemetry(self):
         rng = np.random.default_rng(19)
         data = toy_dataset(rng, 12)
         net = Network(NetworkConfig(2, 8, 2, seed=18))
-        result = train(net, data, TrainConfig(epochs=3, seed=18))
+        result = train(net, *data, TrainConfig(epochs=3, seed=18))
         assert len(result.epoch_s) == 3 and all(s > 0 for s in result.epoch_s)
         assert len(result.grad_norms) == 3
         assert all(len(norms) == len(net.parameters()) for norms in result.grad_norms)
@@ -333,7 +335,7 @@ class TestTraining:
         data = toy_dataset(rng, 4)
         net = Network(NetworkConfig(2, 8, 2, seed=5))
         with pytest.raises(TrainingError, match="non-finite"):
-            train(net, data, TrainConfig(learning_rate=1e30, epochs=10, seed=5))
+            train(net, *data, TrainConfig(learning_rate=1e30, epochs=10, seed=5))
 
     @pytest.mark.parametrize("learning_rate", [np.nan, np.inf])
     def test_learning_rate_must_be_finite(self, learning_rate):
@@ -349,46 +351,43 @@ class TestTraining:
         cfg = TrainConfig(epochs=1, batch_size=4)
         object.__setattr__(cfg, "learning_rate", np.inf)  # past TrainConfig's own check
         with pytest.raises(TrainingError, match="non-finite weights"):
-            train(net, data, cfg)
+            train(net, *data, cfg)
 
     def test_empty_dataset_rejected(self):
         net = Network(NetworkConfig(2, 8, 2, seed=6))
         with pytest.raises(ValueError, match="empty"):
-            train(net, [], TrainConfig())
+            train(net, np.empty((0, 2, 8, 8)), np.empty((0, 2)), TrainConfig())
 
-    def test_mixed_specs_rejected(self):
-        rng = np.random.default_rng(9)
-        mixed = toy_dataset(rng, 2, outputs=2) + [
-            (toy_dataset(rng, 1, outputs=2)[0][0],
-             ModelParams(ModelSpec("linear"), (1.0, 2.0))),
-        ]
+    @pytest.mark.parametrize("short", ["training", "validation"])
+    def test_label_rows_must_match_inputs(self, short):
+        x, y = toy_dataset(np.random.default_rng(9), 4)
         net = Network(NetworkConfig(2, 8, 2, seed=7))
-        with pytest.raises(ValueError, match="mix"):
-            train(net, mixed, TrainConfig())
+        train_y, val_y = (y[:1], y) if short == "training" else (y, y[:1])
+        with pytest.raises(ValueError, match="4 rows"):
+            train(net, x, train_y, TrainConfig(), (x, val_y))
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(10)
         data = toy_dataset(rng, 2, size=16)
         net = Network(NetworkConfig(2, 8, 2, seed=8))
-        with pytest.raises(ValueError, match="network expects"):
-            train(net, data, TrainConfig())
+        with pytest.raises(ValueError, match="does not match"):
+            train(net, *data, TrainConfig())
 
     def test_label_width_must_match_outputs(self):
         rng = np.random.default_rng(11)
         data = toy_dataset(rng, 4, outputs=3)
         net = Network(NetworkConfig(2, 8, 2, seed=9))
         with pytest.raises(ValueError, match="coefficients"):
-            train(net, data, TrainConfig())
+            train(net, *data, TrainConfig())
 
     def test_mean_predictor_baseline(self):
         rng = np.random.default_rng(12)
         data = toy_dataset(rng, 10)
         val = toy_dataset(rng, 4)
         net = Network(NetworkConfig(2, 8, 2, seed=10))
-        result = train(net, data, TrainConfig(epochs=1, seed=10), val)
-        labels = np.array([p.coeffs for _, p in val])
-        z = result.scaler.transform(labels)
-        assert mean_predictor_mse(result.scaler, val) == pytest.approx(float(np.mean(z * z)))
+        result = train(net, *data, TrainConfig(epochs=1, seed=10), val)
+        z = result.scaler.transform(val[1])
+        assert mean_predictor_mse(result.scaler, val[1]) == pytest.approx(float(np.mean(z * z)))
 
 
 class TestPredictParams:
@@ -396,17 +395,16 @@ class TestPredictParams:
         rng = np.random.default_rng(13)
         data = toy_dataset(rng, 4, outputs=outputs)
         net = Network(NetworkConfig(2, 8, outputs, seed=11))
-        result = train(net, data, TrainConfig(epochs=1, seed=11))
-        return net, result.scaler, data
+        result = train(net, *data, TrainConfig(epochs=1, seed=11))
+        return net, result.scaler
 
     def test_round_trip_with_scaler(self):
-        net, scaler, data = self.make_trained()
-        stack = data[0][0]
-        spec = data[0][1].spec
-        params = predict_params(net, scaler, stack, spec)
+        net, scaler = self.make_trained()
+        stack = toy_stack(np.random.default_rng(16))
+        params = predict_params(net, scaler, stack, TOY_SPEC)
         raw = net.forward(normalize_stack(stack)[None])[0]
         assert np.allclose(scaler.transform(np.array(params.coeffs)), raw, atol=1e-9)
-        assert params.spec == spec
+        assert params.spec == TOY_SPEC
 
     @pytest.mark.parametrize(
         "form,fastened,count",
@@ -422,7 +420,7 @@ class TestPredictParams:
         assert len(params.coeffs) == count
 
     def test_spec_width_mismatch(self):
-        net, scaler, _ = self.make_trained(outputs=2)
+        net, scaler = self.make_trained(outputs=2)
         rng = np.random.default_rng(15)
         with pytest.raises(ValueError, match="emits"):
             predict_params(net, scaler, toy_stack(rng), ModelSpec("quadratic"))
@@ -430,10 +428,10 @@ class TestPredictParams:
     def test_nan_weights_are_not_hidden(self):
         # The rectifier must let NaN through, or all-NaN conv0 weights
         # would come out as finite coefficients.
-        net, scaler, data = self.make_trained()
+        net, scaler = self.make_trained()
         net.layers[0].w[...] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            predict_params(net, scaler, data[0][0], data[0][1].spec)
+            predict_params(net, scaler, toy_stack(np.random.default_rng(16)), TOY_SPEC)
 
 
 def _rewrite(path, edit):
@@ -479,12 +477,12 @@ class TestCheckpoint:
         rng = np.random.default_rng(17)
         data = toy_dataset(rng, 5)
         net = Network(NetworkConfig(2, 8, 2, seed=14))
-        result = train(net, data, TrainConfig(epochs=2, seed=14))
+        result = train(net, *data, TrainConfig(epochs=2, seed=14))
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, net, result.scaler, extra={"note": "test"})
         loaded_net, loaded_scaler, extra = load_checkpoint(path)
         assert extra == {"note": "test"}
-        x = normalize_stack(data[0][0])[None]
+        x = data[0][:1]
         assert np.array_equal(loaded_net.forward(x), net.forward(x))
         assert np.array_equal(loaded_scaler.mean, result.scaler.mean)
         assert np.array_equal(loaded_scaler.scale, result.scaler.scale)
