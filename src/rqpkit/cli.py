@@ -166,12 +166,15 @@ def cmd_train(args) -> int:
         vl = f"{run.result.val_loss[i]:.10g}" if run.result.val_loss else ""
         history.append(f"{i},{tl:.10g},{vl}")
     (out / "history.csv").write_text("\n".join(history) + "\n")
-    # One gradient-norm column per parameter array, in Network.parameters() order.
+    # One gradient-norm and one update-ratio column per parameter array, in
+    # Network.parameters() order.
     stages = [f"conv{k}" for k in range(len(CONV_CHANNELS))] + ["dense"]
-    telemetry = [",".join(["epoch", "epoch_s"]
-                          + [f"grad_norm_{stage}_{p}" for stage in stages for p in "wb"])]
-    for i, (secs, norms) in enumerate(zip(run.result.epoch_s, run.result.grad_norms)):
-        telemetry.append(f"{i},{secs:.6g}," + ",".join(f"{g:.10g}" for g in norms))
+    arrays = [f"{stage}_{p}" for stage in stages for p in "wb"]
+    telemetry = [",".join(["epoch", "epoch_s"] + [f"grad_norm_{a}" for a in arrays]
+                          + [f"update_ratio_{a}" for a in arrays])]
+    for i, (secs, norms, ratios) in enumerate(
+            zip(run.result.epoch_s, run.result.grad_norms, run.result.update_ratios)):
+        telemetry.append(f"{i},{secs:.6g}," + ",".join(f"{v:.10g}" for v in norms + ratios))
     (out / "telemetry.csv").write_text("\n".join(telemetry) + "\n")
     final = run.result.train_loss[-1]
     print(f"wrote {checkpoint_path} (final training loss {final:.6g})")

@@ -289,8 +289,14 @@ def corpus_index(corpus) -> dict[str, tuple[GrayFrame, CodingMetadata]]:
 def _dataset(by_id, ids, form, fastened, channels) -> tuple[np.ndarray, np.ndarray]:
     """Network inputs (n, C, H, W) in [0, 1] and fitted label coefficients (n, outputs)."""
     pairs = [by_id[frame_id] for frame_id in ids]
-    x = np.stack([normalize_stack(stack_from_coding(frame, md.cus, md.pus, channels))
-                  for frame, md in pairs])
+    stacks = [normalize_stack(stack_from_coding(frame, md.cus, md.pus, channels))
+              for frame, md in pairs]
+    for (_, md), stack in zip(pairs, stacks):
+        if stack.shape != stacks[0].shape:
+            (_, h, w), (_, h0, w0) = stack.shape, stacks[0].shape
+            raise ValueError(f"frame {md.frame_id} is {w}x{h}, expected {w0}x{h0} "
+                             f"like {pairs[0][1].frame_id}")
+    x = np.stack(stacks)
     y = np.array([make_labels(md, frame_spec(form, fastened, md)).coeffs for _, md in pairs])
     return x, y
 

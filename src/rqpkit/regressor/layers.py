@@ -1,10 +1,19 @@
 """Network layers with explicit forward and backward passes.
 
-Every layer caches what its backward pass needs during forward; backward
-consumes the cache, stores parameter gradients on the layer (dw/db), and
-returns the gradient with respect to its input (which Conv2d can skip).
-All math is float64 so the analytic gradients can be checked against
-central finite differences.
+Every layer caches what its backward pass needs during forward, until the
+next forward; backward reads the cache, stores parameter gradients on the
+layer (dw/db), and returns the gradient with respect to its input (which
+Conv2d can skip).  All math is float64 so the analytic gradients can be
+checked against central finite differences.
+
+Conv2d runs as im2col GEMMs in the Caffe layout (Chellapilla et al.,
+2006): forward copies the padded input's sliding windows into a
+(C·k·k, B·H·W) column matrix and multiplies the (O, C·k·k) weights by it.
+It caches only the window view, which costs no memory, and backward
+rebuilds the columns for dW rather than holding the first stage's large
+copy.  Unless told not to (the network's first stage), backward also forms
+every tap's input gradient with one more product and scatters it back
+(col2im).
 """
 
 from __future__ import annotations
@@ -24,6 +33,12 @@ def _windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
         (sb, sc, stride * sh, stride * sw, sh, sw),
         writeable=False,
     )
+
+
+def _cols(win: np.ndarray) -> np.ndarray:
+    """im2col matrix (ch·kernel·kernel, batch·out_h·out_w) of a window view."""
+    c, k = win.shape[1], win.shape[4]
+    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * k * k, -1)
 
 
 class Conv2d:
@@ -50,7 +65,9 @@ class Conv2d:
         pad = self.kernel // 2
         padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         win = _windows(padded, self.kernel, self.stride)
-        out = np.einsum("bchwij,ocij->bohw", win, self.w, optimize=True)
+        b, _, out_h, out_w = win.shape[:4]
+        out = self.w.reshape(self.out_channels, -1) @ _cols(win)
+        out = out.reshape(self.out_channels, b, out_h, out_w).transpose(1, 0, 2, 3)
         out += self.b[None, :, None, None]
         self._cache = (x.shape, win)
         return out
@@ -58,19 +75,21 @@ class Conv2d:
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Store dw/db; return the input gradient, or None when input_grad is False."""
         x_shape, win = self._cache
-        self.dw = np.einsum("bchwij,bohw->ocij", win, dout, optimize=True)
+        d2 = dout.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
+        self.dw = (d2 @ _cols(win).T).reshape(self.w.shape)
         self.db = dout.sum(axis=(0, 2, 3))
         if not input_grad:
             return None
-        pad = self.kernel // 2
+        k, pad = self.kernel, self.kernel // 2
         b, c, h, w = x_shape
         _, _, out_h, out_w = dout.shape
         dx_padded = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
-        # One contraction gives every tap's contribution; col2im scatters
-        # each back onto the padded input grid.
-        taps = np.einsum("bohw,ocij->ijbchw", dout, self.w, optimize=True)
-        for i in range(self.kernel):
-            for j in range(self.kernel):
+        # One GEMM gives every tap's contribution; col2im scatters each
+        # back onto the padded input grid.
+        taps = (self.w.reshape(self.out_channels, -1).T @ d2).reshape(c, k, k, b, out_h, out_w)
+        taps = taps.transpose(1, 2, 3, 0, 4, 5)
+        for i in range(k):
+            for j in range(k):
                 dx_padded[
                     :, :,
                     i : i + self.stride * out_h : self.stride,

@@ -121,9 +121,11 @@ class TrainConfig:
 class TrainResult:
     """Per-epoch history of a run.
 
-    `epoch_s` is each epoch's wall time; `grad_norms` holds, per epoch, the
-    L2 norm of every parameter array's gradient at the epoch's last step,
-    in `Network.parameters()` order.
+    `epoch_s` is each epoch's wall time.  Per epoch and in
+    `Network.parameters()` order, taken at the epoch's last step:
+    `grad_norms` holds the L2 norm of every parameter array's gradient, and
+    `update_ratios` the optimizer step's ‖Δp‖ / ‖p‖ with p the array before
+    the step (inf for an all-zero array that moved, nan for one that did not).
     """
 
     scaler: TargetScaler
@@ -131,6 +133,7 @@ class TrainResult:
     val_loss: list[float] = field(default_factory=list)
     epoch_s: list[float] = field(default_factory=list)
     grad_norms: list[tuple[float, ...]] = field(default_factory=list)
+    update_ratios: list[tuple[float, ...]] = field(default_factory=list)
 
 
 def _batched_loss(network: Network, x: np.ndarray, y: np.ndarray, batch: int = 64) -> float:
@@ -166,7 +169,8 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
         start_s = perf_counter()
         order = rng.permutation(n)
         squared_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
+        starts = range(0, n, cfg.batch_size)
+        for start in starts:
             # Sorting inside the batch keeps summation order canonical, so
             # frozen weights give a bit-identical loss regardless of shuffle.
             idx = np.sort(order[start : start + cfg.batch_size])
@@ -179,11 +183,18 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
                 )
             squared_sum += loss * grad.size
             network.backward(grad)
+            if start == starts[-1]:
+                before = [p.copy() for p in network.parameters()]
             optimizer.step(network.gradients())
         if not all(np.isfinite(p).all() for p in network.parameters()):
             raise TrainingError(f"non-finite weights after epoch {epoch}; lower the learning rate")
         result.train_loss.append(squared_sum / y.size)
         result.grad_norms.append(tuple(float(np.linalg.norm(g)) for g in network.gradients()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            result.update_ratios.append(tuple(
+                float(np.linalg.norm(p - q) / np.linalg.norm(q))
+                for p, q in zip(network.parameters(), before)
+            ))
         if validation is not None:
             result.val_loss.append(_batched_loss(network, *validation))
         result.epoch_s.append(perf_counter() - start_s)

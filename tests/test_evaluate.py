@@ -23,7 +23,7 @@ from rqpkit.evaluate import (
     run_training,
 )
 from rqpkit.features import CuRect, GrayFrame, PuMode
-from rqpkit.ingest import CodingMetadata, split_dataset, synth_corpus
+from rqpkit.ingest import CodingMetadata, DatasetSplit, split_dataset, synth_corpus
 from rqpkit.model import (
     ModelParams,
     ModelSpec,
@@ -388,6 +388,13 @@ class TestTrainingRuns:
         split = split_dataset([md.frame_id for _, md in corpus], seed=0, test_fraction=0.0)
         with pytest.raises(ValueError, match="square"):
             run_training(corpus, split, "quadratic", True, ("rec",), TrainConfig(epochs=1))
+
+    def test_mixed_frame_sizes_rejected(self):
+        corpus = synth_corpus(4, seed=3, size=(32, 32)) + synth_corpus(4, seed=4)
+        ids = tuple(md.frame_id for _, md in corpus)
+        with pytest.raises(ValueError, match=f"^frame {ids[4]} is 64x64, expected 32x32 "):
+            run_training(corpus, DatasetSplit(ids, (), ()), "quadratic", True, ("rec",),
+                         TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("field,value", [
         ("channels", ["rec"]),

@@ -136,6 +136,54 @@ def naive_conv_input_grad(layer: Conv2d, dout: np.ndarray, x_shape) -> np.ndarra
     return dx[:, :, pad : pad + h, pad : pad + w]
 
 
+def naive_conv_forward_and_dw(layer: Conv2d, x: np.ndarray, dout: np.ndarray):
+    """Output and weight gradient of a conv layer, one kernel tap at a time."""
+    k, s, pad = layer.kernel, layer.stride, layer.kernel // 2
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out_h = (padded.shape[2] - k) // s + 1
+    out_w = (padded.shape[3] - k) // s + 1
+    out = np.zeros((len(x), layer.out_channels, out_h, out_w)) + layer.b[None, :, None, None]
+    dw = np.zeros_like(layer.w)
+    for i in range(k):
+        for j in range(k):
+            tap = padded[:, :, i : i + s * out_h : s, j : j + s * out_w : s]
+            out += np.einsum("bchw,oc->bohw", tap, layer.w[:, :, i, j])
+            dw[:, :, i, j] = np.einsum("bohw,bchw->oc", dout, tap)
+    return out, dw
+
+
+class TestConvAgainstTapLoop:
+    @pytest.mark.parametrize(
+        "in_ch,out_ch,kernel,stride,size",
+        [(3, 8, 3, 1, 64), (8, 16, 3, 1, 16), (16, 32, 3, 1, 4), (32, 32, 3, 1, 1),
+         (3, 5, 3, 2, 9), (2, 4, 5, 1, 8)],
+        ids=["stage0", "stage1", "stage2", "stage3", "stride2", "kernel5"],
+    )
+    def test_forward_and_weight_grad_match_naive(self, in_ch, out_ch, kernel, stride, size):
+        rng = np.random.default_rng(36)
+        layer = Conv2d(in_ch, out_ch, kernel, stride, rng=np.random.default_rng(37))
+        layer.b = rng.standard_normal(out_ch)
+        x = rng.uniform(0.0, 1.0, (10, in_ch, size, size))
+        out = layer.forward(x)
+        dout = rng.standard_normal(out.shape)
+        layer.backward(dout, input_grad=False)
+        ref_out, ref_dw = naive_conv_forward_and_dw(layer, x, dout)
+        assert out.shape == ref_out.shape
+        assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
+        assert np.max(np.abs(layer.dw - ref_dw)) <= 1e-12 * np.max(np.abs(ref_dw))
+
+    def test_backward_repeats_until_next_forward(self):
+        # The forward cache, like ReLU's mask, lives until the next forward.
+        rng = np.random.default_rng(38)
+        layer = Conv2d(3, 4, 3, rng=np.random.default_rng(39))
+        x = rng.standard_normal((2, 3, 8, 8))
+        dout = rng.standard_normal(layer.forward(x).shape)
+        dx = layer.backward(dout)
+        dw = layer.dw.copy()
+        assert np.array_equal(layer.backward(dout), dx)
+        assert np.array_equal(layer.dw, dw)
+
+
 class TestConvBackward:
     @pytest.mark.parametrize(
         "in_ch,out_ch,kernel,stride,shape",
@@ -328,6 +376,22 @@ class TestTraining:
         assert all(len(norms) == len(net.parameters()) for norms in result.grad_norms)
         # The last epoch's norms are those of the gradients its last step left behind.
         assert result.grad_norms[-1] == tuple(float(np.linalg.norm(g)) for g in net.gradients())
+
+    def test_update_ratios(self):
+        # Six samples make one step per epoch, so a run one epoch shorter
+        # holds the weights the longer run's last step started from.
+        data = toy_dataset(np.random.default_rng(20), 6)
+        long, short = (Network(NetworkConfig(2, 8, 2, seed=21)) for _ in range(2))
+        result = train(long, *data, TrainConfig(epochs=3, seed=21))
+        shorter = train(short, *data, TrainConfig(epochs=2, seed=21))
+        assert result.update_ratios[:2] == shorter.update_ratios
+        assert result.update_ratios[-1] == tuple(
+            float(np.linalg.norm(p - q) / np.linalg.norm(q))
+            for p, q in zip(long.parameters(), short.parameters())
+        )
+        # The biases start at zero, so the first step moves them by an infinite ratio.
+        assert all(np.isinf(r) for r in result.update_ratios[0][1::2])
+        assert all(0 < r < np.inf for r in result.update_ratios[-1])
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_loss_aborts(self):
