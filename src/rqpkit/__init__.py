@@ -37,7 +37,6 @@ from .features import (
     CHANNEL_ORDER,
     CoverageError,
     CuRect,
-    FeatureStack,
     GrayFrame,
     PuMode,
     TilingError,
@@ -84,7 +83,6 @@ from .regressor import (
     TargetScaler,
     TrainConfig,
     load_checkpoint,
-    predict_params,
     save_checkpoint,
     train,
 )

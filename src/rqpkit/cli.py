@@ -127,8 +127,8 @@ def cmd_synth(args) -> int:
 def cmd_extract(args) -> int:
     out = _out_dir(args)
     frame, md = ingest.load_pair(args.frame, args.sidecar)
-    stack = stack_from_coding(frame, md.cus, md.pus, args.features)
-    for channel, plane in zip(stack.channels, stack.planes):
+    planes = stack_from_coding(frame, md.cus, md.pus, args.features)
+    for channel, plane in zip(args.features, planes):
         path = out / f"{md.frame_id}_{channel}.pgm"
         write_pgm(path, plane)
         print(f"wrote {path}")
@@ -230,10 +230,13 @@ def cmd_curves(args) -> int:
     if args.frame_id not in by_id:
         raise ValueError(f"frame {args.frame_id!r} is not in the corpus")
     frame, md = by_id[args.frame_id]
-    predictors = {}
+    predictors, sources = {}, {}
     for path in args.checkpoint:
         run = ev.TrainedRun.load(path)
         name = f"{run.form}_{'fastened' if run.fastened else 'free'}_" + "_".join(run.channels)
+        if name in sources:
+            raise ValueError(f"checkpoints {sources[name]} and {path} both give column {name}")
+        sources[name] = path
         predictors[name] = run.predictor()
     csv_text = ev.curve_dump(frame, md, predictors)
     path = out / "curves.csv"

@@ -37,7 +37,6 @@ from .regressor import (
     load_checkpoint,
     mean_predictor_mse,
     normalize_stack,
-    predict_params,
     save_checkpoint,
     train,
 )
@@ -212,8 +211,9 @@ def net_predictor(network: Network, scaler, form: str, fastened: bool, channels)
     channels = tuple(channels)
 
     def params_fn(frame: GrayFrame, md: CodingMetadata) -> ModelParams:
-        stack = stack_from_coding(frame, md.cus, md.pus, channels)
-        return predict_params(network, scaler, stack, frame_spec(form, fastened, md))
+        x = normalize_stack(stack_from_coding(frame, md.cus, md.pus, channels))
+        coeffs = scaler.inverse(network.forward(x[None])[0])
+        return ModelParams(frame_spec(form, fastened, md), tuple(float(c) for c in coeffs))
 
     return params_fn
 

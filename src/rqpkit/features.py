@@ -1,7 +1,8 @@
 """Referenceless feature planes built from a decoded frame and its coding tree.
 
 Three planes share the frame's geometry so they can be stacked as network
-input channels:
+input channels; a feature stack is a plain (channels, height, width) uint8
+array whose channels follow channel_order:
 
   rec   - the reconstructed luma plane itself (texture),
   seg   - each coding-unit rectangle flooded with its mean pixel value
@@ -107,39 +108,6 @@ def channel_order(channels) -> tuple[str, ...]:
     return tuple(c for c in CHANNEL_ORDER if c in names)
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureStack:
-    """Stacked feature planes in canonical (rec, seg, intra) channel order."""
-
-    channels: tuple[str, ...]
-    planes: np.ndarray  # (channels, height, width) uint8
-
-    def __post_init__(self):
-        if tuple(self.channels) != channel_order(self.channels):
-            raise ValueError(
-                f"channels must be a subset of {CHANNEL_ORDER} in that order, got {self.channels}"
-            )
-        arr = np.asarray(self.planes)
-        if arr.ndim != 3 or arr.shape[0] != len(self.channels):
-            raise ValueError(f"planes shape {arr.shape} does not match channels {self.channels}")
-        arr = arr.astype(np.uint8, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "planes", arr)
-
-    @property
-    def width(self) -> int:
-        return self.planes.shape[2]
-
-    @property
-    def height(self) -> int:
-        return self.planes.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureStack):
-            return NotImplemented
-        return self.channels == other.channels and np.array_equal(self.planes, other.planes)
-
-
 def validate_tiling(width: int, height: int, cus) -> None:
     """Check that the rectangles tile width x height exactly.
 
@@ -213,9 +181,8 @@ def build_intra(width: int, height: int, pus) -> np.ndarray:
     return out
 
 
-def stack_from_coding(frame: GrayFrame, cus, pus, channels=CHANNEL_ORDER) -> FeatureStack:
-    """Build the requested feature planes of one frame and stack them in canonical order."""
-    channels = channel_order(channels)
+def stack_from_coding(frame: GrayFrame, cus, pus, channels=CHANNEL_ORDER) -> np.ndarray:
+    """The (C, H, W) uint8 stack of one frame's planes, in channel_order(channels)."""
     build = {"rec": lambda: frame.pixels, "seg": lambda: build_seg(frame, cus),
              "intra": lambda: build_intra(frame.width, frame.height, pus)}
-    return FeatureStack(channels, np.stack([build[c]() for c in channels]))
+    return np.stack([build[c]() for c in channel_order(channels)])

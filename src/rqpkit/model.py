@@ -56,14 +56,6 @@ class NoRealRootError(InversionError):
             f"the curve peaks out at qp={vertex_qp:g} (ln rate {vertex_u:g})"
         )
 
-    @property
-    def vertex_rate(self) -> float:
-        """Rate at the vertex; inf if exp overflows."""
-        try:
-            return math.exp(self.vertex_u)
-        except OverflowError:
-            return math.inf
-
 
 @dataclass(frozen=True)
 class RQPSample:

@@ -17,7 +17,6 @@ from .training import (
     mean_predictor_mse,
     mse_loss,
     normalize_stack,
-    predict_params,
     train,
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -41,7 +40,6 @@ __all__ = [
     "mean_predictor_mse",
     "mse_loss",
     "normalize_stack",
-    "predict_params",
     "save_checkpoint",
     "train",
 ]

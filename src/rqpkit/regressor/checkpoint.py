@@ -55,7 +55,8 @@ def load_checkpoint(path) -> tuple[Network, TargetScaler, dict]:
 
 
 def _load(path: Path) -> tuple[Network, TargetScaler, dict]:
-    with np.load(path) as archive:
+    # Own the handle: np.load leaves it open when zipfile rejects the file.
+    with open(path, "rb") as handle, np.load(handle) as archive:
         # Reading an array stops at its header's size, so a corrupted header
         # could pass unread bytes unchecked; test every member's CRC first.
         bad = archive.zip.testzip()

@@ -1,6 +1,7 @@
 """Training loop, scalers, loss, and the adaptive-moment optimizer.
 
-Inputs are normalized from [0, 255] to [0, 1]; target coefficients are
+A feature stack is a (C, H, W) uint8 array; `normalize_stack` maps it
+from [0, 255] to float64 in [0, 1].  Target coefficients are
 standardized per parameter with mean/deviation taken from the training
 labels only.  The loss is the mean squared difference between predicted
 and fitted coefficients in standardized space.
@@ -13,8 +14,6 @@ from time import perf_counter
 
 import numpy as np
 
-from ..features import FeatureStack
-from ..model import ModelParams, ModelSpec
 from .network import Network
 
 INPUT_SCALE = 1.0 / 255.0
@@ -31,9 +30,9 @@ class TrainingError(RuntimeError):
     """Training aborted (non-finite loss or weights)."""
 
 
-def normalize_stack(stack: FeatureStack) -> np.ndarray:
-    """Affine map of the 8-bit planes onto [0, 1] as float64 (C, H, W)."""
-    return stack.planes.astype(np.float64) * INPUT_SCALE
+def normalize_stack(planes: np.ndarray) -> np.ndarray:
+    """Affine map of 8-bit planes onto [0, 1] as float64, shape unchanged."""
+    return planes.astype(np.float64) * INPUT_SCALE
 
 
 class TargetScaler:
@@ -205,16 +204,3 @@ def mean_predictor_mse(scaler: TargetScaler, labels: np.ndarray) -> float:
     """Standardized-space MSE of always predicting the training-label mean."""
     standardized = scaler.transform(labels)
     return float(np.mean(standardized * standardized))
-
-
-def predict_params(network: Network, scaler: TargetScaler, stack: FeatureStack,
-                   spec: ModelSpec) -> ModelParams:
-    """Forward pass plus inverse standardization, tagged with the target spec."""
-    if spec.param_count != network.config.outputs:
-        raise ValueError(
-            f"{spec.label()} takes {spec.param_count} coefficients but the network "
-            f"emits {network.config.outputs}"
-        )
-    out = network.forward(normalize_stack(stack)[None])[0]
-    coeffs = scaler.inverse(out)
-    return ModelParams(spec, tuple(float(c) for c in coeffs))

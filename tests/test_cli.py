@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rqpkit.cli import main
-from rqpkit.features import stack_from_coding
+from rqpkit.features import CHANNEL_ORDER, stack_from_coding
 from rqpkit.ingest import load_frame, load_metadata, read_manifest
 from rqpkit.pgm import read_pgm, write_pgm
 from rqpkit.regressor import load_checkpoint, save_checkpoint
@@ -72,8 +72,8 @@ class TestExtract:
                      "--out", str(out)]) == 0
         frame = load_frame(frame_path)
         md = load_metadata(sidecar_path)
-        stack = stack_from_coding(frame, md.cus, md.pus)
-        for channel, plane in zip(stack.channels, stack.planes):
+        planes = stack_from_coding(frame, md.cus, md.pus)
+        for channel, plane in zip(CHANNEL_ORDER, planes):
             disk = read_pgm(out / f"{md.frame_id}_{channel}.pgm")
             assert np.array_equal(disk, plane)
 
@@ -234,6 +234,20 @@ class TestCurves:
         actual, predicted = (float(v) for v in qp10.split(",")[1:])
         assert actual == pytest.approx(md.anchor.r0, rel=1e-9)
         assert predicted == pytest.approx(md.anchor.r0, rel=1e-6)
+
+    def test_repeated_column_is_reported(self, workdir, corpus_dir, checkpoint, capsys):
+        md = load_metadata(read_manifest(corpus_dir / "manifest.txt")[0][1])
+        out = workdir / "curves_twice"
+        code = main(["curves", "--corpus", str(corpus_dir / "manifest.txt"),
+                     "--frame-id", md.frame_id,
+                     "--checkpoint", str(checkpoint), "--checkpoint", str(checkpoint),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.count(str(checkpoint)) == 2
+        assert "quadratic_fastened_rec_seg_intra" in err
+        assert not (out / "curves.csv").exists()
 
     def test_unknown_frame(self, corpus_dir, workdir, capsys):
         code = main(["curves", "--corpus", str(corpus_dir / "manifest.txt"),

@@ -7,7 +7,6 @@ from rqpkit.features import (
     CHANNEL_ORDER,
     CoverageError,
     CuRect,
-    FeatureStack,
     GrayFrame,
     PuMode,
     TilingError,
@@ -71,7 +70,7 @@ class TestGrayFrame:
             frame.pixels[0, 0] = 1
 
 
-def rec_stack(frame: GrayFrame) -> FeatureStack:
+def rec_stack(frame: GrayFrame) -> np.ndarray:
     """The texture plane needs no coding tree."""
     return stack_from_coding(frame, (), (), ("rec",))
 
@@ -80,19 +79,19 @@ class TestBuildRec:
     def test_identity(self):
         rng = np.random.default_rng(0)
         frame = random_frame(rng, 16, 16)
-        assert np.array_equal(rec_stack(frame).planes[0], frame.pixels)
+        assert np.array_equal(rec_stack(frame)[0], frame.pixels)
 
     def test_single_pixel(self):
-        assert rec_stack(GrayFrame(np.array([[42]], dtype=np.uint8))).planes[0][0, 0] == 42
+        assert rec_stack(GrayFrame(np.array([[42]], dtype=np.uint8)))[0][0, 0] == 42
 
     def test_checkerboard_preserved(self):
         board = np.indices((8, 8)).sum(axis=0) % 2 * 255
         frame = GrayFrame(board.astype(np.uint8))
-        assert np.array_equal(rec_stack(frame).planes[0], frame.pixels)
+        assert np.array_equal(rec_stack(frame)[0], frame.pixels)
 
     def test_returns_independent_copy(self):
         frame = GrayFrame(np.zeros((2, 2), dtype=np.uint8))
-        assert not np.shares_memory(rec_stack(frame).planes, frame.pixels)
+        assert not np.shares_memory(rec_stack(frame), frame.pixels)
 
 
 class TestBuildSeg:
@@ -228,19 +227,18 @@ class TestAssemble:
 
     def test_single_channel(self):
         stack = stack_from_coding(*self.make_coding(), ("rec",))
-        assert stack.channels == ("rec",)
-        assert stack.planes.shape == (1, 16, 16)
+        assert stack.shape == (1, 16, 16) and stack.dtype == np.uint8
 
     def test_two_channels_in_canonical_order(self):
         frame, cus, pus = self.make_coding()
         stack = stack_from_coding(frame, cus, pus, ("intra", "seg"))
-        assert stack.channels == ("seg", "intra")
-        assert np.array_equal(stack.planes[0], build_seg(frame, cus))
-        assert np.array_equal(stack.planes[1], build_intra(16, 16, pus))
+        assert stack.shape == (2, 16, 16)
+        assert np.array_equal(stack[0], build_seg(frame, cus))
+        assert np.array_equal(stack[1], build_intra(16, 16, pus))
 
     def test_all_three(self):
         assert channel_order(CHANNEL_ORDER) == CHANNEL_ORDER
-        assert stack_from_coding(*self.make_coding()).channels == CHANNEL_ORDER
+        assert stack_from_coding(*self.make_coding()).shape == (3, 16, 16)
 
     def test_all_seven_subsets(self):
         for mask in range(1, 8):
@@ -252,12 +250,6 @@ class TestAssemble:
             with pytest.raises(ValueError):
                 channel_order(bad)
 
-    def test_stack_validation(self):
-        with pytest.raises(ValueError):
-            FeatureStack(("seg", "rec"), np.zeros((2, 4, 4), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            FeatureStack(("rec",), np.zeros((2, 4, 4), dtype=np.uint8))
-
 
 class TestStackFromCoding:
     def test_channel_selection(self):
@@ -266,11 +258,11 @@ class TestStackFromCoding:
         cus = random_quadtree(rng, 32, 32)
         pus = [PuMode(x, y, 5) for y in (0, 16) for x in (0, 16)]
         full = stack_from_coding(frame, cus, pus)
-        assert full.channels == CHANNEL_ORDER
-        assert np.array_equal(full.planes[0], frame.pixels)
-        assert np.array_equal(full.planes[1], build_seg(frame, cus))
-        assert np.array_equal(full.planes[2], build_intra(32, 32, pus))
+        assert full.shape == (3, 32, 32) and full.dtype == np.uint8
+        assert np.array_equal(full[0], frame.pixels)
+        assert np.array_equal(full[1], build_seg(frame, cus))
+        assert np.array_equal(full[2], build_intra(32, 32, pus))
         rec_only = stack_from_coding(frame, cus, pus, ("rec",))
-        assert rec_only.channels == ("rec",)
+        assert np.array_equal(rec_only, full[:1])
         with pytest.raises(ValueError):
             stack_from_coding(frame, cus, pus, ("rec", "chroma"))

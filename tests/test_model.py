@@ -244,7 +244,7 @@ class TestPredictRate:
         assert isinstance(err.value, InversionError)
         assert err.value.requested_qp == vertex_qp + 1.0
         assert err.value.vertex_qp == pytest.approx(vertex_qp, rel=1e-12)
-        assert err.value.vertex_rate == pytest.approx(math.exp(err.value.vertex_u), rel=1e-12)
+        assert err.value.vertex_u == pytest.approx(3.0 / (2.0 * -0.5), rel=1e-12)
 
     def test_positive_branch_round_trip(self):
         # branch_u marks the data's side of the parabola; here the rising side.

@@ -1,13 +1,18 @@
 """Regressor: layer gradients, shape algebra, training loop, scalers, checkpoints."""
 
+import ast
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rqpkit.regressor
 from gradcheck import check_layer, check_network
-from rqpkit.features import FeatureStack
+from rqpkit.evaluate import net_predictor
+from rqpkit.features import CuRect, GrayFrame, PuMode, stack_from_coding
+from rqpkit.ingest import CodingMetadata
 from rqpkit.model import ModelSpec, OperationalPoint
 from rqpkit.regressor import (
     Adam,
@@ -22,7 +27,6 @@ from rqpkit.regressor import (
     mean_predictor_mse,
     mse_loss,
     normalize_stack,
-    predict_params,
     save_checkpoint,
     train,
 )
@@ -30,13 +34,20 @@ from rqpkit.regressor.layers import AvgPool2d, Conv2d, Dense, ReLU
 from rqpkit.regressor.network import parameter_shapes
 
 
-def toy_stack(rng, channels=2, size=8) -> FeatureStack:
-    names = ("rec", "seg", "intra")[:channels]
-    planes = rng.integers(0, 256, (channels, size, size))
-    return FeatureStack(names, planes)
+def toy_stack(rng, channels=2, size=8) -> np.ndarray:
+    return rng.integers(0, 256, (channels, size, size)).astype(np.uint8)
 
 
 TOY_SPEC = ModelSpec("quadratic", True, OperationalPoint(10.0, 5000.0))
+TOY_CHANNELS = ("rec", "seg")
+
+
+def toy_frame(rng, size=8) -> tuple[GrayFrame, CodingMetadata]:
+    """A random frame coded as one unit and one block, anchored where TOY_SPEC is."""
+    frame = GrayFrame(rng.integers(0, 256, (size, size)).astype(np.uint8))
+    md = CodingMetadata("toy", size, size, (CuRect(0, 0, size, size),), (PuMode(0, 0, 3),),
+                        TOY_SPEC.anchor)
+    return frame, md
 
 
 def toy_dataset(rng, n, channels=2, size=8, outputs=2):
@@ -307,8 +318,7 @@ class TestTargetScaler:
         assert np.allclose(scaler.transform([[3.0, -1.0]]), 0.0)
 
     def test_normalize_stack_range(self):
-        stack = FeatureStack(("rec",), np.array([[[0, 255], [128, 7]]], dtype=np.uint8))
-        x = normalize_stack(stack)
+        x = normalize_stack(np.array([[[0, 255], [128, 7]]], dtype=np.uint8))
         assert x.dtype == np.float64
         assert x.min() == 0.0 and x.max() == 1.0
 
@@ -455,6 +465,8 @@ class TestTraining:
 
 
 class TestPredictParams:
+    """evaluate.net_predictor: a frame's stack, one forward pass, inverse standardization."""
+
     def make_trained(self, outputs=2):
         rng = np.random.default_rng(13)
         data = toy_dataset(rng, 4, outputs=outputs)
@@ -464,10 +476,10 @@ class TestPredictParams:
 
     def test_round_trip_with_scaler(self):
         net, scaler = self.make_trained()
-        stack = toy_stack(np.random.default_rng(16))
-        params = predict_params(net, scaler, stack, TOY_SPEC)
-        raw = net.forward(normalize_stack(stack)[None])[0]
-        assert np.allclose(scaler.transform(np.array(params.coeffs)), raw, atol=1e-9)
+        frame, md = toy_frame(np.random.default_rng(16))
+        params = net_predictor(net, scaler, "quadratic", True, TOY_CHANNELS)(frame, md)
+        x = normalize_stack(stack_from_coding(frame, md.cus, md.pus, TOY_CHANNELS))
+        assert np.array_equal(params.coeffs, scaler.inverse(net.forward(x[None])[0]))
         assert params.spec == TOY_SPEC
 
     @pytest.mark.parametrize(
@@ -475,27 +487,45 @@ class TestPredictParams:
         [("linear", False, 2), ("linear", True, 1), ("quadratic", False, 3), ("quadratic", True, 2)],
     )
     def test_output_width_per_spec(self, form, fastened, count):
-        anchor = OperationalPoint(10.0, 5000.0) if fastened else None
-        spec = ModelSpec(form, fastened, anchor)
         rng = np.random.default_rng(14)
         net = Network(NetworkConfig(2, 8, count, seed=12))
         scaler = TargetScaler.fit(rng.normal(0, 1, (5, count)))
-        params = predict_params(net, scaler, toy_stack(rng), spec)
+        params = net_predictor(net, scaler, form, fastened, TOY_CHANNELS)(*toy_frame(rng))
         assert len(params.coeffs) == count
 
     def test_spec_width_mismatch(self):
         net, scaler = self.make_trained(outputs=2)
-        rng = np.random.default_rng(15)
-        with pytest.raises(ValueError, match="emits"):
-            predict_params(net, scaler, toy_stack(rng), ModelSpec("quadratic"))
+        predict = net_predictor(net, scaler, "quadratic", False, TOY_CHANNELS)
+        with pytest.raises(ValueError, match="takes 3 coefficients, got 2"):
+            predict(*toy_frame(np.random.default_rng(15)))
 
     def test_nan_weights_are_not_hidden(self):
         # The rectifier must let NaN through, or all-NaN conv0 weights
         # would come out as finite coefficients.
         net, scaler = self.make_trained()
         net.layers[0].w[...] = np.nan
+        predict = net_predictor(net, scaler, "quadratic", True, TOY_CHANNELS)
         with pytest.raises(ValueError, match="finite"):
-            predict_params(net, scaler, toy_stack(np.random.default_rng(16)), TOY_SPEC)
+            predict(*toy_frame(np.random.default_rng(16)))
+
+
+def test_regressor_imports_neither_features_nor_model():
+    """The regressor sees arrays only; rqpkit.evaluate joins it to frames and models."""
+    banned = ("..features", "..model", "rqpkit.features", "rqpkit.model")
+    offenders = []
+    for path in sorted(Path(rqpkit.regressor.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                sep = "." if node.module else ""
+                names = [base] + [base + sep + alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if any(name == b or name.startswith(b + ".") for b in banned)]
+    assert offenders == []
 
 
 def _rewrite(path, edit):
