@@ -78,6 +78,7 @@ def _parse_feature_sets(text: str) -> tuple[tuple[str, ...], ...]:
 
 
 def _out_dir(args) -> Path:
+    """Create --out; commands call this only after their inputs have loaded and been checked."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -117,17 +118,16 @@ def _load_split_corpus(args):
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
     items = ingest.synth_corpus(args.count, args.seed, args.size)
-    manifest = ingest.save_corpus(items, out)
+    manifest = ingest.save_corpus(items, args.out)
     print(f"wrote {len(items)} frames and {manifest}")
     return 0
 
 
 def cmd_extract(args) -> int:
-    out = _out_dir(args)
     frame, md = ingest.load_pair(args.frame, args.sidecar)
     planes = stack_from_coding(frame, md.cus, md.pus, args.features)
+    out = _out_dir(args)
     for channel, plane in zip(args.features, planes):
         path = out / f"{md.frame_id}_{channel}.pgm"
         write_pgm(path, plane)
@@ -136,23 +136,22 @@ def cmd_extract(args) -> int:
 
 
 def cmd_fit_labels(args) -> int:
-    out = _out_dir(args)
     corpus = ingest.load_corpus(args.corpus)
     lines = ["frame_id,coefficients"]
     for _, md in corpus:
         params = ev.make_labels(md, ev.frame_spec(args.spec, args.fasten, md))
         lines.append(md.frame_id + "," + ",".join(f"{c:.12g}" for c in params.coeffs))
-    path = out / "labels.csv"
+    path = _out_dir(args) / "labels.csv"
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")
     return 0
 
 
 def cmd_train(args) -> int:
-    out = _out_dir(args)
     corpus, split = _load_split_corpus(args)
     train_cfg = _train_config(args)
     run = ev.run_training(corpus, split, args.spec, args.fasten, args.features, train_cfg)
+    out = _out_dir(args)
     checkpoint_path = out / "checkpoint.npz"
     run.save(
         checkpoint_path,
@@ -193,7 +192,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
     corpus = ingest.load_corpus(args.corpus)
     run = ev.TrainedRun.load(args.checkpoint)
     row, details = ev.evaluate_run(corpus, run, args.thresholds)
@@ -201,6 +199,7 @@ def cmd_evaluate(args) -> int:
         "aggregation": "per (frame, label-qp) pair, anchor qp excluded",
         "test_frames": len({d.frame_id for d in details}),
     })
+    out = _out_dir(args)
     (out / "report.csv").write_text(report.to_csv())
     (out / "report.txt").write_text(report.to_table())
     (out / "report_detail.csv").write_text(ev.details_to_csv(details))
@@ -209,7 +208,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    out = _out_dir(args)
     corpus, split = _load_split_corpus(args)
     ablation = ev.AblationConfig(
         forms=args.forms,
@@ -217,6 +215,7 @@ def cmd_ablate(args) -> int:
         thresholds=args.thresholds,
     )
     report, _ = ev.run_ablation(corpus, split, ablation, _train_config(args))
+    out = _out_dir(args)
     (out / "report.csv").write_text(report.to_csv())
     (out / "report.txt").write_text(report.to_table())
     print(report.to_table(), end="")
@@ -224,7 +223,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    out = _out_dir(args)
     corpus = ingest.load_corpus(args.corpus)
     by_id = ev.corpus_index(corpus)
     if args.frame_id not in by_id:
@@ -239,7 +237,7 @@ def cmd_curves(args) -> int:
         sources[name] = path
         predictors[name] = run.predictor()
     csv_text = ev.curve_dump(frame, md, predictors)
-    path = out / "curves.csv"
+    path = _out_dir(args) / "curves.csv"
     path.write_text(csv_text)
     print(f"wrote {path}")
     return 0

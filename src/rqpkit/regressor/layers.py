@@ -14,6 +14,11 @@ rebuilds the columns for dW rather than holding the first stage's large
 copy.  Unless told not to (the network's first stage), backward also forms
 every tap's input gradient with one more product and scatters it back
 (col2im).
+
+AvgPool2d sums with strided slices, in a fixed order: the window's column
+phases along W, then the row phases of that result along H, then one
+division by window².  ReLU's backward multiplies by its mask.  Neither
+makes a reduction or `where` pass over the first stage's large output.
 """
 
 from __future__ import annotations
@@ -63,9 +68,11 @@ class Conv2d:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         pad = self.kernel // 2
-        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        b, c, h, w = x.shape
+        padded = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad : pad + h, pad : pad + w] = x
         win = _windows(padded, self.kernel, self.stride)
-        b, _, out_h, out_w = win.shape[:4]
+        out_h, out_w = win.shape[2:4]
         out = self.w.reshape(self.out_channels, -1) @ _cols(win)
         out = out.reshape(self.out_channels, b, out_h, out_w).transpose(1, 0, 2, 3)
         out += self.b[None, :, None, None]
@@ -108,7 +115,10 @@ class ReLU:
     """Rectifier; gradient is the positive-input mask.
 
     The mask survives until the next forward pass, so callers can tell
-    whether a finite-difference probe crossed the kink.
+    whether a finite-difference probe crossed the kink.  Backward is
+    `dout * mask`: its values equal `np.where(mask, dout, 0.0)` under `==`,
+    but a negative `dout` under a false mask gives -0.0, and a NaN in
+    `dout` reaches the input gradient even where the mask is false.
     """
 
     def __init__(self):
@@ -119,7 +129,7 @@ class ReLU:
         return np.maximum(x, 0.0)  # NaN propagates
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return np.where(self.mask, dout, 0.0)
+        return dout * self.mask
 
     def parameters(self):
         return []
@@ -129,7 +139,17 @@ class ReLU:
 
 
 class AvgPool2d:
-    """Non-overlapping average pooling over window x window blocks."""
+    """Non-overlapping average pooling over window x window blocks.
+
+    Forward sums each block along W (column phase 0, 1, ... added in
+    turn), then sums those partial sums along H the same way, then divides
+    by window².  That is `x.reshape(b, c, h/k, k, w/k, k).sum(axis=5)
+    .sum(axis=3) / k²` bit for bit.  It also equals `mean(axis=(3, 5))`
+    bit for bit unless the pooled plane is one value wide: each block is
+    then one contiguous run, which NumPy sums in row-major order (or
+    pairwise, from 8 values up).  In the network's square planes that is
+    only a pool down to 1x1.
+    """
 
     def __init__(self, window: int):
         if window < 2:
@@ -138,13 +158,18 @@ class AvgPool2d:
         self._in_shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b, c, h, w = x.shape
-        if h % self.window or w % self.window:
-            raise ValueError(f"pooling window {self.window} does not divide {h}x{w}")
+        k = self.window
+        h, w = x.shape[2:]
+        if h % k or w % k:
+            raise ValueError(f"pooling window {k} does not divide {h}x{w}")
         self._in_shape = x.shape
-        return x.reshape(b, c, h // self.window, self.window, w // self.window, self.window).mean(
-            axis=(3, 5)
-        )
+        cols = x[..., 0::k] + x[..., 1::k]
+        for j in range(2, k):
+            cols += x[..., j::k]
+        rows = cols[:, :, 0::k] + cols[:, :, 1::k]
+        for i in range(2, k):
+            rows += cols[:, :, i::k]
+        return rows / (k * k)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         shape = self._in_shape

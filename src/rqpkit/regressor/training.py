@@ -135,7 +135,8 @@ class TrainResult:
     update_ratios: list[tuple[float, ...]] = field(default_factory=list)
 
 
-def _batched_loss(network: Network, x: np.ndarray, y: np.ndarray, batch: int = 64) -> float:
+def _batched_loss(network: Network, x: np.ndarray, y: np.ndarray, batch: int) -> float:
+    """Mean squared error over (x, y), scored `batch` rows at a time."""
     total = 0.0
     for start in range(0, len(x), batch):
         out = network.forward(x[start : start + batch])
@@ -149,7 +150,8 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     """Train on inputs x (n, C, H, W) in [0, 1] and raw coefficients y (n, outputs).
 
     The scaler is fitted on y only; `validation`, an (x, y) pair, is scored
-    each epoch with the same scaler.
+    each epoch with the same scaler, `cfg.batch_size` rows at a time, so it
+    peaks at the training step's memory.
     """
     for xs, ys in [(x, y)] + ([validation] if validation is not None else []):
         if len(xs) == 0 or np.shape(ys) != (len(xs), network.config.outputs):
@@ -195,7 +197,7 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
                 for p, q in zip(network.parameters(), before)
             ))
         if validation is not None:
-            result.val_loss.append(_batched_loss(network, *validation))
+            result.val_loss.append(_batched_loss(network, *validation, cfg.batch_size))
         result.epoch_s.append(perf_counter() - start_s)
     return result
 

@@ -190,6 +190,14 @@ class TestEvaluate:
         assert code == 2
         assert "test frames" in capsys.readouterr().err
 
+    def test_missing_checkpoint_leaves_no_out_dir(self, workdir, corpus_dir, capsys):
+        out = workdir / "eval_missing"
+        code = main(["evaluate", "--corpus", str(corpus_dir / "manifest.txt"),
+                     "--checkpoint", str(workdir / "missing.npz"), "--out", str(out)])
+        assert code == 2
+        assert "missing.npz" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAblate:
     def test_small_grid(self, workdir, corpus_dir):
@@ -247,7 +255,7 @@ class TestCurves:
         assert len(err.strip().splitlines()) == 1
         assert err.count(str(checkpoint)) == 2
         assert "quadratic_fastened_rec_seg_intra" in err
-        assert not (out / "curves.csv").exists()
+        assert not out.exists()
 
     def test_unknown_frame(self, corpus_dir, workdir, capsys):
         code = main(["curves", "--corpus", str(corpus_dir / "manifest.txt"),

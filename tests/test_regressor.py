@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rqpkit.regressor
 from gradcheck import check_layer, check_network
@@ -98,6 +99,21 @@ class TestLayerGradients:
         out = ReLU().forward(np.array([np.nan, -1.0, 2.0]))
         assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == 2.0
 
+    def test_relu_backward_multiplies_by_mask(self):
+        """`dout * mask` equals np.where(mask, dout, 0.0) under == wherever dout is a number.
+
+        Where the mask is false, a negative dout gives -0.0 (np.where gave
+        +0.0), and a NaN in dout reaches the input gradient (np.where gave 0.0).
+        """
+        relu = ReLU()
+        relu.forward(np.array([1.0, -1.0, 2.0, -2.0, 3.0, 0.0]))
+        dout = np.array([0.5, np.nan, -4.0, -3.0, np.nan, 7.0])
+        dx = relu.backward(dout)
+        assert np.isnan(dx[1]) and np.isnan(dx[4])
+        real = ~np.isnan(dout)
+        assert np.all(dx[real] == np.where(relu.mask, dout, 0.0)[real])
+        assert np.signbit(dx[3]) and not np.signbit(dx[5])
+
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((3, 2, 4, 4))
@@ -127,6 +143,37 @@ class TestLayerGradients:
             checked, skipped = check_network(net, x, y, rng)
             assert checked > 100
             assert skipped <= checked // 10
+
+
+class TestPoolForward:
+    @given(
+        window=st.sampled_from([2, 4]),
+        batch=st.integers(1, 12),
+        channels=st.integers(1, 32),
+        rows=st.integers(1, 16),
+        cols=st.integers(1, 16),
+        transposed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sums_along_w_then_h(self, window, batch, channels, rows, cols, transposed, seed):
+        """Bit-equal to a W-then-H sum, and to mean() unless one block is one contiguous run.
+
+        The transposed draw is the (B, O, H, W) view of an (O, B, H, W) array
+        that Conv2d.forward returns.  Values are Cauchy draws scaled over 16
+        decades, so rounding differs between any two summation orders.
+        """
+        k, rng = window, np.random.default_rng(seed)
+        h, w = k * rows, k * cols
+        shape = (channels, batch, h, w) if transposed else (batch, channels, h, w)
+        x = rng.standard_cauchy(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        if transposed:
+            x = x.transpose(1, 0, 2, 3)
+        out = AvgPool2d(k).forward(x)
+        blocks = x.reshape(batch, channels, rows, k, cols, k)
+        assert np.array_equal(out, blocks.sum(axis=5).sum(axis=3) / (k * k))
+        if cols > 1:
+            assert np.array_equal(out, blocks.mean(axis=(3, 5)))
 
 
 def naive_conv_input_grad(layer: Conv2d, dout: np.ndarray, x_shape) -> np.ndarray:
