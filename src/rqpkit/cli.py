@@ -293,11 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train and score a grid of configurations")
     _add_train_args(p)
-    p.add_argument("--forms", type=_parse_forms,
-                   default=(("quadratic", True), ("quadratic", False)),
+    p.add_argument("--forms", type=_parse_forms, default=ev.AblationConfig.forms,
                    help="comma list like quadratic:fastened,linear:free")
     p.add_argument("--feature-sets", type=_parse_feature_sets,
-                   default=(("rec",), CHANNEL_ORDER),
+                   default=ev.AblationConfig.feature_sets,
                    help="'|'-separated channel lists, e.g. 'rec|rec,seg,intra'")
     p.add_argument("--thresholds", type=_parse_thresholds, default=ev.DEFAULT_THRESHOLDS)
     p.add_argument("--out", required=True)

@@ -108,13 +108,14 @@ def channel_order(channels) -> tuple[str, ...]:
     return tuple(c for c in CHANNEL_ORDER if c in names)
 
 
-def validate_tiling(width: int, height: int, cus) -> None:
-    """Check that the rectangles tile width x height exactly.
+def validate_tiling(width: int, height: int, cus) -> np.ndarray:
+    """Check that the rectangles tile width x height exactly; return the owner map.
 
-    Raises TilingError naming the offending rectangle (and, for overlaps,
-    the one it collides with).
+    The map is a (height, width) array holding each pixel's rectangle
+    index.  Raises TilingError naming the offending rectangle (and, for
+    overlaps, the one it collides with).
     """
-    owner = np.full((height, width), -1, dtype=np.int32)
+    owner = np.full((height, width), -1, dtype=np.intp)
     for i, r in enumerate(cus):
         if r.x + r.w > width or r.y + r.h > height:
             raise TilingError(f"{r} overhangs the {width}x{height} frame")
@@ -126,43 +127,42 @@ def validate_tiling(width: int, height: int, cus) -> None:
     if (owner == -1).any():
         gap_y, gap_x = np.argwhere(owner == -1)[0]
         raise TilingError(f"tiling leaves pixel ({int(gap_x)}, {int(gap_y)}) uncovered")
+    return owner
 
 
 def build_seg(frame: GrayFrame, cus) -> np.ndarray:
     """Partition plane: every coding-unit rectangle flooded with its mean.
 
     Means are taken over the reconstructed pixels and rounded half-up to
-    keep the plane 8-bit; the rectangles must tile the frame.
+    keep the plane 8-bit; the rectangles must tile the frame.  The pixel
+    sums are float64, exact below 2**53.
     """
-    cus = list(cus)
-    validate_tiling(frame.width, frame.height, cus)
-    out = np.empty((frame.height, frame.width), dtype=np.uint8)
-    for r in cus:
-        block = frame.pixels[r.y : r.y + r.h, r.x : r.x + r.w]
-        count = r.w * r.h
-        mean_half_up = (2 * int(block.sum(dtype=np.int64)) + count) // (2 * count)
-        out[r.y : r.y + r.h, r.x : r.x + r.w] = mean_half_up
-    return out
+    owner = validate_tiling(frame.width, frame.height, list(cus))
+    counts = np.bincount(owner.ravel())
+    sums = np.bincount(owner.ravel(), weights=frame.pixels.ravel())
+    return ((2 * sums + counts) // (2 * counts)).astype(np.uint8)[owner]
 
 
-def validate_coverage(width: int, height: int, pus) -> None:
+def validate_coverage(width: int, height: int, pus) -> np.ndarray:
     """Check that the blocks cover the ceil(width/16) x ceil(height/16) grid exactly once.
 
-    Raises CoverageError naming the offending block or the first empty cell.
+    Returns the grid of each cell's intra mode.  Raises CoverageError
+    naming the offending block or the first empty cell.
     """
-    seen = np.zeros((-(-height // PU_SIZE), -(-width // PU_SIZE)), dtype=bool)
+    modes = np.full((-(-height // PU_SIZE), -(-width // PU_SIZE)), -1)
     for p in pus:
         gx, gy = p.x // PU_SIZE, p.y // PU_SIZE
-        if gx >= seen.shape[1] or gy >= seen.shape[0]:
+        if gx >= modes.shape[1] or gy >= modes.shape[0]:
             raise CoverageError(f"{p} lies outside the {width}x{height} frame")
-        if seen[gy, gx]:
+        if modes[gy, gx] != -1:
             raise CoverageError(f"grid cell ({p.x}, {p.y}) is covered twice")
-        seen[gy, gx] = True
-    if not seen.all():
-        gy, gx = np.argwhere(~seen)[0]
+        modes[gy, gx] = p.mode
+    if (modes == -1).any():
+        gy, gx = np.argwhere(modes == -1)[0]
         raise CoverageError(
             f"grid cell ({int(gx) * PU_SIZE}, {int(gy) * PU_SIZE}) has no prediction block"
         )
+    return modes
 
 
 def build_intra(width: int, height: int, pus) -> np.ndarray:
@@ -173,12 +173,9 @@ def build_intra(width: int, height: int, pus) -> np.ndarray:
     """
     if width < 1 or height < 1:
         raise ValueError(f"frame dimensions must be positive, got {width}x{height}")
-    pus = list(pus)
-    validate_coverage(width, height, pus)
-    out = np.empty((height, width), dtype=np.uint8)
-    for p in pus:
-        out[p.y : p.y + PU_SIZE, p.x : p.x + PU_SIZE] = p.mode * INTRA_MODE_STEP
-    return out
+    modes = validate_coverage(width, height, pus)
+    plane = (modes * INTRA_MODE_STEP).astype(np.uint8)
+    return plane.repeat(PU_SIZE, 0).repeat(PU_SIZE, 1)[:height, :width]
 
 
 def stack_from_coding(frame: GrayFrame, cus, pus, channels=CHANNEL_ORDER) -> np.ndarray:

@@ -52,8 +52,10 @@ class CodingMetadata:
     labels: RQPCurve | None = None
 
     def __post_init__(self):
-        if not self.frame_id:
-            raise MetadataError("frame_id must be nonempty")
+        # The id names the frame's output files and its manifest line.
+        fid = self.frame_id
+        if fid in ("", ".", "..") or "/" in fid or "\\" in fid or not fid.isprintable():
+            raise MetadataError(f"frame_id {fid!r} is not one printable file-name component")
         if self.width < 1 or self.height < 1:
             raise MetadataError(f"bad frame dimensions {self.width}x{self.height}")
         try:

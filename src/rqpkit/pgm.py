@@ -66,10 +66,17 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
-    """Write a (height, width) uint8 array as binary PGM."""
+    """Write a nonempty (height, width) array of integers in [0, 255] as binary PGM.
+
+    Anything else raises ValueError, so what is written reads back equal.
+    """
     arr = np.asarray(pixels)
-    if arr.ndim != 2:
-        raise ValueError(f"pixels must be 2-d, got shape {arr.shape}")
-    arr = arr.astype(np.uint8)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"pixels must be a nonempty 2-d array, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"pixels must be integers, got dtype {arr.dtype}")
+    if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
+        raise ValueError("pixel values must lie in [0, 255]")
+    arr = arr.astype(np.uint8, copy=False)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + arr.tobytes())

@@ -78,7 +78,8 @@ def _load(path: Path) -> tuple[Network, TargetScaler, dict]:
                 raise CheckpointError(
                     f"param_{i} has shape {param.shape}; the config implies {shape}")
         network = Network(config)
-        network.set_parameters(params)
+        for target, param in zip(network.parameters(), params):
+            target[...] = param
         scaler = TargetScaler(archive["scaler_mean"], archive["scaler_scale"])
     if not all(np.isfinite(p).all() for p in params):
         raise CheckpointError("checkpoint weights must be finite")

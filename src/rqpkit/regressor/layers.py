@@ -6,14 +6,14 @@ layer (dw/db), and returns the gradient with respect to its input (which
 Conv2d can skip).  All math is float64 so the analytic gradients can be
 checked against central finite differences.
 
-Conv2d runs as im2col GEMMs in the Caffe layout (Chellapilla et al.,
-2006): forward copies the padded input's sliding windows into a
-(C·k·k, B·H·W) column matrix and multiplies the (O, C·k·k) weights by it.
-It caches only the window view, which costs no memory, and backward
-rebuilds the columns for dW rather than holding the first stage's large
-copy.  Unless told not to (the network's first stage), backward also forms
-every tap's input gradient with one more product and scatters it back
-(col2im).
+Conv2d is the network's one convolution: 3x3, stride 1, zero padding 1.
+It runs as im2col GEMMs in the Caffe layout (Chellapilla et al., 2006):
+forward copies the padded input's sliding windows into a (C·9, B·H·W)
+column matrix and multiplies the (O, C·9) weights by it.  It caches only
+the window view, which costs no memory, and backward rebuilds the columns
+for dW rather than holding the first stage's large copy.  Unless told not
+to (the network's first stage), backward also forms every tap's input
+gradient with one more product and scatters it back (col2im).
 
 AvgPool2d sums with strided slices, in a fixed order: the window's column
 phases along W, then the row phases of that result along H, then one
@@ -25,84 +25,69 @@ from __future__ import annotations
 
 import numpy as np
 
+KERNEL = 3
 
-def _windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Sliding (batch, ch, out_h, out_w, kernel, kernel) view of a padded input."""
+
+def _windows(x: np.ndarray) -> np.ndarray:
+    """Sliding (batch, ch, out_h, out_w, 3, 3) stride-1 view of a padded input."""
     b, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
     sb, sc, sh, sw = x.strides
     return np.lib.stride_tricks.as_strided(
         x,
-        (b, c, out_h, out_w, kernel, kernel),
-        (sb, sc, stride * sh, stride * sw, sh, sw),
+        (b, c, h - KERNEL + 1, w - KERNEL + 1, KERNEL, KERNEL),
+        (sb, sc, sh, sw, sh, sw),
         writeable=False,
     )
 
 
 def _cols(win: np.ndarray) -> np.ndarray:
-    """im2col matrix (ch·kernel·kernel, batch·out_h·out_w) of a window view."""
-    c, k = win.shape[1], win.shape[4]
-    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * k * k, -1)
+    """im2col matrix (ch·3·3, batch·out_h·out_w) of a window view."""
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
+    return cols.reshape(win.shape[1] * KERNEL * KERNEL, -1)
 
 
 class Conv2d:
-    """2-d convolution with symmetric zero padding (kernel // 2 per side)."""
+    """3x3 stride-1 convolution, zero-padded by one pixel: the output keeps the input's size."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
-                 stride: int = 1, *, rng: np.random.Generator):
-        if kernel < 1 or kernel % 2 == 0:
-            raise ValueError(f"kernel must be odd and positive, got {kernel}")
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
+    def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel = kernel
-        self.stride = stride
-        scale = 1.0 / np.sqrt(in_channels * kernel * kernel)
-        self.w = rng.uniform(-scale, scale, (out_channels, in_channels, kernel, kernel))
+        scale = 1.0 / np.sqrt(in_channels * KERNEL * KERNEL)
+        self.w = rng.uniform(-scale, scale, (out_channels, in_channels, KERNEL, KERNEL))
         self.b = np.zeros(out_channels)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        pad = self.kernel // 2
         b, c, h, w = x.shape
-        padded = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        padded[:, :, pad : pad + h, pad : pad + w] = x
-        win = _windows(padded, self.kernel, self.stride)
-        out_h, out_w = win.shape[2:4]
+        padded = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
+        padded[:, :, 1 : 1 + h, 1 : 1 + w] = x
+        win = _windows(padded)
         out = self.w.reshape(self.out_channels, -1) @ _cols(win)
-        out = out.reshape(self.out_channels, b, out_h, out_w).transpose(1, 0, 2, 3)
+        out = out.reshape(self.out_channels, b, h, w).transpose(1, 0, 2, 3)
         out += self.b[None, :, None, None]
-        self._cache = (x.shape, win)
+        self._cache = win
         return out
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Store dw/db; return the input gradient, or None when input_grad is False."""
-        x_shape, win = self._cache
+        win = self._cache
         d2 = dout.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
         self.dw = (d2 @ _cols(win).T).reshape(self.w.shape)
         self.db = dout.sum(axis=(0, 2, 3))
         if not input_grad:
             return None
-        k, pad = self.kernel, self.kernel // 2
-        b, c, h, w = x_shape
-        _, _, out_h, out_w = dout.shape
-        dx_padded = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+        b, c, h, w = win.shape[:4]
+        dx_padded = np.zeros((b, c, h + 2, w + 2))
         # One GEMM gives every tap's contribution; col2im scatters each
         # back onto the padded input grid.
-        taps = (self.w.reshape(self.out_channels, -1).T @ d2).reshape(c, k, k, b, out_h, out_w)
+        taps = (self.w.reshape(self.out_channels, -1).T @ d2).reshape(c, KERNEL, KERNEL, b, h, w)
         taps = taps.transpose(1, 2, 3, 0, 4, 5)
-        for i in range(k):
-            for j in range(k):
-                dx_padded[
-                    :, :,
-                    i : i + self.stride * out_h : self.stride,
-                    j : j + self.stride * out_w : self.stride,
-                ] += taps[i, j]
-        return dx_padded[:, :, pad : pad + h, pad : pad + w]
+        for i in range(KERNEL):
+            for j in range(KERNEL):
+                dx_padded[:, :, i : i + h, j : j + w] += taps[i, j]
+        return dx_padded[:, :, 1 : 1 + h, 1 : 1 + w]
 
     def parameters(self):
         return [self.w, self.b]

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import AvgPool2d, Conv2d, Dense, ReLU
+from .layers import KERNEL, AvgPool2d, Conv2d, Dense, ReLU
 
 CONV_CHANNELS = (8, 16, 32, 32)
-KERNEL = 3
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ class Network:
         self.layers = []
         stages, features = _stages(config)
         for in_ch, out_ch, pool in stages:
-            self.layers += [Conv2d(in_ch, out_ch, KERNEL, rng=rng), ReLU()]
+            self.layers += [Conv2d(in_ch, out_ch, rng=rng), ReLU()]
             if pool > 1:
                 self.layers.append(AvgPool2d(pool))
         self.layers.append(Dense(features, config.outputs, rng=rng))
@@ -101,12 +100,3 @@ class Network:
 
     def gradients(self) -> list[np.ndarray]:
         return [g for layer in self.layers for g in layer.gradients()]
-
-    def set_parameters(self, values) -> None:
-        params = self.parameters()
-        if len(values) != len(params):
-            raise ValueError(f"expected {len(params)} parameter arrays, got {len(values)}")
-        for target, value in zip(params, values):
-            if target.shape != value.shape:
-                raise ValueError(f"parameter shape {value.shape} != expected {target.shape}")
-            target[...] = value

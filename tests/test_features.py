@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rqpkit.features import (
     CHANNEL_ORDER,
@@ -159,6 +160,52 @@ class TestBuildSeg:
         validate_coverage(20, 16, [PuMode(0, 0, 1), PuMode(16, 0, 2)])
         with pytest.raises(CoverageError, match="no prediction block"):
             validate_coverage(20, 16, [PuMode(0, 0, 1)])
+
+
+def loop_seg(frame: GrayFrame, cus) -> np.ndarray:
+    """Reference partition plane: one integer mean per rectangle, filled in turn."""
+    out = np.empty((frame.height, frame.width), dtype=np.uint8)
+    for r in cus:
+        block = frame.pixels[r.y : r.y + r.h, r.x : r.x + r.w]
+        count = r.w * r.h
+        mean_half_up = (2 * int(block.sum(dtype=np.int64)) + count) // (2 * count)
+        out[r.y : r.y + r.h, r.x : r.x + r.w] = mean_half_up
+    return out
+
+
+def loop_intra(width: int, height: int, pus) -> np.ndarray:
+    """Reference mode plane: each block filled in turn, clipped by the frame."""
+    out = np.empty((height, width), dtype=np.uint8)
+    for p in pus:
+        out[p.y : p.y + 16, p.x : p.x + 16] = p.mode * 7
+    return out
+
+
+class TestClosedFormPlanes:
+    """build_seg and build_intra read the validators' maps; they equal per-rectangle fills."""
+
+    @given(width=st.integers(1, 90), height=st.integers(1, 90),
+           root=st.sampled_from([4, 8, 16, 32, 64]), seed=st.integers(0, 2**32 - 1))
+    @example(width=80, height=48, root=32, seed=0)
+    @example(width=17, height=33, root=16, seed=1)
+    @settings(max_examples=150, deadline=None)
+    def test_planes_match_per_rectangle_fills(self, width, height, root, seed):
+        rng = np.random.default_rng(seed)
+        frame = random_frame(rng, width, height)
+        cus = random_quadtree(rng, width, height, root=root, min_size=1)
+        cells = [(x, y) for y in range(0, height, 16) for x in range(0, width, 16)]
+        pus = [PuMode(x, y, int(rng.integers(0, 35))) for x, y in rng.permutation(cells).tolist()]
+        seg, intra = build_seg(frame, cus), build_intra(width, height, pus)
+        assert seg.dtype == np.uint8 and intra.dtype == np.uint8
+        assert np.array_equal(seg, loop_seg(frame, cus))
+        assert np.array_equal(intra, loop_intra(width, height, pus))
+
+    def test_validators_return_their_maps(self):
+        cus = [CuRect(0, 0, 3, 2), CuRect(3, 0, 2, 2), CuRect(0, 2, 5, 1)]
+        assert np.array_equal(validate_tiling(5, 3, cus),
+                              [[0, 0, 0, 1, 1], [0, 0, 0, 1, 1], [2, 2, 2, 2, 2]])
+        pus = [PuMode(16, 0, 34), PuMode(0, 0, 0)]
+        assert np.array_equal(validate_coverage(20, 16, pus), [[0, 34]])
 
 
 class TestBuildIntra:

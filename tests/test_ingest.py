@@ -120,6 +120,18 @@ class TestParseMetadata:
         with pytest.raises(MetadataError, match="anchor qp"):
             parse_metadata(json.dumps(minimal_doc(labels=labels)))
 
+    @pytest.mark.parametrize("frame_id", [
+        "", ".", "..", "../../escaped", "a/b", "/abs", "a\\b", "tab\there", "line\nbreak", "nul\x00",
+    ])
+    def test_frame_id_must_be_one_file_name_component(self, frame_id):
+        with pytest.raises(MetadataError, match="frame_id") as exc:
+            parse_metadata(json.dumps(minimal_doc(frame_id=frame_id)))
+        assert repr(frame_id) in str(exc.value) and "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("frame_id", ["frameé", "a b", "..x", "x.."])
+    def test_unusual_frame_ids_stay_valid(self, frame_id):
+        assert parse_metadata(json.dumps(minimal_doc(frame_id=frame_id))).frame_id == frame_id
+
     def test_round_trip(self):
         labels = [{"qp": 10.0, "bits": 5000.0}, {"qp": 22.0, "bits": 1234.5678}]
         original = parse_metadata(json.dumps(minimal_doc(labels=labels)))

@@ -70,3 +70,26 @@ def test_garbage_header(tmp_path):
 def test_write_rejects_non_2d(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "x.pgm", np.zeros(4, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("pixels", [
+    np.array([[300, -1, 2]]),
+    np.array([[256]], dtype=np.int64),
+    np.array([[-1]], dtype=np.int16),
+    np.array([[2.7]]),
+    np.array([[True]]),
+    np.zeros((0, 3), dtype=np.uint8),
+    np.zeros((3, 0), dtype=np.uint8),
+], ids=["out_of_range", "above_255", "negative", "float", "bool", "no_rows", "no_columns"])
+def test_write_rejects_what_would_not_read_back(tmp_path, pixels):
+    path = tmp_path / "x.pgm"
+    with pytest.raises(ValueError):
+        write_pgm(path, pixels)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.uint32])
+def test_write_accepts_any_integer_dtype_in_range(tmp_path, dtype):
+    pixels = np.array([[0, 1, 254, 255]], dtype=dtype)
+    write_pgm(tmp_path / "x.pgm", pixels)
+    assert np.array_equal(read_pgm(tmp_path / "x.pgm"), pixels)
