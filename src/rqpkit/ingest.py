@@ -10,7 +10,11 @@ The synthetic generator manufactures frames whose high-frequency energy
 follows a drawn Cauchy scale, partitions them more finely where local
 variance is higher, derives plausible intra modes from local gradient
 orientation, and labels them with scaled entropy curves, so the texture
-genuinely predicts the rate curve without running an encoder.
+genuinely predicts the rate curve without running an encoder.  A frame
+costs a few whole-array passes.  The quadtree takes each node's
+deviation in closed form from exact integer block sums, computed once
+per quadtree size.  One batched gradient over all 16x16 blocks gives the
+intra modes.  Sidecars are written as compact JSON and read in any layout.
 """
 
 from __future__ import annotations
@@ -98,8 +102,9 @@ def _parse_items(items: list, path: str, make, keys: tuple[str, ...], kind) -> l
         where = f"{path}[{i}]"
         if not isinstance(item, dict):
             raise MetadataError(f"{where}: expected an object")
+        values = [_require(item, key, kind, where) for key in keys]
         try:
-            parsed.append(make(*(_require(item, key, kind, where) for key in keys)))
+            parsed.append(make(*values))
         except ValueError as exc:
             raise MetadataError(f"{where}: {exc}") from exc
     return parsed
@@ -162,16 +167,20 @@ def serialize_metadata(md: CodingMetadata) -> str:
     }
     if md.labels is not None:
         doc["labels"] = [{"qp": s.qp, "bits": s.rate} for s in md.labels.samples]
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc)
 
 
 def load_metadata(path) -> CodingMetadata:
+    """Read and parse one sidecar file; every MetadataError names the file."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MetadataError(
             f"{path}: sidecar is not UTF-8 ({exc.reason} at byte {exc.start})") from exc
-    return parse_metadata(text)
+    try:
+        return parse_metadata(text)
+    except MetadataError as exc:
+        raise MetadataError(f"{path}: {exc}") from exc
 
 
 def save_metadata(path, md: CodingMetadata) -> None:
@@ -232,9 +241,33 @@ def _textured_frame(rng: np.random.Generator, width: int, height: int, scale: fl
     return GrayFrame(pixels)
 
 
+def _block_moments(pixels: np.ndarray) -> dict[int, tuple[list, list]]:
+    """Exact pixel sum and sum of squares of every block at each quadtree size.
+
+    The plane is zero-padded to whole CTUs, so a block that overhangs the
+    frame sums its in-frame pixels only.  Each size maps to two nested
+    lists of ints indexed [y // size][x // size].
+    """
+    height, width = pixels.shape
+    padded = np.zeros((-(-height // _CTU_SIZE) * _CTU_SIZE, -(-width // _CTU_SIZE) * _CTU_SIZE),
+                      dtype=np.int64)
+    padded[:height, :width] = pixels
+    grid = (padded.shape[0] // _MIN_CU, _MIN_CU, padded.shape[1] // _MIN_CU, _MIN_CU)
+    s = padded.reshape(grid).sum(axis=(1, 3))
+    q = (padded * padded).reshape(grid).sum(axis=(1, 3))
+    moments = {_MIN_CU: (s.tolist(), q.tolist())}
+    size = _MIN_CU
+    while size < _CTU_SIZE:
+        size *= 2
+        s = s[0::2, 0::2] + s[0::2, 1::2] + s[1::2, 0::2] + s[1::2, 1::2]
+        q = q[0::2, 0::2] + q[0::2, 1::2] + q[1::2, 0::2] + q[1::2, 1::2]
+        moments[size] = (s.tolist(), q.tolist())
+    return moments
+
+
 def _quadtree_cus(rng: np.random.Generator, frame: GrayFrame) -> tuple[CuRect, ...]:
     """Random valid quadtree tiling, splitting where local deviation is high."""
-    pixels = frame.pixels.astype(np.float64)
+    moments = _block_moments(frame.pixels)
     rects: list[CuRect] = []
 
     def visit(x: int, y: int, size: int) -> None:
@@ -242,7 +275,9 @@ def _quadtree_cus(rng: np.random.Generator, frame: GrayFrame) -> tuple[CuRect, .
             return
         w = min(size, frame.width - x)
         h = min(size, frame.height - y)
-        local_sd = float(pixels[y : y + h, x : x + w].std())
+        sums, squares = moments[size]
+        s, q, n = sums[y // size][x // size], squares[y // size][x // size], w * h
+        local_sd = math.sqrt((n * q - s * s) / (n * n))
         jitter = rng.uniform(0.85, 1.2)
         threshold = _SPLIT_THRESHOLDS.get(size)
         if threshold is not None and size > _MIN_CU and local_sd * jitter > threshold:
@@ -262,22 +297,29 @@ def _quadtree_cus(rng: np.random.Generator, frame: GrayFrame) -> tuple[CuRect, .
 
 def _intra_modes(rng: np.random.Generator, frame: GrayFrame) -> tuple[PuMode, ...]:
     """Per 16x16 block: angular mode along the dominant gradient, DC/planar when flat."""
-    pixels = frame.pixels.astype(np.float64)
+    rows, cols = frame.height // PU_SIZE, frame.width // PU_SIZE
+    area = PU_SIZE * PU_SIZE
+    blocks = (frame.pixels.reshape(rows, PU_SIZE, cols, PU_SIZE).swapaxes(1, 2)
+              .astype(np.float64, order="C"))
+    # One pass over every block; each takes one-sided differences at its own edges.
+    gy, gx = np.gradient(blocks, axis=(2, 3))
+
+    def block_sums(values: np.ndarray) -> np.ndarray:
+        return values.reshape(rows, cols, area).sum(axis=-1)
+
+    energy = (block_sums(gx * gx + gy * gy) / area).tolist()
+    cross = block_sums(gx * gy).tolist()
+    spread = block_sums(gx * gx - gy * gy).tolist()
     pus: list[PuMode] = []
-    for y in range(0, frame.height, PU_SIZE):
-        for x in range(0, frame.width, PU_SIZE):
-            block = pixels[y : y + PU_SIZE, x : x + PU_SIZE]
-            gy, gx = np.gradient(block)
-            energy = float(np.mean(gx * gx + gy * gy))
-            if energy < _FLAT_GRADIENT_ENERGY:
+    for i in range(rows):
+        for j in range(cols):
+            if energy[i][j] < _FLAT_GRADIENT_ENERGY:
                 mode = int(rng.integers(0, 2))  # planar or DC
             else:
-                theta = 0.5 * math.atan2(
-                    2.0 * float(np.sum(gx * gy)), float(np.sum(gx * gx - gy * gy))
-                )
+                theta = 0.5 * math.atan2(2.0 * cross[i][j], spread[i][j])
                 frac = (theta + math.pi / 2.0) / math.pi
                 mode = 2 + min(32, int(round(frac * 32.0)))
-            pus.append(PuMode(x, y, mode))
+            pus.append(PuMode(j * PU_SIZE, i * PU_SIZE, mode))
     return tuple(pus)
 
 

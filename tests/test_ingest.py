@@ -1,14 +1,24 @@
 """Sidecar parsing, synthetic corpus, dataset splits, corpus I/O."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rqpkit.features import CuRect, GrayFrame, PuMode
+from rqpkit.features import PU_SIZE, CuRect, GrayFrame, PuMode
 from rqpkit.ingest import (
     LABEL_QPS,
     MetadataError,
+    _CTU_SIZE,
+    _FLAT_GRADIENT_ENERGY,
+    _MIN_CU,
+    _SPLIT_THRESHOLDS,
+    _intra_modes,
+    _quadtree_cus,
+    _textured_frame,
     load_corpus,
     load_frame,
     load_metadata,
@@ -104,7 +114,14 @@ class TestParseMetadata:
         path.write_bytes(text.encode("latin-1"))
         with pytest.raises(MetadataError, match="UTF-8") as info:
             load_metadata(path)
-        assert str(path) in str(info.value)
+        assert str(info.value).count(str(path)) == 1
+
+    def test_schema_error_names_the_file(self, tmp_path):
+        path = tmp_path / "frame0.rqp.json"
+        path.write_text(json.dumps(minimal_doc(cus=[{"x": 0, "y": 0, "w": 16, "h": "16"}])))
+        with pytest.raises(MetadataError) as info:
+            load_metadata(path)
+        assert str(info.value) == f"{path}: $.cus[0].h: expected int, got str"
 
     def test_invalid_json(self):
         with pytest.raises(MetadataError, match="JSON"):
@@ -138,6 +155,14 @@ class TestParseMetadata:
         assert parse_metadata(serialize_metadata(original)) == original
         bare = parse_metadata(json.dumps(minimal_doc()))
         assert parse_metadata(serialize_metadata(bare)) == bare
+
+    def test_serialized_sidecar_is_one_line(self, tiny_corpus):
+        md = tiny_corpus[0][1]
+        text = serialize_metadata(md)
+        assert "\n" not in text
+        assert parse_metadata(text) == md
+        # Readers take any layout.
+        assert parse_metadata(json.dumps(json.loads(text), indent=2)) == md
 
 
 class TestSynthCorpus:
@@ -192,6 +217,87 @@ class TestSynthCorpus:
             cu_counts.append(len(md.cus))
         corr = np.corrcoef(high_freq, cu_counts)[0, 1]
         assert corr > 0.5
+
+
+def _reference_quadtree_cus(rng, frame):
+    """The per-node np.std recursion that _quadtree_cus replaces."""
+    pixels = frame.pixels.astype(np.float64)
+    rects = []
+
+    def visit(x, y, size):
+        if x >= frame.width or y >= frame.height:
+            return
+        w = min(size, frame.width - x)
+        h = min(size, frame.height - y)
+        local_sd = float(pixels[y : y + h, x : x + w].std())
+        jitter = rng.uniform(0.85, 1.2)
+        threshold = _SPLIT_THRESHOLDS.get(size)
+        if threshold is not None and size > _MIN_CU and local_sd * jitter > threshold:
+            half = size // 2
+            visit(x, y, half)
+            visit(x + half, y, half)
+            visit(x, y + half, half)
+            visit(x + half, y + half, half)
+        else:
+            rects.append(CuRect(x, y, w, h))
+
+    for cy in range(0, frame.height, _CTU_SIZE):
+        for cx in range(0, frame.width, _CTU_SIZE):
+            visit(cx, cy, _CTU_SIZE)
+    return tuple(rects)
+
+
+def _reference_intra_modes(rng, frame):
+    """The per-block np.gradient loop that _intra_modes replaces."""
+    pixels = frame.pixels.astype(np.float64)
+    pus = []
+    for y in range(0, frame.height, PU_SIZE):
+        for x in range(0, frame.width, PU_SIZE):
+            gy, gx = np.gradient(pixels[y : y + PU_SIZE, x : x + PU_SIZE])
+            energy = float(np.mean(gx * gx + gy * gy))
+            if energy < _FLAT_GRADIENT_ENERGY:
+                mode = int(rng.integers(0, 2))
+            else:
+                theta = 0.5 * math.atan2(
+                    2.0 * float(np.sum(gx * gy)), float(np.sum(gx * gx - gy * gy))
+                )
+                frac = (theta + math.pi / 2.0) / math.pi
+                mode = 2 + min(32, int(round(frac * 32.0)))
+            pus.append(PuMode(x, y, mode))
+    return tuple(pus)
+
+
+class TestGeneratorsMatchReference:
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 8), height=st.integers(1, 8),
+           scale=st.floats(1.0, 50.0))
+    @example(seed=0, width=3, height=5, scale=7.0)     # 48x80
+    @example(seed=1, width=1, height=1, scale=50.0)    # 16x16
+    @example(seed=2, width=7, height=2, scale=20.0)    # 112x32
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_same_tiling_modes_and_stream(self, seed, width, height, scale):
+        frame = _textured_frame(np.random.default_rng(seed), width * PU_SIZE,
+                                height * PU_SIZE, scale)
+        for generate, reference in ((_quadtree_cus, _reference_quadtree_cus),
+                                    (_intra_modes, _reference_intra_modes)):
+            rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+            assert generate(rng, frame) == reference(ref_rng, frame)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_synthetic_corpus_is_pinned():
+    # Pixels and every label value of a fixed corpus; any drift in the
+    # generator, the entropy labels or the anchor changes the digest.
+    h = hashlib.sha256()
+    for frame, md in synth_corpus(8, 5):
+        h.update(frame.pixels.tobytes())
+        values = (
+            [(r.x, r.y, r.w, r.h) for r in md.cus],
+            [(p.x, p.y, p.mode) for p in md.pus],
+            [(s.qp, s.rate) for s in md.labels.samples],
+            (md.anchor.qp0, md.anchor.r0),
+        )
+        h.update(repr(values).encode())
+    assert h.hexdigest()[:16] == "6cd6dfb110026c4e"
 
 
 class TestSplitDataset:
