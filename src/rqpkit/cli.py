@@ -126,7 +126,7 @@ def cmd_synth(args) -> int:
 
 def cmd_extract(args) -> int:
     frame, md = ingest.load_pair(args.frame, args.sidecar)
-    planes = stack_from_coding(frame, md.cus, md.pus, args.features)
+    planes = stack_from_coding(frame, md, args.features)
     out = _out_dir(args)
     for channel, plane in zip(args.features, planes):
         path = out / f"{md.frame_id}_{channel}.pgm"

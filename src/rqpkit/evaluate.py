@@ -211,7 +211,7 @@ def net_predictor(network: Network, scaler, form: str, fastened: bool, channels)
     channels = tuple(channels)
 
     def params_fn(frame: GrayFrame, md: CodingMetadata) -> ModelParams:
-        x = normalize_stack(stack_from_coding(frame, md.cus, md.pus, channels))
+        x = normalize_stack(stack_from_coding(frame, md, channels))
         coeffs = scaler.inverse(network.forward(x[None])[0])
         return ModelParams(frame_spec(form, fastened, md), tuple(float(c) for c in coeffs))
 
@@ -289,7 +289,7 @@ def corpus_index(corpus) -> dict[str, tuple[GrayFrame, CodingMetadata]]:
 def _dataset(by_id, ids, form, fastened, channels) -> tuple[np.ndarray, np.ndarray]:
     """Network inputs (n, C, H, W) in [0, 1] and fitted label coefficients (n, outputs)."""
     pairs = [by_id[frame_id] for frame_id in ids]
-    stacks = [normalize_stack(stack_from_coding(frame, md.cus, md.pus, channels))
+    stacks = [normalize_stack(stack_from_coding(frame, md, channels))
               for frame, md in pairs]
     for (_, md), stack in zip(pairs, stacks):
         if stack.shape != stacks[0].shape:

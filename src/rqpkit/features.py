@@ -1,14 +1,14 @@
-"""Referenceless feature planes built from a decoded frame and its coding tree.
+"""Referenceless feature planes read off a decoded frame and its coding tree.
 
 Three planes share the frame's geometry so they can be stacked as network
 input channels; a feature stack is a plain (channels, height, width) uint8
 array whose channels follow channel_order:
 
   rec   - the reconstructed luma plane itself (texture),
-  seg   - each coding-unit rectangle flooded with its mean pixel value
-          (partition structure),
-  intra - each 16x16 prediction block flooded with mode*7, spreading the
-          35 intra modes uniformly over [0, 238].
+  seg   - each coding-unit rectangle flooded with its mean pixel value,
+          read off the owner map a CodingMetadata keeps,
+  intra - each 16x16 prediction block flooded with mode*7, read off the
+          mode grid a CodingMetadata keeps.
 """
 
 from __future__ import annotations
@@ -111,11 +111,11 @@ def channel_order(channels) -> tuple[str, ...]:
 def validate_tiling(width: int, height: int, cus) -> np.ndarray:
     """Check that the rectangles tile width x height exactly; return the owner map.
 
-    The map is a (height, width) array holding each pixel's rectangle
-    index.  Raises TilingError naming the offending rectangle (and, for
-    overlaps, the one it collides with).
+    The map is a read-only (height, width) array of each pixel's rectangle
+    index in the smallest signed dtype that holds them.  Raises TilingError
+    naming the offending rectangle (and, for overlaps, the one it hits).
     """
-    owner = np.full((height, width), -1, dtype=np.intp)
+    owner = np.full((height, width), -1, dtype=np.min_scalar_type(-max(len(cus), 1)))
     for i, r in enumerate(cus):
         if r.x + r.w > width or r.y + r.h > height:
             raise TilingError(f"{r} overhangs the {width}x{height} frame")
@@ -127,17 +127,16 @@ def validate_tiling(width: int, height: int, cus) -> np.ndarray:
     if (owner == -1).any():
         gap_y, gap_x = np.argwhere(owner == -1)[0]
         raise TilingError(f"tiling leaves pixel ({int(gap_x)}, {int(gap_y)}) uncovered")
+    owner.setflags(write=False)
     return owner
 
 
-def build_seg(frame: GrayFrame, cus) -> np.ndarray:
-    """Partition plane: every coding-unit rectangle flooded with its mean.
+def build_seg(frame: GrayFrame, owner: np.ndarray) -> np.ndarray:
+    """Partition plane: every rectangle of the owner map flooded with its mean.
 
-    Means are taken over the reconstructed pixels and rounded half-up to
-    keep the plane 8-bit; the rectangles must tile the frame.  The pixel
-    sums are float64, exact below 2**53.
+    Means are taken over the reconstructed pixels and rounded half-up to keep
+    the plane 8-bit.  The pixel sums are float64, exact below 2**53.
     """
-    owner = validate_tiling(frame.width, frame.height, list(cus))
     counts = np.bincount(owner.ravel())
     sums = np.bincount(owner.ravel(), weights=frame.pixels.ravel())
     return ((2 * sums + counts) // (2 * counts)).astype(np.uint8)[owner]
@@ -146,40 +145,42 @@ def build_seg(frame: GrayFrame, cus) -> np.ndarray:
 def validate_coverage(width: int, height: int, pus) -> np.ndarray:
     """Check that the blocks cover the ceil(width/16) x ceil(height/16) grid exactly once.
 
-    Returns the grid of each cell's intra mode.  Raises CoverageError
-    naming the offending block or the first empty cell.
+    Returns the read-only grid of each cell's intra mode.  Raises CoverageError
+    naming the first empty cell or the offending block.  Too few blocks are
+    refused before the grid is allocated, so its size is bounded by len(pus).
     """
-    modes = np.full((-(-height // PU_SIZE), -(-width // PU_SIZE)), -1)
+    cols, rows = -(-width // PU_SIZE), -(-height // PU_SIZE)
+    if cols * rows > len(pus):
+        # By pigeonhole the first empty raster cell is among the first len(pus) + 1.
+        taken = {(p.x, p.y) for p in pus}
+        cells = ((x, y) for y in range(0, height, PU_SIZE) for x in range(0, width, PU_SIZE))
+        x, y = next(cell for cell in cells if cell not in taken)
+        raise CoverageError(f"grid cell ({x}, {y}) has no prediction block "
+                            f"({len(pus)} prediction blocks for {cols * rows} cells)")
+    # Now blocks are at least as many as cells: any gap shows as a block outside or twice.
+    modes = np.full((rows, cols), -1)
     for p in pus:
         gx, gy = p.x // PU_SIZE, p.y // PU_SIZE
-        if gx >= modes.shape[1] or gy >= modes.shape[0]:
+        if gx >= cols or gy >= rows:
             raise CoverageError(f"{p} lies outside the {width}x{height} frame")
         if modes[gy, gx] != -1:
             raise CoverageError(f"grid cell ({p.x}, {p.y}) is covered twice")
         modes[gy, gx] = p.mode
-    if (modes == -1).any():
-        gy, gx = np.argwhere(modes == -1)[0]
-        raise CoverageError(
-            f"grid cell ({int(gx) * PU_SIZE}, {int(gy) * PU_SIZE}) has no prediction block"
-        )
+    modes.setflags(write=False)
     return modes
 
 
-def build_intra(width: int, height: int, pus) -> np.ndarray:
-    """Mode plane: each 16x16 grid cell flooded with its mode * 7.
-
-    The blocks must cover the grid (validate_coverage); blocks at the
-    right/bottom edge are truncated to the frame.
-    """
-    if width < 1 or height < 1:
-        raise ValueError(f"frame dimensions must be positive, got {width}x{height}")
-    modes = validate_coverage(width, height, pus)
+def build_intra(modes: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Mode plane: each 16x16 cell of the mode grid flooded with mode * 7, cropped to the frame."""
     plane = (modes * INTRA_MODE_STEP).astype(np.uint8)
     return plane.repeat(PU_SIZE, 0).repeat(PU_SIZE, 1)[:height, :width]
 
 
-def stack_from_coding(frame: GrayFrame, cus, pus, channels=CHANNEL_ORDER) -> np.ndarray:
-    """The (C, H, W) uint8 stack of one frame's planes, in channel_order(channels)."""
-    build = {"rec": lambda: frame.pixels, "seg": lambda: build_seg(frame, cus),
-             "intra": lambda: build_intra(frame.width, frame.height, pus)}
+def stack_from_coding(frame: GrayFrame, md, channels=CHANNEL_ORDER) -> np.ndarray:
+    """The (C, H, W) uint8 stack of a frame and its CodingMetadata, in channel_order(channels)."""
+    if (frame.width, frame.height) != (md.width, md.height):
+        raise ValueError(f"frame {md.frame_id!r} is {frame.width}x{frame.height} but its "
+                         f"coding tree describes {md.width}x{md.height}")
+    build = {"rec": lambda: frame.pixels, "seg": lambda: build_seg(frame, md.owner),
+             "intra": lambda: build_intra(md.modes, md.width, md.height)}
     return np.stack([build[c]() for c in channel_order(channels)])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,9 @@ class MetadataError(ValueError):
 
 @dataclass(frozen=True)
 class CodingMetadata:
-    """Everything the one-pass encode reports about a frame."""
+    """Everything the one-pass encode reports about a frame, and the one walk of its
+    coding tree: `owner` and `modes` are the read-only maps that validate_tiling and
+    validate_coverage derive, which equality, hashing, repr and sidecars ignore."""
 
     frame_id: str
     width: int
@@ -54,6 +56,8 @@ class CodingMetadata:
     pus: tuple[PuMode, ...]
     anchor: OperationalPoint
     labels: RQPCurve | None = None
+    owner: np.ndarray = field(init=False, repr=False, compare=False)
+    modes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # The id names the frame's output files and its manifest line.
@@ -63,8 +67,9 @@ class CodingMetadata:
         if self.width < 1 or self.height < 1:
             raise MetadataError(f"bad frame dimensions {self.width}x{self.height}")
         try:
-            validate_tiling(self.width, self.height, self.cus)
-            validate_coverage(self.width, self.height, self.pus)
+            # Coverage first: it bounds the owner map's size by the sidecar's length.
+            object.__setattr__(self, "modes", validate_coverage(self.width, self.height, self.pus))
+            object.__setattr__(self, "owner", validate_tiling(self.width, self.height, self.cus))
         except ValueError as exc:
             raise MetadataError(f"frame {self.frame_id!r}: {exc}") from exc
         if self.labels is not None:

@@ -23,7 +23,15 @@ from rqpkit.entropy import (
     total_probability,
 )
 from rqpkit.evaluate import ErrorReport, evaluate_run, run_training
-from rqpkit.features import GrayFrame, PuMode, build_intra, build_seg, stack_from_coding
+from rqpkit.features import (
+    GrayFrame,
+    PuMode,
+    build_intra,
+    build_seg,
+    stack_from_coding,
+    validate_coverage,
+    validate_tiling,
+)
 from rqpkit.ingest import split_dataset, synth_corpus
 from rqpkit.model import (
     ModelParams,
@@ -128,13 +136,14 @@ def test_criterion_4_feature_map_invariants():
         width, height = (64, 64) if i % 3 else (32, 64)
         frame = random_frame(rng, width, height)
         cus = random_quadtree(rng, width, height)
-        seg = build_seg(frame, cus)
+        owner = validate_tiling(width, height, cus)
+        seg = build_seg(frame, owner)
         worst_mean_shift = max(worst_mean_shift, abs(float(seg.mean()) - float(frame.pixels.mean())))
         assert worst_mean_shift <= 0.5, "segmentation mean drifted past the rounding bound"
         for r in cus:
             block = seg[r.y : r.y + r.h, r.x : r.x + r.w]
             assert (block == block[0, 0]).all(), "segmentation not piecewise constant"
-        assert np.array_equal(build_seg(GrayFrame(seg), cus), seg), "segmentation not idempotent"
+        assert np.array_equal(build_seg(GrayFrame(seg), owner), seg), "segmentation not idempotent"
     allowed = set(range(0, 239, 7))
     for _ in range(200):
         pus = [
@@ -142,7 +151,7 @@ def test_criterion_4_feature_map_invariants():
             for y in range(0, 64, 16)
             for x in range(0, 64, 16)
         ]
-        values = set(np.unique(build_intra(64, 64, pus)).tolist())
+        values = set(np.unique(build_intra(validate_coverage(64, 64, pus), 64, 64)).tolist())
         assert values <= allowed, f"intra plane values escaped the lattice: {values - allowed}"
     _report(4, True,
             f"1000 tilings: mean shift <= {worst_mean_shift:.3f}, piecewise constant, "
@@ -190,7 +199,7 @@ def test_criterion_5_gradient_checks():
 def test_criterion_6_trainability():
     t0 = time.perf_counter()
     frame, md = synth_corpus(1, seed=ACCEPT_SEED + 6, size=(64, 64))[0]
-    stack = stack_from_coding(frame, md.cus, md.pus)
+    stack = stack_from_coding(frame, md)
     label = make_labels(md, frame_spec("quadratic", True, md))
     net = Network(NetworkConfig(3, 64, 2, seed=ACCEPT_SEED))
     result = train(net, normalize_stack(stack)[None], np.array([label.coeffs]),

@@ -74,7 +74,7 @@ class TestExtract:
                      "--out", str(out)]) == 0
         frame = load_frame(frame_path)
         md = load_metadata(sidecar_path)
-        planes = stack_from_coding(frame, md.cus, md.pus)
+        planes = stack_from_coding(frame, md)
         for channel, plane in zip(CHANNEL_ORDER, planes):
             disk = read_pgm(out / f"{md.frame_id}_{channel}.pgm")
             assert np.array_equal(disk, plane)

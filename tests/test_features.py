@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import rqpkit.features as features
 from rqpkit.features import (
     CHANNEL_ORDER,
     CoverageError,
@@ -18,6 +19,8 @@ from rqpkit.features import (
     validate_coverage,
     validate_tiling,
 )
+from rqpkit.ingest import CodingMetadata, MetadataError, parse_metadata, serialize_metadata
+from rqpkit.model import OperationalPoint
 
 INTRA_VALUES = frozenset(range(0, 239, 7))
 
@@ -48,6 +51,21 @@ def random_frame(rng: np.random.Generator, width: int, height: int) -> GrayFrame
     return GrayFrame(rng.integers(0, 256, size=(height, width), dtype=np.int64))
 
 
+def coding(width: int, height: int, cus, pus=None) -> CodingMetadata:
+    """Metadata for the given tiling; mode 0 on every grid cell unless pus are given."""
+    if pus is None:
+        pus = [PuMode(x, y, 0) for y in range(0, height, 16) for x in range(0, width, 16)]
+    return CodingMetadata("t", width, height, tuple(cus), tuple(pus), OperationalPoint(10.0, 1e4))
+
+
+def seg_plane(frame: GrayFrame, cus) -> np.ndarray:
+    return build_seg(frame, validate_tiling(frame.width, frame.height, cus))
+
+
+def intra_plane(width: int, height: int, pus) -> np.ndarray:
+    return build_intra(validate_coverage(width, height, pus), width, height)
+
+
 class TestGrayFrame:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -72,8 +90,9 @@ class TestGrayFrame:
 
 
 def rec_stack(frame: GrayFrame) -> np.ndarray:
-    """The texture plane needs no coding tree."""
-    return stack_from_coding(frame, (), (), ("rec",))
+    """The texture plane alone, beside a one-rectangle coding tree."""
+    md = coding(frame.width, frame.height, [CuRect(0, 0, frame.width, frame.height)])
+    return stack_from_coding(frame, md, ("rec",))
 
 
 class TestBuildRec:
@@ -99,11 +118,11 @@ class TestBuildSeg:
     def test_uniform_frame(self):
         frame = GrayFrame(np.full((8, 8), 128, dtype=np.uint8))
         cus = [CuRect(0, 0, 4, 8), CuRect(4, 0, 4, 4), CuRect(4, 4, 4, 4)]
-        assert (build_seg(frame, cus) == 128).all()
+        assert (seg_plane(frame, cus) == 128).all()
 
     def test_small_mean(self):
         frame = GrayFrame(np.array([[0, 2], [4, 6]], dtype=np.uint8))
-        assert (build_seg(frame, [CuRect(0, 0, 2, 2)]) == 3).all()
+        assert (seg_plane(frame, [CuRect(0, 0, 2, 2)]) == 3).all()
 
     def test_quadrant_means(self):
         quads = np.zeros((4, 4), dtype=np.uint8)
@@ -112,36 +131,33 @@ class TestBuildSeg:
         quads[2:, :2] = [[250, 250], [250, 251]]   # mean 250.25 -> 250
         quads[2:, 2:] = [[0, 1], [1, 0]]           # mean 0.5 -> 1 (half-up)
         cus = [CuRect(0, 0, 2, 2), CuRect(2, 0, 2, 2), CuRect(0, 2, 2, 2), CuRect(2, 2, 2, 2)]
-        out = build_seg(GrayFrame(quads), cus)
+        out = seg_plane(GrayFrame(quads), cus)
         assert (out[:2, :2] == 25).all()
         assert (out[:2, 2:] == 1).all()
         assert (out[2:, :2] == 250).all()
         assert (out[2:, 2:] == 1).all()
 
     def test_overlap_names_both_rectangles(self):
-        frame = GrayFrame(np.zeros((4, 4), dtype=np.uint8))
         cus = [CuRect(0, 0, 4, 2), CuRect(0, 1, 4, 3)]
         with pytest.raises(TilingError) as err:
-            build_seg(frame, cus)
+            validate_tiling(4, 4, cus)
         message = str(err.value)
         assert "CuRect(x=0, y=1" in message and "CuRect(x=0, y=0" in message
 
     def test_gap_reports_pixel(self):
-        frame = GrayFrame(np.zeros((4, 4), dtype=np.uint8))
         with pytest.raises(TilingError, match=r"uncovered"):
-            build_seg(frame, [CuRect(0, 0, 4, 2)])
+            validate_tiling(4, 4, [CuRect(0, 0, 4, 2)])
 
     def test_overhang_rejected(self):
-        frame = GrayFrame(np.zeros((4, 4), dtype=np.uint8))
         with pytest.raises(TilingError, match="overhangs"):
-            build_seg(frame, [CuRect(0, 0, 8, 4)])
+            validate_tiling(4, 4, [CuRect(0, 0, 8, 4)])
 
     def test_random_tilings_preserve_mean_and_structure(self):
         rng = np.random.default_rng(99)
         for _ in range(50):
             frame = random_frame(rng, 32, 32)
             cus = random_quadtree(rng, 32, 32)
-            out = build_seg(frame, cus)
+            out = seg_plane(frame, cus)
             # Mean preserved within the integer rounding bound.
             assert abs(out.mean() - frame.pixels.mean()) <= 0.5
             # Piecewise constant per rectangle.
@@ -149,7 +165,7 @@ class TestBuildSeg:
                 block = out[r.y : r.y + r.h, r.x : r.x + r.w]
                 assert (block == block[0, 0]).all()
             # Idempotent: averaging an averaged plane changes nothing.
-            assert np.array_equal(build_seg(GrayFrame(out), cus), out)
+            assert np.array_equal(seg_plane(GrayFrame(out), cus), out)
 
     def test_validate_tiling_standalone(self):
         validate_tiling(4, 4, [CuRect(0, 0, 4, 4)])
@@ -182,12 +198,13 @@ def loop_intra(width: int, height: int, pus) -> np.ndarray:
 
 
 class TestClosedFormPlanes:
-    """build_seg and build_intra read the validators' maps; they equal per-rectangle fills."""
+    """build_seg and build_intra read a CodingMetadata's maps; they equal per-rectangle fills."""
 
     @given(width=st.integers(1, 90), height=st.integers(1, 90),
            root=st.sampled_from([4, 8, 16, 32, 64]), seed=st.integers(0, 2**32 - 1))
     @example(width=80, height=48, root=32, seed=0)
     @example(width=17, height=33, root=16, seed=1)
+    @example(width=90, height=90, root=4, seed=2)  # hundreds of rectangles: an int16 owner map
     @settings(max_examples=150, deadline=None)
     def test_planes_match_per_rectangle_fills(self, width, height, root, seed):
         rng = np.random.default_rng(seed)
@@ -195,7 +212,9 @@ class TestClosedFormPlanes:
         cus = random_quadtree(rng, width, height, root=root, min_size=1)
         cells = [(x, y) for y in range(0, height, 16) for x in range(0, width, 16)]
         pus = [PuMode(x, y, int(rng.integers(0, 35))) for x, y in rng.permutation(cells).tolist()]
-        seg, intra = build_seg(frame, cus), build_intra(width, height, pus)
+        md = coding(width, height, cus, pus)
+        assert md.owner.dtype == (np.int8 if len(cus) <= 128 else np.int16)
+        seg, intra = build_seg(frame, md.owner), build_intra(md.modes, width, height)
         assert seg.dtype == np.uint8 and intra.dtype == np.uint8
         assert np.array_equal(seg, loop_seg(frame, cus))
         assert np.array_equal(intra, loop_intra(width, height, pus))
@@ -211,11 +230,11 @@ class TestClosedFormPlanes:
 class TestBuildIntra:
     def test_mode_zero_everywhere(self):
         pus = [PuMode(x, y, 0) for y in (0, 16) for x in (0, 16)]
-        assert (build_intra(32, 32, pus) == 0).all()
+        assert (intra_plane(32, 32, pus) == 0).all()
 
     def test_extreme_and_middle_modes(self):
-        assert (build_intra(16, 16, [PuMode(0, 0, 34)]) == 238).all()
-        assert (build_intra(16, 16, [PuMode(0, 0, 17)]) == 119).all()
+        assert (intra_plane(16, 16, [PuMode(0, 0, 34)]) == 238).all()
+        assert (intra_plane(16, 16, [PuMode(0, 0, 17)]) == 119).all()
 
     def test_value_set(self):
         rng = np.random.default_rng(5)
@@ -224,7 +243,7 @@ class TestBuildIntra:
             for y in range(0, 64, 16)
             for x in range(0, 64, 16)
         ]
-        out = build_intra(64, 64, pus)
+        out = intra_plane(64, 64, pus)
         assert set(np.unique(out)) <= INTRA_VALUES
 
     def test_piecewise_constant(self):
@@ -234,14 +253,14 @@ class TestBuildIntra:
             for y in range(0, 48, 16)
             for x in range(0, 48, 16)
         ]
-        out = build_intra(48, 48, pus)
+        out = intra_plane(48, 48, pus)
         for p in pus:
             block = out[p.y : p.y + 16, p.x : p.x + 16]
             assert (block == p.mode * 7).all()
 
     def test_partial_edge_blocks(self):
         pus = [PuMode(0, 0, 10), PuMode(16, 0, 20), PuMode(32, 0, 30)]
-        out = build_intra(40, 16, pus)
+        out = intra_plane(40, 16, pus)
         assert out.shape == (16, 40)
         assert (out[:, 32:] == 210).all()  # truncated 8-wide block still filled
 
@@ -257,11 +276,11 @@ class TestBuildIntra:
 
     def test_coverage_errors(self):
         with pytest.raises(CoverageError, match="no prediction block"):
-            build_intra(32, 16, [PuMode(0, 0, 1)])
+            validate_coverage(32, 16, [PuMode(0, 0, 1)])
         with pytest.raises(CoverageError, match="twice"):
-            build_intra(16, 16, [PuMode(0, 0, 1), PuMode(0, 0, 2)])
+            validate_coverage(16, 16, [PuMode(0, 0, 1), PuMode(0, 0, 2)])
         with pytest.raises(CoverageError, match="outside"):
-            build_intra(16, 16, [PuMode(16, 0, 1)])
+            validate_coverage(16, 16, [PuMode(16, 0, 1)])
 
 
 class TestAssemble:
@@ -270,18 +289,18 @@ class TestAssemble:
     def make_coding(self):
         rng = np.random.default_rng(1)
         frame = random_frame(rng, 16, 16)
-        return frame, random_quadtree(rng, 16, 16, root=16), [PuMode(0, 0, 9)]
+        return frame, coding(16, 16, random_quadtree(rng, 16, 16, root=16), [PuMode(0, 0, 9)])
 
     def test_single_channel(self):
         stack = stack_from_coding(*self.make_coding(), ("rec",))
         assert stack.shape == (1, 16, 16) and stack.dtype == np.uint8
 
     def test_two_channels_in_canonical_order(self):
-        frame, cus, pus = self.make_coding()
-        stack = stack_from_coding(frame, cus, pus, ("intra", "seg"))
+        frame, md = self.make_coding()
+        stack = stack_from_coding(frame, md, ("intra", "seg"))
         assert stack.shape == (2, 16, 16)
-        assert np.array_equal(stack[0], build_seg(frame, cus))
-        assert np.array_equal(stack[1], build_intra(16, 16, pus))
+        assert np.array_equal(stack[0], seg_plane(frame, md.cus))
+        assert np.array_equal(stack[1], intra_plane(16, 16, md.pus))
 
     def test_all_three(self):
         assert channel_order(CHANNEL_ORDER) == CHANNEL_ORDER
@@ -304,12 +323,64 @@ class TestStackFromCoding:
         frame = random_frame(rng, 32, 32)
         cus = random_quadtree(rng, 32, 32)
         pus = [PuMode(x, y, 5) for y in (0, 16) for x in (0, 16)]
-        full = stack_from_coding(frame, cus, pus)
+        md = coding(32, 32, cus, pus)
+        full = stack_from_coding(frame, md)
         assert full.shape == (3, 32, 32) and full.dtype == np.uint8
         assert np.array_equal(full[0], frame.pixels)
-        assert np.array_equal(full[1], build_seg(frame, cus))
-        assert np.array_equal(full[2], build_intra(32, 32, pus))
-        rec_only = stack_from_coding(frame, cus, pus, ("rec",))
+        assert np.array_equal(full[1], seg_plane(frame, cus))
+        assert np.array_equal(full[2], intra_plane(32, 32, pus))
+        rec_only = stack_from_coding(frame, md, ("rec",))
         assert np.array_equal(rec_only, full[:1])
         with pytest.raises(ValueError):
-            stack_from_coding(frame, cus, pus, ("rec", "chroma"))
+            stack_from_coding(frame, md, ("rec", "chroma"))
+
+    @pytest.mark.parametrize("mask", range(1, 8))
+    def test_size_mismatch_names_frame_and_sizes(self, mask):
+        channels = tuple(c for i, c in enumerate(CHANNEL_ORDER) if mask >> i & 1)
+        rng = np.random.default_rng(3)
+        md = coding(64, 64, random_quadtree(rng, 64, 64))
+        cropped = GrayFrame(random_frame(rng, 64, 64).pixels[:60, :60])
+        with pytest.raises(ValueError, match=r"frame 't' is 60x60 but .* 64x64") as err:
+            stack_from_coding(cropped, md, channels)
+        assert type(err.value) is ValueError
+
+
+class TestOneWalk:
+    """CodingMetadata walks the coding tree once; the planes only read its maps."""
+
+    def make(self):
+        rng = np.random.default_rng(4)
+        return random_frame(rng, 48, 32), coding(48, 32, random_quadtree(rng, 48, 32))
+
+    def test_stack_runs_no_validator(self, monkeypatch):
+        frame, md = self.make()
+        calls = []
+
+        def counted(name, original):
+            def validator(*args):
+                calls.append(name)
+                return original(*args)
+            return validator
+
+        for name in ("validate_tiling", "validate_coverage"):
+            monkeypatch.setattr(features, name, counted(name, getattr(features, name)))
+        stack = stack_from_coding(frame, md)
+        assert calls == []
+        assert np.array_equal(stack[1], build_seg(frame, md.owner))
+
+    def test_maps_are_read_only_and_out_of_sight(self):
+        _, md = self.make()
+        assert md.owner.shape == (32, 48) and md.modes.shape == (2, 3)
+        for grid in (md.owner, md.modes):
+            with pytest.raises(ValueError):
+                grid[0, 0] = 1
+        assert "owner" not in repr(md) and "modes" not in repr(md)
+        assert parse_metadata(serialize_metadata(md)) == md
+        assert hash(parse_metadata(serialize_metadata(md))) == hash(md)
+
+    def test_huge_frame_refused_before_any_map(self):
+        _, md = self.make()
+        text = serialize_metadata(md).replace('"width": 48, "height": 32',
+                                              '"width": 1000000, "height": 1000000')
+        with pytest.raises(MetadataError, match=r"frame 't'.*6 prediction blocks"):
+            parse_metadata(text)

@@ -509,7 +509,7 @@ class TestPredictParams:
         net, scaler = self.make_trained()
         frame, md = toy_frame(np.random.default_rng(16))
         params = net_predictor(net, scaler, "quadratic", True, TOY_CHANNELS)(frame, md)
-        x = normalize_stack(stack_from_coding(frame, md.cus, md.pus, TOY_CHANNELS))
+        x = normalize_stack(stack_from_coding(frame, md, TOY_CHANNELS))
         assert np.array_equal(params.coeffs, scaler.inverse(net.forward(x[None])[0]))
         assert params.spec == TOY_SPEC
 
