@@ -117,6 +117,15 @@ def _load_split_corpus(args):
     return corpus, split
 
 
+def _corpus_sha256(manifest) -> str:
+    """SHA-256 of the manifest's bytes, then of each listed frame's and sidecar's, in order."""
+    digest = hashlib.sha256(Path(manifest).read_bytes())
+    for pair in ingest.read_manifest(manifest):
+        for path in pair:
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def cmd_synth(args) -> int:
     items = ingest.synth_corpus(args.count, args.seed, args.size)
     manifest = ingest.save_corpus(items, args.out)
@@ -158,7 +167,7 @@ def cmd_train(args) -> int:
         **asdict(train_cfg),
         test_fraction=args.test_fraction,
         numpy=np.__version__,
-        corpus_sha256=hashlib.sha256(Path(args.corpus).read_bytes()).hexdigest(),
+        corpus_sha256=_corpus_sha256(args.corpus),
     )
     history = ["epoch,train_loss,val_loss"]
     for i, tl in enumerate(run.result.train_loss):

@@ -10,15 +10,21 @@ Conv2d is the network's one convolution: 3x3, stride 1, zero padding 1.
 It runs as im2col GEMMs in the Caffe layout (Chellapilla et al., 2006):
 forward copies the padded input's sliding windows into a (C·9, B·H·W)
 column matrix and multiplies the (O, C·9) weights by it.  It caches only
-the window view, which costs no memory, and backward rebuilds the columns
-for dW rather than holding the first stage's large copy.  Unless told not
-to (the network's first stage), backward also forms every tap's input
-gradient with one more product and scatters it back (col2im).
+the window view of its padded input, and backward rebuilds the columns
+for dW rather than holding the copy.  Unless told not to (the network's
+first stage), backward also forms every tap's input gradient with one
+more product and scatters it back (col2im).
 
 AvgPool2d sums with strided slices, in a fixed order: the window's column
 phases along W, then the row phases of that result along H, then one
 division by window².  ReLU's backward multiplies by its mask.  Neither
-makes a reduction or `where` pass over the first stage's large output.
+makes a reduction or `where` pass over its input.
+
+Each layer keeps the cache of its last forward only.  `Network` calls
+the first stage's layers (conv0, its ReLU and its pool when it has one)
+one frame at a time: it keeps each frame's conv0 window view, gathers the
+frames' ReLU masks into one batch-wide `mask`, and points conv0's cache
+and the ReLU's mask at one frame before that frame's backward.
 """
 
 from __future__ import annotations

@@ -6,6 +6,15 @@ size (a stage whose size allows no pooling has no pool layer); the dense
 layer reads the flattened final volume and emits one value per model
 coefficient.  The architecture is fixed and deliberately small so it
 trains on a CPU in minutes.
+
+`Network` runs the first stage (conv0, its rectifier and its pool when
+there is one) one frame at a time, for every batch size, and the later
+stages and the dense layer on the whole batch.  At 64x64 a frame's
+first-stage column matrix is 885 KB and its activations 262 KB, so they
+stay in a core's cache, where the whole batch's would not.  Forward keeps
+each frame's conv0 window view for backward, which sums conv0's `dw`/`db`
+over the frames in frame order.  After a forward, the first rectifier's
+`mask` covers the whole batch, so callers can read every frame's kinks.
 """
 
 from __future__ import annotations
@@ -71,6 +80,9 @@ class Network:
             if pool > 1:
                 self.layers.append(AvgPool2d(pool))
         self.layers.append(Dense(features, config.outputs, rng=rng))
+        # How many layers the first stage has: conv0, its ReLU, its pool if any.
+        self._stage0 = 3 if stages[0][2] > 1 else 2
+        self._conv0_windows = []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.config.input_channels or (
@@ -80,8 +92,19 @@ class Network:
                 f"input shape {x.shape} does not match (batch, {self.config.input_channels}, "
                 f"{self.config.input_size}, {self.config.input_size})"
             )
-        out = x
-        for layer in self.layers:
+        conv, relu = self.layers[:2]
+        mask = np.empty((len(x), conv.out_channels) + x.shape[2:], dtype=bool)
+        outs, self._conv0_windows = [], []
+        for i, frame in enumerate(x):
+            out = frame[None]
+            for layer in self.layers[: self._stage0]:
+                out = layer.forward(out)
+            outs.append(out)
+            self._conv0_windows.append(conv._cache)
+            mask[i] = relu.mask[0]
+        relu.mask = mask
+        out = np.concatenate(outs)
+        for layer in self.layers[self._stage0 :]:
             out = layer.forward(out)
         return out
 
@@ -91,9 +114,22 @@ class Network:
         Nothing reads the gradient with respect to the input planes, so the
         first conv stage computes parameter gradients only.
         """
-        for layer in reversed(self.layers[1:]):
+        for layer in reversed(self.layers[self._stage0 :]):
             dout = layer.backward(dout)
-        self.layers[0].backward(dout, input_grad=False)
+        conv, relu = self.layers[:2]
+        mask = relu.mask
+        dw, db = np.zeros_like(conv.w), np.zeros_like(conv.b)
+        for i, win in enumerate(self._conv0_windows):
+            # Point conv0's cache and the rectifier's mask at frame i.
+            conv._cache, relu.mask = win, mask[i : i + 1]
+            frame_dout = dout[i : i + 1]
+            for layer in reversed(self.layers[1 : self._stage0]):
+                frame_dout = layer.backward(frame_dout)
+            conv.backward(frame_dout, input_grad=False)
+            dw += conv.dw
+            db += conv.db
+        relu.mask = mask
+        conv.dw, conv.db = dw, db
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.parameters()]

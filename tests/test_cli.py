@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -129,12 +130,29 @@ class TestTrainPredict:
 
     def test_checkpoint_records_provenance(self, corpus_dir, checkpoint):
         _, _, extra = load_checkpoint(checkpoint)
-        manifest = (corpus_dir / "manifest.txt").read_bytes()
-        assert extra["corpus_sha256"] == hashlib.sha256(manifest).hexdigest()
+        manifest = corpus_dir / "manifest.txt"
+        digest = hashlib.sha256(manifest.read_bytes())
+        for frame_path, sidecar_path in read_manifest(manifest):
+            digest.update(frame_path.read_bytes())
+            digest.update(sidecar_path.read_bytes())
+        assert extra["corpus_sha256"] == digest.hexdigest()
         assert extra["numpy"] == np.__version__
         assert (extra["seed"], extra["test_fraction"]) == (7, 0.2)
         assert (extra["epochs"], extra["batch_size"]) == (2, 10)
         assert extra["learning_rate"] == 1e-4
+
+    def test_corpus_digest_covers_frame_bytes(self, workdir, corpus_dir, checkpoint):
+        edited = workdir / "edited_corpus"
+        shutil.copytree(corpus_dir, edited)
+        frame_path = read_manifest(edited / "manifest.txt")[0][0]
+        raw = bytearray(frame_path.read_bytes())
+        raw[-1] ^= 1  # one pixel, so the frame still loads
+        frame_path.write_bytes(bytes(raw))
+        out = workdir / "edited_trained"
+        assert main(["train", "--corpus", str(edited / "manifest.txt"), "--seed", "7",
+                     "--test-fraction", "0.2", "--epochs", "1", "--out", str(out)]) == 0
+        digest = load_checkpoint(out / "checkpoint.npz")[2]["corpus_sha256"]
+        assert digest != load_checkpoint(checkpoint)[2]["corpus_sha256"]
 
     def test_predict_at_anchor_returns_r0(self, corpus_dir, checkpoint, capsys):
         pairs = read_manifest(corpus_dir / "manifest.txt")

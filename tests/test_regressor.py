@@ -254,18 +254,102 @@ class TestConvBackward:
         assert np.array_equal(bare.db, full.db)
 
     def test_network_gradients_match_full_backward(self):
+        # Network.backward runs the first stage one frame at a time and sums
+        # conv0's dw/db in frame order; the later layers run on the batch.
         net, twin = (Network(NetworkConfig(3, 16, 2, seed=34)) for _ in range(2))
         rng = np.random.default_rng(35)
         x = rng.uniform(0.0, 1.0, (4, 3, 16, 16))
         _, grad = mse_loss(net.forward(x), rng.standard_normal((4, 2)))
-        twin.forward(x)
         net.backward(grad)
+        first, rest = twin.layers[:3], twin.layers[3:]
+        out = np.concatenate([run_layers(first, frame[None]) for frame in x])
+        run_layers(rest, out)
+        dout = grad
+        for layer in reversed(rest):
+            dout = layer.backward(dout)
+        dws, dbs = [], []
+        for i, frame in enumerate(x):
+            run_layers(first, frame[None])
+            frame_dout = dout[i : i + 1]
+            for layer in reversed(first[1:]):
+                frame_dout = layer.backward(frame_dout)
+            first[0].backward(frame_dout, input_grad=False)
+            dws.append(first[0].dw)
+            dbs.append(first[0].db)
+        per_frame = [sum(dws), sum(dbs)] + [g.copy() for g in twin.gradients()[2:]]
+        for got, want in zip(net.gradients(), per_frame, strict=True):
+            assert np.array_equal(got, want)
+        # The whole batch through every layer at once differs only in the
+        # order conv0's per-frame terms are summed.
+        run_layers(twin.layers, x)
         dout = grad
         for layer in reversed(twin.layers):
             dout = layer.backward(dout)
         assert dout.shape == x.shape
-        for got, want in zip(net.gradients(), twin.gradients()):
+        for got, want in zip(net.gradients(), twin.gradients(), strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def run_layers(layers, x: np.ndarray) -> np.ndarray:
+    for layer in layers:
+        x = layer.forward(x)
+    return x
+
+
+class TestFirstStagePerFrame:
+    @pytest.mark.parametrize("size", [7, 8, 16, 64])
+    @pytest.mark.parametrize("batch", [1, 3, 10])
+    def test_forward_matches_full_batch_layers(self, size, batch):
+        cfg = NetworkConfig(3, size, 2, seed=40)
+        x = np.random.default_rng(41).uniform(0.0, 1.0, (batch, 3, size, size))
+        got = Network(cfg).forward(x)
+        want = run_layers(Network(cfg).layers, x)
+        if size * size % 16 == 0 or batch == 1:
             assert np.array_equal(got, want)
+        else:
+            # A 7x7 frame is 49 conv0 columns.  OpenBLAS rounds the last
+            # columns of a product whose width is no multiple of its kernel's
+            # differently, so a frame's columns alone and inside the batch's
+            # longer product can differ in the last bit.
+            first = Network(cfg).layers
+            stage0 = np.concatenate([run_layers(first[:2], frame[None]) for frame in x])
+            assert np.array_equal(got, run_layers(first[2:], stage0))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_first_relu_mask_covers_the_batch(self):
+        cfg = NetworkConfig(3, 64, 2, seed=42)
+        net = Network(cfg)
+        x = np.random.default_rng(43).uniform(0.0, 1.0, (10, 3, 64, 64))
+        out = net.forward(x)
+        conv0_out = Network(cfg).layers[0].forward(x)
+        relu = net.layers[1]
+        assert relu.mask.shape == conv0_out.shape == (10, 8, 64, 64)
+        assert np.array_equal(relu.mask, conv0_out > 0)
+        net.backward(np.ones_like(out))
+        assert np.array_equal(relu.mask, conv0_out > 0)
+
+    def test_training_step_working_set(self):
+        # One batch-10 64x64 step peaks below the batch's conv0 column matrix
+        # (27 x 40 960 float64), which the first stage never builds.
+        net = Network(NetworkConfig(3, 64, 2, seed=44))
+        optimizer = Adam(net.parameters(), 1e-4)
+        rng = np.random.default_rng(45)
+        x = rng.uniform(0.0, 1.0, (10, 3, 64, 64))
+        y = rng.standard_normal((10, 2))
+
+        def step():
+            _, grad = mse_loss(net.forward(x), y)
+            net.backward(grad)
+            optimizer.step(net.gradients())
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 27 * 10 * 64 * 64 * 8
 
 
 class TestShapeAlgebra:
