@@ -10,10 +10,17 @@ those coefficients well.  Every quantizer bin then has closed-form mass:
 so the entropy H(q) = -sum p*log2(p) can be evaluated for any step size q,
 and a scaled H makes a serviceable synthetic rate curve.  QP and step size
 convert via qp = 6*log2(q) + 4.
+
+One implementation serves entropy() and both curves: _entropies evaluates
+the heads of consecutive step sizes that share a head size as the rows of
+one array pass, no larger than the largest single head, and sums each row
+on its own.  A curve costs a few array passes instead of one set of NumPy
+calls per step, and every H keeps the bits of a one-step evaluation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +32,10 @@ from .model import RQPCurve, RQPSample
 _P_FLOOR = 1e-300
 
 # The head holds max(1024, 64*a) bin pairs, a = scale/q; _MAX_A bounds it
-# at 4M bins (32 MB of masses).
+# at _MAX_BINS = 4M bins (32 MB of masses), and a pass shared by several
+# heads holds no more bins than that.
 _MAX_A = 65_536.0
+_MAX_BINS = 64 * int(_MAX_A)
 
 
 @dataclass(frozen=True)
@@ -85,12 +94,13 @@ def _plogp(p):
         return np.where(p >= _P_FLOOR, -p * np.log2(p), 0.0)
 
 
-def _head_masses(scale: float, q: float) -> np.ndarray:
-    """Masses of side bins 1..N summed outright, N = max(1024, 64*scale/q)."""
+def _head_size(scale: float, q: float) -> int:
+    """Side bins summed outright at step q: max(1024, 64*scale/q), at most _MAX_BINS."""
+    _check_qstep(q)
     a = scale / q
     if a > _MAX_A:
         raise ValueError(f"scale/q = {a:.3g} exceeds {_MAX_A:g}: the head would pass 4M bins")
-    return _side_bin_mass(scale, q, np.arange(1, max(1024, math.ceil(64.0 * a)) + 1))
+    return max(1024, math.ceil(64.0 * a))
 
 
 def _tail_bits(scale: float, q: float, n_bins: int) -> float:
@@ -116,15 +126,40 @@ def _tail_bits(scale: float, q: float, n_bins: int) -> float:
     return (lead + nxt) / math.log(2.0)
 
 
+def _head_bits(scale: float, q: np.ndarray, n: int) -> list[float]:
+    """-sum p*log2(p) over side bins 1..n at each step of the column q, one row each.
+
+    A pass's arrays are freed on return, before the next pass builds its own.
+    """
+    return _plogp(_side_bin_mass(scale, q, np.arange(1, n + 1))).sum(axis=1).tolist()
+
+
+def _entropies(scale: float, qs) -> list[float]:
+    """Entropy in bits at each step size of the iterable qs, in order.
+
+    Every step is checked, in order, before any head is built.  Consecutive
+    heads of one size share a pass as the rows of one array of at most
+    _MAX_BINS bins, and each row is summed on its own, so every H keeps the
+    pairwise summation, and the bits, of a one-step evaluation.
+    """
+    steps = [(q, _head_size(scale, q)) for q in qs]
+    sides: list[float] = []
+    for n, run in itertools.groupby(steps, key=lambda step: step[1]):
+        q = np.array([step for step, _ in run], dtype=float)[:, None]
+        rows = _MAX_BINS // n
+        for i in range(0, len(q), rows):
+            sides += _head_bits(scale, q[i : i + rows], n)
+    zero = _plogp(np.array([_zero_bin_mass(scale, q) for q, _ in steps])).tolist()
+    return [2.0 * (side + _tail_bits(scale, q, n)) + z
+            for side, (q, n), z in zip(sides, steps, zero)]
+
+
 def entropy(params: CauchyParams, q: float) -> float:
     """Entropy in bits of the quantized coefficient distribution at step q.
 
     scale/q above 65536 raises ValueError.
     """
-    _check_qstep(q)
-    p = _head_masses(params.scale, q)
-    side = float(_plogp(p).sum()) + _tail_bits(params.scale, q, p.size)
-    return 2.0 * side + float(_plogp(_zero_bin_mass(params.scale, q)))
+    return _entropies(params.scale, [q])[0]
 
 
 def total_probability(params: CauchyParams, q: float) -> float:
@@ -135,9 +170,9 @@ def total_probability(params: CauchyParams, q: float) -> float:
     heavy Cauchy tails bin by bin to 1e-6 accuracy would take ~1e9 terms
     at large scale/small step.
     """
-    _check_qstep(q)
-    p = _head_masses(params.scale, q)
-    tail = 2.0 / math.pi * math.atan(params.scale / ((p.size + 0.5) * q))
+    n = _head_size(params.scale, q)
+    p = _side_bin_mass(params.scale, q, np.arange(1, n + 1))
+    tail = 2.0 / math.pi * math.atan(params.scale / ((n + 0.5) * q))
     return 2.0 * float(p.sum()) + _zero_bin_mass(params.scale, q) + tail
 
 
@@ -163,7 +198,8 @@ def synth_curve(params: CauchyParams, qp_grid, bits_scale: float) -> RQPCurve:
     if not (bits_scale > 0 and math.isfinite(bits_scale)):
         raise ValueError(f"bits_scale must be positive and finite, got {bits_scale}")
     qps = [float(v) for v in qp_grid]
-    samples = tuple(RQPSample(qp, bits_scale * entropy(params, qp_to_qstep(qp))) for qp in qps)
+    bits = _entropies(params.scale, (qp_to_qstep(qp) for qp in qps))
+    samples = tuple(RQPSample(qp, bits_scale * h) for qp, h in zip(qps, bits))
     return RQPCurve(samples)  # rejects an empty or non-increasing grid
 
 
@@ -179,7 +215,6 @@ def entropy_loglog_curve(params: CauchyParams) -> RQPCurve:
     ln(H), which is how the quadratic-versus-linear shape of the H-q
     relationship is judged.
     """
-    samples = tuple(
-        RQPSample(math.log(q), entropy(params, float(q))) for q in default_qstep_grid()
-    )
+    qs = [float(q) for q in default_qstep_grid()]
+    samples = tuple(RQPSample(math.log(q), h) for q, h in zip(qs, _entropies(params.scale, qs)))
     return RQPCurve(samples)

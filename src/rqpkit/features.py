@@ -44,7 +44,7 @@ class GrayFrame:
             raise ValueError(f"pixels must be a nonempty 2-d array, got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"pixels must be integers, got dtype {arr.dtype}")
-        if arr.min() < 0 or arr.max() > 255:
+        if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
             raise ValueError("pixel values must lie in [0, 255]")
         arr = arr.astype(np.uint8, copy=True)
         arr.setflags(write=False)
@@ -112,23 +112,38 @@ def validate_tiling(width: int, height: int, cus) -> np.ndarray:
     """Check that the rectangles tile width x height exactly; return the owner map.
 
     The map is a read-only (height, width) array of each pixel's rectangle
-    index in the smallest signed dtype that holds them.  Raises TilingError
-    naming the offending rectangle (and, for overlaps, the one it hits).
+    index in the smallest signed dtype that holds them.  The check counts:
+    when every rectangle lies inside the frame, their areas sum to
+    width*height and the filled map has no pixel left at -1, no pixel can
+    be covered twice.  Only a tiling that fails the count is walked again,
+    rectangle by rectangle, to raise TilingError naming the first
+    overhanging rectangle, the first overlap (and the rectangle it hits)
+    or the first uncovered pixel.
     """
     owner = np.full((height, width), -1, dtype=np.min_scalar_type(-max(len(cus), 1)))
+    if all(r.x + r.w <= width and r.y + r.h <= height for r in cus):
+        for i, r in enumerate(cus):
+            owner[r.y : r.y + r.h, r.x : r.x + r.w] = i
+        if sum(r.w * r.h for r in cus) == width * height and not (owner == -1).any():
+            owner.setflags(write=False)
+            return owner
+    owner.fill(-1)
+    raise TilingError(_tiling_fault(owner, cus))
+
+
+def _tiling_fault(owner: np.ndarray, cus) -> str:
+    """The first fault, in rectangle order, of rectangles that do not tile an all -1 owner map."""
+    height, width = owner.shape
     for i, r in enumerate(cus):
         if r.x + r.w > width or r.y + r.h > height:
-            raise TilingError(f"{r} overhangs the {width}x{height} frame")
+            return f"{r} overhangs the {width}x{height} frame"
         region = owner[r.y : r.y + r.h, r.x : r.x + r.w]
         if (region != -1).any():
-            other = int(region[region != -1][0])
-            raise TilingError(f"{r} overlaps {cus[other]}")
+            return f"{r} overlaps {cus[int(region[region != -1][0])]}"
         region[...] = i
-    if (owner == -1).any():
-        gap_y, gap_x = np.argwhere(owner == -1)[0]
-        raise TilingError(f"tiling leaves pixel ({int(gap_x)}, {int(gap_y)}) uncovered")
-    owner.setflags(write=False)
-    return owner
+    # No overhang and no overlap, yet the count failed: the areas fall short, so a pixel is left.
+    gap_y, gap_x = np.argwhere(owner == -1)[0]
+    return f"tiling leaves pixel ({int(gap_x)}, {int(gap_y)}) uncovered"
 
 
 def build_seg(frame: GrayFrame, owner: np.ndarray) -> np.ndarray:

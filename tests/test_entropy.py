@@ -1,6 +1,8 @@
 """Quantized-coefficient entropy: bin masses, entropy sums, QP conversion, curves."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,10 @@ from rqpkit.entropy import (
     synth_curve,
     total_probability,
 )
-from rqpkit.model import ModelSpec, fit, residuals
+from rqpkit.model import ModelSpec, RQPCurve, RQPSample, fit, residuals
+
+# The package re-exports entropy() under the submodule's name.
+entropy_module = sys.modules["rqpkit.entropy"]
 
 # Frozen with a 40-digit evaluation of atan(1/1.75)/pi and -2*p*log2(p).
 P_G1_Q1_N1 = 0.1652493405385679
@@ -304,3 +309,97 @@ class TestLogLogShape:
         rmse_quad = float(np.sqrt(np.mean(residuals(fit(ModelSpec("quadratic"), curve), curve) ** 2)))
         rmse_lin = float(np.sqrt(np.mean(residuals(fit(ModelSpec("linear"), curve), curve) ** 2)))
         assert rmse_quad / rmse_lin < 0.9
+
+
+def per_step_entropy(scale: float, q: float) -> float:
+    """One step at a time, as entropy() evaluated before heads shared passes:
+    check q, build the head's masses, -p log2 p, one sum, the closed-form tail,
+    then the deadzone."""
+    if not (q > 0 and math.isfinite(q)):
+        raise ValueError(f"quantization step must be positive and finite, got {q}")
+    a = scale / q
+    if a > 65_536.0:
+        raise ValueError(f"scale/q = {a:.3g} exceeds 65536: the head would pass 4M bins")
+    p = entropy_module._side_bin_mass(scale, q, np.arange(1, max(1024, math.ceil(64.0 * a)) + 1))
+    side = float(entropy_module._plogp(p).sum()) + entropy_module._tail_bits(scale, q, p.size)
+    return 2.0 * side + float(entropy_module._plogp(entropy_module._zero_bin_mass(scale, q)))
+
+
+def per_step_curve(scale: float, qp_grid, bits_scale: float) -> RQPCurve:
+    qps = [float(qp) for qp in qp_grid]
+    return RQPCurve(tuple(RQPSample(qp, bits_scale * per_step_entropy(scale, qp_to_qstep(qp)))
+                          for qp in qps))
+
+
+def outcome(fn, *args):
+    """The curve's (qp, rate) pairs, or the exception's type and message."""
+    try:
+        return [(s.qp, s.rate) for s in fn(*args).samples]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# Log-uniform over [1e-2, 5e3]: heads from the 1024-bin minimum to ~500k bins
+# over QPs 0..51, so most grids at large scales span several passes.
+log_scales = st.floats(math.log(1e-2), math.log(5e3)).map(math.exp)
+qp_grids = st.lists(st.floats(0.0, 51.0), min_size=1, max_size=12, unique=True).map(sorted)
+
+
+class TestSharedPasses:
+    @given(scale=log_scales, grid=qp_grids, bits_scale=st.floats(1.0, 1e6))
+    @example(scale=5e3, grid=[0.0, 0.5, 1.0, 26.0, 51.0], bits_scale=1.0)
+    @example(scale=1e-2, grid=[51.0], bits_scale=1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_synth_curve_is_per_step_bit_for_bit(self, scale, grid, bits_scale):
+        assert outcome(synth_curve, CauchyParams(scale), grid, bits_scale) == outcome(
+            per_step_curve, scale, grid, bits_scale)
+
+    @given(scale=log_scales, qp=st.floats(0.0, 51.0))
+    @settings(max_examples=60, deadline=None)
+    def test_entropy_is_per_step_bit_for_bit(self, scale, qp):
+        q = qp_to_qstep(qp)
+        assert entropy(CauchyParams(scale), q) == per_step_entropy(scale, q)
+
+    @given(scale=log_scales)
+    @example(scale=5e3)
+    @settings(max_examples=10, deadline=None)
+    def test_loglog_curve_is_per_step_bit_for_bit(self, scale):
+        expected = [(math.log(q), per_step_entropy(scale, float(q))) for q in default_qstep_grid()]
+        curve = entropy_loglog_curve(CauchyParams(scale))
+        assert [(s.qp, s.rate) for s in curve.samples] == expected
+
+    def test_equal_heads_beyond_one_pass(self):
+        # 5000 heads of 1024 bins fill one pass of 4096 rows and part of another.
+        grid = np.linspace(30.0, 60.0, 5000)
+        assert outcome(synth_curve, CauchyParams(1.0), grid, 1.0) == outcome(
+            per_step_curve, 1.0, grid, 1.0)
+
+    @pytest.mark.parametrize("grid", [
+        [],
+        [10.0, float("nan")],
+        [float("nan"), -60.0],
+        [-60.0, float("nan")],
+        [10.0, -60.0, -70.0],
+        [10.0, 10.0],
+        [22.0, 14.0, 18.0],
+        [22.0, 14.0, -60.0],
+        [10.0, 1e5],
+    ])
+    def test_grid_errors_match_per_step(self, grid):
+        # QP -60 is too fine for scale 100 (scale/q ~ 1.0e5 > 65536); 1e5 overflows the step.
+        got = outcome(synth_curve, CauchyParams(100.0), grid, 1.0)
+        assert isinstance(got[0], type) and got == outcome(per_step_curve, 100.0, grid, 1.0)
+
+    def test_memory_stays_at_one_head(self):
+        # Eight heads of 2.6M-3.8M bins, one pass each: the peak is the largest head's.
+        grid = [4.0 + 0.5 * i for i in range(8)]
+        tracemalloc.start()
+        try:
+            per_step_entropy(60000.0, qp_to_qstep(grid[0]))
+            reference_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            synth_curve(CauchyParams(60000.0), grid, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * reference_peak

@@ -227,6 +227,97 @@ class TestClosedFormPlanes:
         assert np.array_equal(validate_coverage(20, 16, pus), [[0, 34]])
 
 
+def loop_tiling(width: int, height: int, cus):
+    """Reference tiling check, rectangle by rectangle: the owner map, or the
+    first overhang, overlap or uncovered pixel as a TilingError message."""
+    owner = np.full((height, width), -1, dtype=np.min_scalar_type(-max(len(cus), 1)))
+    for i, r in enumerate(cus):
+        if r.x + r.w > width or r.y + r.h > height:
+            return f"{r} overhangs the {width}x{height} frame"
+        region = owner[r.y : r.y + r.h, r.x : r.x + r.w]
+        if (region != -1).any():
+            other = int(region[region != -1][0])
+            return f"{r} overlaps {cus[other]}"
+        region[...] = i
+    if (owner == -1).any():
+        gap_y, gap_x = np.argwhere(owner == -1)[0]
+        return f"tiling leaves pixel ({int(gap_x)}, {int(gap_y)}) uncovered"
+    return owner
+
+
+def mutate_tiling(rng: np.random.Generator, width: int, height: int, cus, kind: str):
+    """The tiling with one rectangle shifted, dropped, duplicated or stretched past
+    the frame's edge, or with every rectangle dropped."""
+    cus = list(cus)
+    i = int(rng.integers(len(cus)))
+    r = cus[i]
+    if kind == "shift":
+        dx, dy = (int(v) for v in rng.integers(-3, 4, size=2))
+        cus[i] = CuRect(max(r.x + dx, 0), max(r.y + dy, 0), r.w, r.h)
+    elif kind == "drop":
+        del cus[i]
+    elif kind == "duplicate":
+        cus.insert(int(rng.integers(len(cus) + 1)), r)
+    elif kind == "stretch":
+        extra = int(rng.integers(1, 4))
+        cus[i] = (CuRect(r.x, r.y, width - r.x + extra, r.h) if rng.random() < 0.5
+                  else CuRect(r.x, r.y, r.w, height - r.y + extra))
+    else:
+        cus = []
+    return cus
+
+
+class TestCountingTiling:
+    """validate_tiling counts; its answers are those of the per-rectangle walk."""
+
+    @given(width=st.integers(1, 70), height=st.integers(1, 70),
+           root=st.sampled_from([4, 8, 16, 32, 64]), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["none", "shift", "drop", "duplicate", "stretch", "empty"]))
+    @example(width=64, height=64, root=32, seed=0, kind="duplicate")
+    @example(width=8, height=8, root=8, seed=0, kind="drop")  # one rectangle, then none
+    @example(width=64, height=64, root=16, seed=3, kind="empty")
+    @settings(max_examples=300, deadline=None)
+    def test_same_map_or_message_as_the_walk(self, width, height, root, seed, kind):
+        rng = np.random.default_rng(seed)
+        cus = random_quadtree(rng, width, height, root=root, min_size=1)
+        if kind != "none":
+            cus = mutate_tiling(rng, width, height, cus, kind)
+        expected = loop_tiling(width, height, cus)
+        if isinstance(expected, str):
+            with pytest.raises(TilingError) as err:
+                validate_tiling(width, height, cus)
+            assert str(err.value) == expected
+        else:
+            owner = validate_tiling(width, height, cus)
+            assert owner.dtype == expected.dtype and np.array_equal(owner, expected)
+            assert not owner.flags.writeable
+
+    def test_overlap_with_matching_area_is_named(self):
+        # Two overlapping rectangles and a gap of the same size: the areas sum
+        # to the frame's, so the -1 count is what refuses it.
+        cus = [CuRect(0, 0, 2, 2), CuRect(1, 0, 2, 2), CuRect(0, 2, 4, 2)]
+        with pytest.raises(TilingError) as err:
+            validate_tiling(4, 4, cus)
+        assert str(err.value) == loop_tiling(4, 4, cus)
+        assert "overlaps CuRect(x=0, y=0" in str(err.value)
+
+
+class TestGrayFrameRange:
+    @pytest.mark.parametrize("value", [-1, 256])
+    def test_int64_out_of_range_refused(self, value):
+        pixels = np.zeros((3, 4), dtype=np.int64)
+        pixels[1, 2] = value
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            GrayFrame(pixels)
+
+    def test_uint8_reads_back_equal(self):
+        pixels = np.random.default_rng(4).integers(0, 256, size=(5, 7), dtype=np.uint8)
+        frame = GrayFrame(pixels)
+        assert frame.pixels.dtype == np.uint8 and np.array_equal(frame.pixels, pixels)
+        assert frame.pixels is not pixels and not frame.pixels.flags.writeable
+        assert pixels.flags.writeable
+
+
 class TestBuildIntra:
     def test_mode_zero_everywhere(self):
         pus = [PuMode(x, y, 0) for y in (0, 16) for x in (0, 16)]
