@@ -22,7 +22,7 @@ from . import ingest
 from .features import CHANNEL_ORDER, channel_order, stack_from_coding
 from .model import FORMS, predict_rate
 from .pgm import write_pgm
-from .regressor import CONV_CHANNELS, TrainConfig
+from .regressor import TrainConfig
 
 
 def _parse_channels(text: str) -> tuple[str, ...]:
@@ -176,8 +176,7 @@ def cmd_train(args) -> int:
     (out / "history.csv").write_text("\n".join(history) + "\n")
     # One gradient-norm and one update-ratio column per parameter array, in
     # Network.parameters() order.
-    stages = [f"conv{k}" for k in range(len(CONV_CHANNELS))] + ["dense"]
-    arrays = [f"{stage}_{p}" for stage in stages for p in "wb"]
+    arrays = [f"{name}_{p}" for name in run.network.learned for p in "wb"]
     telemetry = [",".join(["epoch", "epoch_s"] + [f"grad_norm_{a}" for a in arrays]
                           + [f"update_ratio_{a}" for a in arrays])]
     for i, (secs, norms, ratios) in enumerate(

@@ -309,9 +309,7 @@ def run_training(corpus, split: DatasetSplit, form: str, fastened: bool, channel
         raise ValueError("split has no training frames")
     by_id = corpus_index(corpus)
     x, y = _dataset(by_id, split.train, form, fastened, channels)
-    if x.shape[2] != x.shape[3]:
-        raise ValueError(f"the regressor expects square frames, got {x.shape[3]}x{x.shape[2]}")
-    network = Network(NetworkConfig(len(channels), x.shape[2], y.shape[1], train_cfg.seed))
+    network = Network(NetworkConfig(len(channels), y.shape[1], train_cfg.seed))
     validation = None
     if split.validation:
         validation = _dataset(by_id, split.validation, form, fastened, channels)

@@ -1,12 +1,13 @@
 """Compact convolutional regressor mapping feature stacks to model coefficients.
 
-Implemented from first principles on numpy: four convolution stages with
-rectifier activations and average pooling, one dense output layer, trained
-with an adaptive-moment optimizer on a mean-squared parameter loss.
+Implemented from first principles on numpy: three convolution stages with
+rectifier activations and average pooling (the last over the whole plane,
+so any frame size fits), a hidden and an output dense layer, trained with
+an adaptive-moment optimizer on a mean-squared parameter loss.
 """
 
 from .layers import AvgPool2d, Conv2d, Dense, ReLU
-from .network import CONV_CHANNELS, Network, NetworkConfig
+from .network import Network, NetworkConfig
 from .training import (
     Adam,
     DegenerateLabelsError,
@@ -24,7 +25,6 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 __all__ = [
     "Adam",
     "AvgPool2d",
-    "CONV_CHANNELS",
     "CheckpointError",
     "Conv2d",
     "DegenerateLabelsError",

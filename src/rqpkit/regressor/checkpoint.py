@@ -15,7 +15,7 @@ import numpy as np
 from .network import Network, NetworkConfig, parameter_shapes
 from .training import TargetScaler
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -69,8 +69,8 @@ def _load(path: Path) -> tuple[Network, TargetScaler, dict]:
                 f"(expected {FORMAT_VERSION})"
             )
         config = NetworkConfig(**meta["config"])
-        # Compare the stored shapes before building: a config that claims a
-        # large input would otherwise allocate its network first.
+        # Compare the stored shapes before building: a config that claims
+        # many outputs would otherwise allocate its network first.
         shapes = parameter_shapes(config)
         params = [archive[f"param_{i}"] for i in range(len(shapes))]
         for i, (param, shape) in enumerate(zip(params, shapes)):

@@ -15,16 +15,17 @@ for dW rather than holding the copy.  Unless told not to (the network's
 first stage), backward also forms every tap's input gradient with one
 more product and scatters it back (col2im).
 
-AvgPool2d sums with strided slices, in a fixed order: the window's column
+AvgPool2d sums with strided slices, in a fixed order: the block's column
 phases along W, then the row phases of that result along H, then one
-division by window².  ReLU's backward multiplies by its mask.  Neither
-makes a reduction or `where` pass over its input.
+division by the block's area; GlobalAvgPool2d's one block is the plane.
+ReLU's backward multiplies by its mask.  Neither makes a reduction or
+`where` pass over its input.
 
 Each layer keeps the cache of its last forward only.  `Network` calls
-the first stage's layers (conv0, its ReLU and its pool when it has one)
-one frame at a time: it keeps each frame's conv0 window view, gathers the
-frames' ReLU masks into one batch-wide `mask`, and points conv0's cache
-and the ReLU's mask at one frame before that frame's backward.
+the first stage's layers (conv0, its ReLU and its pool) one frame at a
+time: it keeps each frame's conv0 window view, gathers the frames' ReLU
+masks into one batch-wide `mask`, and points conv0's cache and the ReLU's
+mask at one frame before that frame's backward.
 """
 
 from __future__ import annotations
@@ -130,49 +131,59 @@ class ReLU:
 
 
 class AvgPool2d:
-    """Non-overlapping average pooling over window x window blocks.
+    """Average pooling over k x k blocks, k the largest of window, window/2,
+    ... that divides both sides of the plane (at k = 1 it passes through).
 
     Forward sums each block along W (column phase 0, 1, ... added in
     turn), then sums those partial sums along H the same way, then divides
-    by window².  That is `x.reshape(b, c, h/k, k, w/k, k).sum(axis=5)
+    by k².  That is `x.reshape(b, c, h/k, k, w/k, k).sum(axis=5)
     .sum(axis=3) / k²` bit for bit.  It also equals `mean(axis=(3, 5))`
     bit for bit unless the pooled plane is one value wide: each block is
     then one contiguous run, which NumPy sums in row-major order (or
-    pairwise, from 8 values up).  In the network's square planes that is
-    only a pool down to 1x1.
+    pairwise, from 8 values up), as in a global average pool.
     """
 
     def __init__(self, window: int):
         if window < 2:
             raise ValueError(f"pooling window must be >= 2, got {window}")
         self.window = window
-        self._in_shape = None
+        self._block = None
+
+    def _block_size(self, h: int, w: int) -> tuple[int, int]:
+        k = self.window
+        while h % k or w % k:
+            k //= 2
+        return k, k
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        k = self.window
-        h, w = x.shape[2:]
-        if h % k or w % k:
-            raise ValueError(f"pooling window {k} does not divide {h}x{w}")
-        self._in_shape = x.shape
-        cols = x[..., 0::k] + x[..., 1::k]
-        for j in range(2, k):
-            cols += x[..., j::k]
-        rows = cols[:, :, 0::k] + cols[:, :, 1::k]
-        for i in range(2, k):
-            rows += cols[:, :, i::k]
-        return rows / (k * k)
+        kh, kw = self._block = self._block_size(*x.shape[2:])
+        cols = x[..., 0::kw].copy()
+        for j in range(1, kw):
+            cols += x[..., j::kw]
+        rows = cols[:, :, 0::kh].copy()
+        for i in range(1, kh):
+            rows += cols[:, :, i::kh]
+        return rows / (kh * kw)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        shape = self._in_shape
-        spread = dout / (self.window * self.window)
-        spread = np.repeat(np.repeat(spread, self.window, axis=2), self.window, axis=3)
-        return spread.reshape(shape)
+        kh, kw = self._block
+        return np.repeat(np.repeat(dout / (kh * kw), kh, axis=2), kw, axis=3)
 
     def parameters(self):
         return []
 
     def gradients(self):
         return []
+
+
+class GlobalAvgPool2d(AvgPool2d):
+    """Average of each whole plane, of any height and width: one block the plane's size."""
+
+    def __init__(self):
+        self._block = None
+
+    def _block_size(self, h: int, w: int) -> tuple[int, int]:
+        return h, w
 
 
 class Dense:

@@ -1,20 +1,22 @@
-"""Five-layer regression network: four conv stages and a dense readout.
+"""Size-free regression network: three conv stages, a global average, two dense layers.
 
 Each conv stage is a 3x3 convolution -> rectifier -> average pooling, with
-8/16/32/32 output channels and the pooling window chosen from the input
-size (a stage whose size allows no pooling has no pool layer); the dense
-layer reads the flattened final volume and emits one value per model
-coefficient.  The architecture is fixed and deliberately small so it
-trains on a CPU in minutes.
+8/16/32 output channels.  The first two stages pool by 4, or by the
+largest of 4, 2, 1 that divides both sides of their plane; the third
+averages its whole plane (a global average pool, Lin et al., "Network in
+Network", 2014).  A hidden dense layer with a rectifier and an output
+dense layer map the 32 averages to one value per model coefficient, so
+the network reads frames of any height and width.  The architecture is
+fixed and deliberately small so it trains on a CPU in minutes.
 
-`Network` runs the first stage (conv0, its rectifier and its pool when
-there is one) one frame at a time, for every batch size, and the later
-stages and the dense layer on the whole batch.  At 64x64 a frame's
-first-stage column matrix is 885 KB and its activations 262 KB, so they
-stay in a core's cache, where the whole batch's would not.  Forward keeps
-each frame's conv0 window view for backward, which sums conv0's `dw`/`db`
-over the frames in frame order.  After a forward, the first rectifier's
-`mask` covers the whole batch, so callers can read every frame's kinks.
+`Network` runs the first stage (conv0, its rectifier and its pool) one
+frame at a time, for every batch size, and the later layers on the whole
+batch.  At 64x64 a frame's first-stage column matrix is 885 KB and its
+activations 262 KB, so they stay in a core's cache, where the whole
+batch's would not.  Forward keeps each frame's conv0 window view for
+backward, which sums conv0's `dw`/`db` over the frames in frame order.
+After a forward, the first rectifier's `mask` covers the whole batch, so
+callers can read every frame's kinks.
 """
 
 from __future__ import annotations
@@ -23,88 +25,79 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import KERNEL, AvgPool2d, Conv2d, Dense, ReLU
+from .layers import KERNEL, AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU
 
-CONV_CHANNELS = (8, 16, 32, 32)
+CONV_CHANNELS = (8, 16, 32)
+POOL = 4
+STAGE = 3  # layers per conv stage: the conv, its rectifier, its pool
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """The four values a caller chooses; the conv stages follow from them."""
+    """The three values a caller chooses; the layers follow from them."""
 
     input_channels: int
-    input_size: int
     outputs: int
     seed: int = 0
 
     def __post_init__(self):
         if self.input_channels not in (1, 2, 3):
             raise ValueError(f"input_channels must be 1, 2, or 3, got {self.input_channels}")
-        if self.input_size < 1:
-            raise ValueError(f"input_size must be positive, got {self.input_size}")
         if self.outputs < 1:
             raise ValueError(f"outputs must be >= 1, got {self.outputs}")
 
 
-def _stages(config: NetworkConfig) -> tuple[list[tuple[int, int, int]], int]:
-    """Each conv stage's (in, out channels, pool window); the dense layer's input width."""
-    stages, in_ch, size = [], config.input_channels, config.input_size
-    for out_ch in CONV_CHANNELS:
-        # Pool as hard as the size allows, so one recipe covers 512x512
-        # production frames and 8x8 toy inputs.
-        pool = 4 if size % 4 == 0 else 2 if size % 2 == 0 else 1
-        stages.append((in_ch, out_ch, pool))
-        in_ch, size = out_ch, size // pool
-    return stages, in_ch * size * size
-
-
 def parameter_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
     """Shapes of Network(config).parameters(), without building the network."""
-    stages, features = _stages(config)
-    shapes = []
-    for in_ch, out_ch, _ in stages:
+    shapes, in_ch = [], config.input_channels
+    for out_ch in CONV_CHANNELS:
         shapes += [(out_ch, in_ch, KERNEL, KERNEL), (out_ch,)]
-    return shapes + [(config.outputs, features), (config.outputs,)]
+        in_ch = out_ch
+    return shapes + [(in_ch, in_ch), (in_ch,), (config.outputs, in_ch), (config.outputs,)]
 
 
 class Network:
-    """The learnable stack; parameters update in place via .parameters()."""
+    """The learnable stack; parameters update in place via .parameters().
+
+    `learned` names the layers that hold parameters (conv0..conv2, hidden,
+    dense), in parameters() order.
+    """
 
     def __init__(self, config: NetworkConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
-        self.layers = []
-        stages, features = _stages(config)
-        for in_ch, out_ch, pool in stages:
-            self.layers += [Conv2d(in_ch, out_ch, rng=rng), ReLU()]
-            if pool > 1:
-                self.layers.append(AvgPool2d(pool))
-        self.layers.append(Dense(features, config.outputs, rng=rng))
-        # How many layers the first stage has: conv0, its ReLU, its pool if any.
-        self._stage0 = 3 if stages[0][2] > 1 else 2
+        self.learned, self.layers, in_ch = {}, [], config.input_channels
+        for k, out_ch in enumerate(CONV_CHANNELS):
+            conv = self.learned[f"conv{k}"] = Conv2d(in_ch, out_ch, rng=rng)
+            self.layers += [conv, ReLU(), AvgPool2d(POOL)]
+            in_ch = out_ch
+        self.layers[-1] = GlobalAvgPool2d()
+        # hidden = the centre taps of the 1x1-plane conv stage it replaced: seeds keep their outputs.
+        taps = Conv2d(in_ch, in_ch, rng=rng).w[:, :, 1, 1].copy()
+        head = Dense(in_ch, config.outputs, rng=rng)
+        hidden = Dense(in_ch, in_ch, rng=rng)
+        hidden.w = taps
+        self.learned.update(hidden=hidden, dense=head)
+        self.layers += [hidden, ReLU(), head]
         self._conv0_windows = []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.config.input_channels or (
-            x.shape[2] != self.config.input_size or x.shape[3] != self.config.input_size
-        ):
-            raise ValueError(
-                f"input shape {x.shape} does not match (batch, {self.config.input_channels}, "
-                f"{self.config.input_size}, {self.config.input_size})"
-            )
+        if x.ndim != 4 or x.shape[1] != self.config.input_channels:
+            raise ValueError(f"input shape {x.shape} does not match "
+                             f"(batch, {self.config.input_channels}, height, width)")
         conv, relu = self.layers[:2]
         mask = np.empty((len(x), conv.out_channels) + x.shape[2:], dtype=bool)
         outs, self._conv0_windows = [], []
         for i, frame in enumerate(x):
             out = frame[None]
-            for layer in self.layers[: self._stage0]:
+            for layer in self.layers[:STAGE]:
                 out = layer.forward(out)
             outs.append(out)
             self._conv0_windows.append(conv._cache)
             mask[i] = relu.mask[0]
         relu.mask = mask
         out = np.concatenate(outs)
-        for layer in self.layers[self._stage0 :]:
+        for layer in self.layers[STAGE:]:
             out = layer.forward(out)
         return out
 
@@ -114,18 +107,15 @@ class Network:
         Nothing reads the gradient with respect to the input planes, so the
         first conv stage computes parameter gradients only.
         """
-        for layer in reversed(self.layers[self._stage0 :]):
+        for layer in reversed(self.layers[STAGE:]):
             dout = layer.backward(dout)
-        conv, relu = self.layers[:2]
+        conv, relu, pool = self.layers[:STAGE]
         mask = relu.mask
         dw, db = np.zeros_like(conv.w), np.zeros_like(conv.b)
         for i, win in enumerate(self._conv0_windows):
             # Point conv0's cache and the rectifier's mask at frame i.
             conv._cache, relu.mask = win, mask[i : i + 1]
-            frame_dout = dout[i : i + 1]
-            for layer in reversed(self.layers[1 : self._stage0]):
-                frame_dout = layer.backward(frame_dout)
-            conv.backward(frame_dout, input_grad=False)
+            conv.backward(relu.backward(pool.backward(dout[i : i + 1])), input_grad=False)
             dw += conv.dw
             db += conv.db
         relu.mask = mask

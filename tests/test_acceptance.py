@@ -184,7 +184,7 @@ def test_criterion_5_gradient_checks():
             numeric = (mse_loss(bump, target)[0] - mse_loss(dip, target)[0]) / (2 * h)
             assert abs(grad[idx] - numeric) <= 1e-4 * max(abs(grad[idx]), abs(numeric), 1.0)
 
-        net = Network(NetworkConfig(2, 8, 3, seed=seed))
+        net = Network(NetworkConfig(2, 3, seed=seed))
         x = rng.uniform(0.0, 1.0, (3, 2, 8, 8))
         y = rng.standard_normal((3, 3))
         checked, skipped = check_network(net, x, y, rng)
@@ -201,7 +201,7 @@ def test_criterion_6_trainability():
     frame, md = synth_corpus(1, seed=ACCEPT_SEED + 6, size=(64, 64))[0]
     stack = stack_from_coding(frame, md)
     label = make_labels(md, frame_spec("quadratic", True, md))
-    net = Network(NetworkConfig(3, 64, 2, seed=ACCEPT_SEED))
+    net = Network(NetworkConfig(3, 2, seed=ACCEPT_SEED))
     result = train(net, normalize_stack(stack)[None], np.array([label.coeffs]),
                    TrainConfig(epochs=200, seed=ACCEPT_SEED))
     ratio = result.train_loss[-1] / result.train_loss[0]

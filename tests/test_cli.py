@@ -118,10 +118,11 @@ class TestTrainPredict:
         header = rows[0].split(",")
         assert header[:2] == ["epoch", "epoch_s"]
         assert header[2:4] == ["grad_norm_conv0_w", "grad_norm_conv0_b"]
+        assert header[8:10] == ["grad_norm_hidden_w", "grad_norm_hidden_b"]
         assert header[10:12] == ["grad_norm_dense_w", "grad_norm_dense_b"]
         assert header[12:14] == ["update_ratio_conv0_w", "update_ratio_conv0_b"]
         assert header[-2:] == ["update_ratio_dense_w", "update_ratio_dense_b"]
-        assert len(header) == 2 + 2 * 10  # four conv stages and the dense layer, w and b each
+        assert len(header) == 2 + 2 * 10  # three conv stages and two dense layers, w and b each
         assert len(rows) == 3
         for i, row in enumerate(rows[1:]):
             values = row.split(",")

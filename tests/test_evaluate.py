@@ -383,11 +383,14 @@ class TestTrainingRuns:
             run_training(tiny_corpus, split, "quadratic", True, ("rec", "luma"),
                          TrainConfig(epochs=1, seed=0))
 
-    def test_non_square_frames_rejected(self):
+    def test_non_square_frames_train_and_score(self):
         corpus = synth_corpus(6, seed=3, size=(32, 64))
-        split = split_dataset([md.frame_id for _, md in corpus], seed=0, test_fraction=0.0)
-        with pytest.raises(ValueError, match="square"):
-            run_training(corpus, split, "quadratic", True, ("rec",), TrainConfig(epochs=1))
+        split = split_dataset([md.frame_id for _, md in corpus], seed=0, test_fraction=1 / 3)
+        run = run_training(corpus, split, "quadratic", True, ("rec",), TrainConfig(epochs=1))
+        assert len(run.result.train_loss) == 1 and np.isfinite(run.result.train_loss).all()
+        row, _ = evaluate_run(corpus, run)
+        assert len(split.test) == 2
+        assert row.n_pairs == len(split.test) * (len(QP_GRID) - 1)
 
     def test_mixed_frame_sizes_rejected(self):
         corpus = synth_corpus(4, seed=3, size=(32, 32)) + synth_corpus(4, seed=4)

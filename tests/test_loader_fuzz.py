@@ -58,7 +58,7 @@ def _assert_one_line(exc: Exception) -> None:
 def checkpoint(tmp_path_factory):
     """(file bytes, byte ranges holding headers, loaded original)."""
     path = tmp_path_factory.mktemp("fuzz") / "original.npz"
-    save_checkpoint(path, Network(NetworkConfig(2, 8, 2, seed=3)),
+    save_checkpoint(path, Network(NetworkConfig(2, 2, seed=3)),
                     TargetScaler(np.array([1.5, -2.0]), np.array([0.5, 3.0])),
                     extra={"note": "fuzz"})
     data = path.read_bytes()

@@ -1,6 +1,7 @@
 """Regressor: layer gradients, shape algebra, training loop, scalers, checkpoints."""
 
 import ast
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -31,7 +32,7 @@ from rqpkit.regressor import (
     save_checkpoint,
     train,
 )
-from rqpkit.regressor.layers import AvgPool2d, Conv2d, Dense, ReLU
+from rqpkit.regressor.layers import AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU
 from rqpkit.regressor.network import parameter_shapes
 
 
@@ -70,6 +71,9 @@ class TestLayerGradients:
         rng = np.random.default_rng(6)
         check_layer(AvgPool2d(4), rng.standard_normal((2, 3, 8, 8)), rng, check_params=False)
         check_layer(AvgPool2d(2), rng.standard_normal((2, 3, 6, 6)), rng, check_params=False)
+        check_layer(AvgPool2d(4), rng.standard_normal((2, 3, 6, 10)), rng, check_params=False)
+        check_layer(GlobalAvgPool2d(), rng.standard_normal((2, 3, 3, 5)), rng,
+                    check_params=False)
 
     def test_dense(self):
         rng = np.random.default_rng(7)
@@ -126,7 +130,7 @@ class TestLayerGradients:
 
     def test_full_network(self):
         for seed in (0, 1):
-            net = Network(NetworkConfig(2, 8, 3, seed=seed))
+            net = Network(NetworkConfig(2, 3, seed=seed))
             rng = np.random.default_rng(seed + 100)
             x = rng.uniform(0.0, 1.0, (3, 2, 8, 8))
             y = rng.standard_normal((3, 3))
@@ -136,6 +140,20 @@ class TestLayerGradients:
 
 
 class TestPoolForward:
+    def test_block_is_largest_halving_that_divides(self):
+        x = np.random.default_rng(49).standard_normal((2, 3, 6, 10))
+        assert np.array_equal(AvgPool2d(4).forward(x), AvgPool2d(2).forward(x))
+        odd = x[:, :, :5, :7]
+        assert np.array_equal(AvgPool2d(4).forward(odd), odd)
+
+    def test_global_average_reads_the_whole_plane(self):
+        x = np.random.default_rng(50).standard_normal((2, 3, 3, 5))
+        out = GlobalAvgPool2d().forward(x)
+        assert out.shape == (2, 3, 1, 1)
+        np.testing.assert_allclose(out[:, :, 0, 0], x.mean(axis=(2, 3)), rtol=1e-14)
+        square = x[:, :, :3, :3].copy()
+        assert np.array_equal(GlobalAvgPool2d().forward(square), AvgPool2d(3).forward(square))
+
     @given(
         window=st.sampled_from([2, 4]),
         batch=st.integers(1, 12),
@@ -256,7 +274,7 @@ class TestConvBackward:
     def test_network_gradients_match_full_backward(self):
         # Network.backward runs the first stage one frame at a time and sums
         # conv0's dw/db in frame order; the later layers run on the batch.
-        net, twin = (Network(NetworkConfig(3, 16, 2, seed=34)) for _ in range(2))
+        net, twin = (Network(NetworkConfig(3, 2, seed=34)) for _ in range(2))
         rng = np.random.default_rng(35)
         x = rng.uniform(0.0, 1.0, (4, 3, 16, 16))
         _, grad = mse_loss(net.forward(x), rng.standard_normal((4, 2)))
@@ -300,7 +318,7 @@ class TestFirstStagePerFrame:
     @pytest.mark.parametrize("size", [7, 8, 16, 64])
     @pytest.mark.parametrize("batch", [1, 3, 10])
     def test_forward_matches_full_batch_layers(self, size, batch):
-        cfg = NetworkConfig(3, size, 2, seed=40)
+        cfg = NetworkConfig(3, 2, seed=40)
         x = np.random.default_rng(41).uniform(0.0, 1.0, (batch, 3, size, size))
         got = Network(cfg).forward(x)
         want = run_layers(Network(cfg).layers, x)
@@ -317,7 +335,7 @@ class TestFirstStagePerFrame:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_first_relu_mask_covers_the_batch(self):
-        cfg = NetworkConfig(3, 64, 2, seed=42)
+        cfg = NetworkConfig(3, 2, seed=42)
         net = Network(cfg)
         x = np.random.default_rng(43).uniform(0.0, 1.0, (10, 3, 64, 64))
         out = net.forward(x)
@@ -331,7 +349,7 @@ class TestFirstStagePerFrame:
     def test_training_step_working_set(self):
         # One batch-10 64x64 step peaks below the batch's conv0 column matrix
         # (27 x 40 960 float64), which the first stage never builds.
-        net = Network(NetworkConfig(3, 64, 2, seed=44))
+        net = Network(NetworkConfig(3, 2, seed=44))
         optimizer = Adam(net.parameters(), 1e-4)
         rng = np.random.default_rng(45)
         x = rng.uniform(0.0, 1.0, (10, 3, 64, 64))
@@ -355,56 +373,104 @@ class TestFirstStagePerFrame:
 class TestShapeAlgebra:
     @pytest.mark.parametrize("size", [8, 16, 32, 48, 64, 512])
     def test_default_config_is_consistent(self, size):
-        net = Network(NetworkConfig(3, size, 2))
+        net = Network(NetworkConfig(3, 2))
         assert net.forward(np.zeros((2, 3, size, size))).shape == (2, 2)
 
     @pytest.mark.parametrize("size", [7, 8, 64])
     def test_parameter_shapes_match_network(self, size):
-        cfg = NetworkConfig(2, size, 3)
+        cfg = NetworkConfig(2, 3)
         assert parameter_shapes(cfg) == [p.shape for p in Network(cfg).parameters()]
+        assert Network(cfg).forward(np.zeros((1, 2, size, size))).shape == (1, 3)
 
-    def test_unpoolable_stage_has_no_pool_layer(self):
-        # 64 -> 16 -> 4 -> 1: the fourth stage's size allows no pooling.
-        net = Network(NetworkConfig(1, 64, 2))
-        assert [type(layer) for layer in net.layers[-3:]] == [Conv2d, ReLU, Dense]
-        assert sum(isinstance(layer, AvgPool2d) for layer in net.layers) == 3
+    def test_parameter_count(self):
+        # 224 + 1 168 + 4 640 conv weights and biases, 1 056 hidden, 66 output.
+        assert sum(p.size for p in Network(NetworkConfig(3, 2)).parameters()) == 7154
+
+    @pytest.mark.parametrize("shape,planes", [
+        ((64, 64), [(64, 64), (16, 16), (4, 4)]),
+        ((32, 64), [(32, 64), (8, 16), (2, 4)]),
+        ((48, 80), [(48, 80), (12, 20), (3, 5)]),
+        ((8, 12), [(8, 12), (2, 3), (2, 3)]),
+    ], ids=["64x64", "32x64", "48x80", "8x12"])
+    def test_planes_each_conv_reads(self, shape, planes):
+        # No Conv2d reads a 1x1 plane, where only its centre taps would see data.
+        net = Network(NetworkConfig(3, 2, seed=46))
+        assert net.forward(np.zeros((2, 3) + shape)).shape == (2, 2)
+        convs = [layer for layer in net.layers if isinstance(layer, Conv2d)]
+        assert [conv._cache.shape[2:4] for conv in convs] == planes
+
+    def test_non_square_gradients(self):
+        # 8x12 pools by 4 to 2x3, passes 2x3 through and averages it whole.
+        net = Network(NetworkConfig(2, 3, seed=47))
+        rng = np.random.default_rng(48)
+        x = rng.uniform(0.0, 1.0, (3, 2, 8, 12))
+        checked, skipped = check_network(net, x, rng.standard_normal((3, 3)), rng)
+        assert checked > 100
+        assert skipped <= checked // 10
 
     def test_forward_shape_matches_config(self):
-        cfg = NetworkConfig(1, 16, 3, seed=2)
+        cfg = NetworkConfig(1, 3, seed=2)
         net = Network(cfg)
         out = net.forward(np.zeros((5, 1, 16, 16)))
         assert out.shape == (5, 3)
 
     def test_channel_count_bounds(self):
         with pytest.raises(ValueError):
-            NetworkConfig(4, 16, 2)
+            NetworkConfig(4, 2)
 
     def test_input_shape_validated(self):
-        net = Network(NetworkConfig(2, 8, 2))
+        net = Network(NetworkConfig(2, 2))
         with pytest.raises(ValueError, match="shape"):
             net.forward(np.zeros((1, 3, 8, 8)))
         with pytest.raises(ValueError, match="shape"):
-            net.forward(np.zeros((1, 2, 16, 16)))
+            net.forward(np.zeros((2, 16, 16)))
+        # Only the channel count is fixed: any height and width is read.
+        assert net.forward(np.zeros((1, 2, 16, 16))).shape == (1, 2)
 
 
 class TestForward:
     def test_deterministic(self):
-        net = Network(NetworkConfig(2, 8, 2, seed=4))
+        net = Network(NetworkConfig(2, 2, seed=4))
         x = np.random.default_rng(0).uniform(0, 1, (2, 2, 8, 8))
         assert np.array_equal(net.forward(x), net.forward(x))
 
     def test_zero_weights_zero_output(self):
-        net = Network(NetworkConfig(2, 8, 2, seed=4))
+        net = Network(NetworkConfig(2, 2, seed=4))
         for p in net.parameters():
             p[...] = 0.0
         x = np.random.default_rng(0).uniform(0, 1, (3, 2, 8, 8))
         assert (net.forward(x) == 0).all()
 
     def test_seeded_init_reproducible(self):
-        a = Network(NetworkConfig(2, 8, 2, seed=11))
-        b = Network(NetworkConfig(2, 8, 2, seed=11))
+        a = Network(NetworkConfig(2, 2, seed=11))
+        b = Network(NetworkConfig(2, 2, seed=11))
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa, pb)
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "ff99341d7f40210e447e492344bf89f3f26b147997e1846886b7c59209fb5207"),
+        (7, "8d49f9d0a51d04e2e76f5db513d2fe6d92f3f8fbfdae1890921da2e87fb1cfff"),
+        (2020, "a5c337f226c693a4e7f83b135d0b31b12073c0e66941b2e3d6d65fc86310cacb"),
+    ])
+    def test_initial_parameters_match_four_stage_network(self, seed, digest):
+        # SHA-256 of the float64 parameters a 64x64, 3-channel, 2-output network
+        # drew when it had a fourth 3x3 conv stage on its 1x1 plane: conv0..conv2,
+        # that conv's centre taps [:, :, 1, 1] and bias, then the dense layer.
+        h = hashlib.sha256()
+        for p in Network(NetworkConfig(3, 2, seed=seed)).parameters():
+            h.update(np.ascontiguousarray(p, dtype=np.float64).tobytes())
+        assert h.hexdigest() == digest
+
+    def test_conv_on_one_pixel_is_dense_of_centre_taps(self):
+        rng = np.random.default_rng(51)
+        conv = Conv2d(32, 32, rng=np.random.default_rng(52))
+        conv.b = rng.standard_normal(32)
+        dense = Dense(32, 32, rng=np.random.default_rng(53))
+        dense.w, dense.b = conv.w[:, :, 1, 1].copy(), conv.b.copy()
+        for batch in (1, 10):
+            x = rng.standard_normal((batch, 32, 1, 1))
+            want = conv.forward(x)[:, :, 0, 0]
+            assert np.max(np.abs(dense.forward(x) - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestTargetScaler:
@@ -456,21 +522,21 @@ class TestTraining:
     def test_zero_learning_rate_freezes_loss(self):
         rng = np.random.default_rng(3)
         data = toy_dataset(rng, 6)
-        net = Network(NetworkConfig(2, 8, 2, seed=0))
+        net = Network(NetworkConfig(2, 2, seed=0))
         result = train(net, *data, TrainConfig(learning_rate=0.0, epochs=5, seed=0))
         assert len(set(result.train_loss)) == 1
 
     def test_loss_decreases(self):
         rng = np.random.default_rng(4)
         data = toy_dataset(rng, 8)
-        net = Network(NetworkConfig(2, 8, 2, seed=1))
+        net = Network(NetworkConfig(2, 2, seed=1))
         result = train(net, *data, TrainConfig(learning_rate=1e-3, epochs=40, seed=1))
         assert result.train_loss[-1] < result.train_loss[0]
 
     def test_memorizes_single_sample(self):
         rng = np.random.default_rng(5)
         data = toy_dataset(rng, 1)
-        net = Network(NetworkConfig(2, 8, 2, seed=2))
+        net = Network(NetworkConfig(2, 2, seed=2))
         result = train(net, *data, TrainConfig(epochs=200, seed=2))
         assert result.train_loss[-1] < 1e-3 * result.train_loss[0]
 
@@ -478,7 +544,7 @@ class TestTraining:
         rng = np.random.default_rng(6)
         data = toy_dataset(rng, 6)
         val = toy_dataset(rng, 2)
-        net = Network(NetworkConfig(2, 8, 2, seed=3))
+        net = Network(NetworkConfig(2, 2, seed=3))
         result = train(net, *data, TrainConfig(epochs=4, seed=3), val)
         assert len(result.train_loss) == 4 and len(result.val_loss) == 4
 
@@ -487,14 +553,14 @@ class TestTraining:
         data = toy_dataset(rng, 6)
         histories = []
         for _ in range(2):
-            net = Network(NetworkConfig(2, 8, 2, seed=4))
+            net = Network(NetworkConfig(2, 2, seed=4))
             histories.append(train(net, *data, TrainConfig(epochs=6, seed=4)).train_loss)
         assert histories[0] == histories[1]
 
     def test_epoch_telemetry(self):
         rng = np.random.default_rng(19)
         data = toy_dataset(rng, 12)
-        net = Network(NetworkConfig(2, 8, 2, seed=18))
+        net = Network(NetworkConfig(2, 2, seed=18))
         result = train(net, *data, TrainConfig(epochs=3, seed=18))
         assert len(result.epoch_s) == 3 and all(s > 0 for s in result.epoch_s)
         assert len(result.grad_norms) == 3
@@ -506,7 +572,7 @@ class TestTraining:
         # Six samples make one step per epoch, so a run one epoch shorter
         # holds the weights the longer run's last step started from.
         data = toy_dataset(np.random.default_rng(20), 6)
-        long, short = (Network(NetworkConfig(2, 8, 2, seed=21)) for _ in range(2))
+        long, short = (Network(NetworkConfig(2, 2, seed=21)) for _ in range(2))
         result = train(long, *data, TrainConfig(epochs=3, seed=21))
         shorter = train(short, *data, TrainConfig(epochs=2, seed=21))
         assert result.update_ratios[:2] == shorter.update_ratios
@@ -522,7 +588,7 @@ class TestTraining:
     def test_non_finite_loss_aborts(self):
         rng = np.random.default_rng(8)
         data = toy_dataset(rng, 4)
-        net = Network(NetworkConfig(2, 8, 2, seed=5))
+        net = Network(NetworkConfig(2, 2, seed=5))
         with pytest.raises(TrainingError, match="non-finite"):
             train(net, *data, TrainConfig(learning_rate=1e30, epochs=10, seed=5))
 
@@ -536,21 +602,21 @@ class TestTraining:
         # One batch, one epoch: the loss is checked before the only step, so
         # only a check of the weights themselves sees what the step did.
         data = toy_dataset(np.random.default_rng(38), 4)
-        net = Network(NetworkConfig(2, 8, 2, seed=39))
+        net = Network(NetworkConfig(2, 2, seed=39))
         cfg = TrainConfig(epochs=1, batch_size=4)
         object.__setattr__(cfg, "learning_rate", np.inf)  # past TrainConfig's own check
         with pytest.raises(TrainingError, match="non-finite weights"):
             train(net, *data, cfg)
 
     def test_empty_dataset_rejected(self):
-        net = Network(NetworkConfig(2, 8, 2, seed=6))
+        net = Network(NetworkConfig(2, 2, seed=6))
         with pytest.raises(ValueError, match="empty"):
             train(net, np.empty((0, 2, 8, 8)), np.empty((0, 2)), TrainConfig())
 
     @pytest.mark.parametrize("short", ["training", "validation"])
     def test_label_rows_must_match_inputs(self, short):
         x, y = toy_dataset(np.random.default_rng(9), 4)
-        net = Network(NetworkConfig(2, 8, 2, seed=7))
+        net = Network(NetworkConfig(2, 2, seed=7))
         train_y, val_y = (y[:1], y) if short == "training" else (y, y[:1])
         with pytest.raises(ValueError, match="4 rows"):
             train(net, x, train_y, TrainConfig(), (x, val_y))
@@ -558,14 +624,14 @@ class TestTraining:
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(10)
         data = toy_dataset(rng, 2, size=16)
-        net = Network(NetworkConfig(2, 8, 2, seed=8))
+        net = Network(NetworkConfig(3, 2, seed=8))
         with pytest.raises(ValueError, match="does not match"):
             train(net, *data, TrainConfig())
 
     def test_label_width_must_match_outputs(self):
         rng = np.random.default_rng(11)
         data = toy_dataset(rng, 4, outputs=3)
-        net = Network(NetworkConfig(2, 8, 2, seed=9))
+        net = Network(NetworkConfig(2, 2, seed=9))
         with pytest.raises(ValueError, match="coefficients"):
             train(net, *data, TrainConfig())
 
@@ -573,7 +639,7 @@ class TestTraining:
         rng = np.random.default_rng(12)
         data = toy_dataset(rng, 10)
         val = toy_dataset(rng, 4)
-        net = Network(NetworkConfig(2, 8, 2, seed=10))
+        net = Network(NetworkConfig(2, 2, seed=10))
         result = train(net, *data, TrainConfig(epochs=1, seed=10), val)
         z = result.scaler.transform(val[1])
         assert mean_predictor_mse(result.scaler, val[1]) == pytest.approx(float(np.mean(z * z)))
@@ -585,7 +651,7 @@ class TestPredictParams:
     def make_trained(self, outputs=2):
         rng = np.random.default_rng(13)
         data = toy_dataset(rng, 4, outputs=outputs)
-        net = Network(NetworkConfig(2, 8, outputs, seed=11))
+        net = Network(NetworkConfig(2, outputs, seed=11))
         result = train(net, *data, TrainConfig(epochs=1, seed=11))
         return net, result.scaler
 
@@ -603,7 +669,7 @@ class TestPredictParams:
     )
     def test_output_width_per_spec(self, form, fastened, count):
         rng = np.random.default_rng(14)
-        net = Network(NetworkConfig(2, 8, count, seed=12))
+        net = Network(NetworkConfig(2, count, seed=12))
         scaler = TargetScaler.fit(rng.normal(0, 1, (5, count)))
         params = net_predictor(net, scaler, form, fastened, TOY_CHANNELS)(*toy_frame(rng))
         assert len(params.coeffs) == count
@@ -685,7 +751,7 @@ class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
         data = toy_dataset(rng, 5)
-        net = Network(NetworkConfig(2, 8, 2, seed=14))
+        net = Network(NetworkConfig(2, 2, seed=14))
         result = train(net, *data, TrainConfig(epochs=2, seed=14))
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, net, result.scaler, extra={"note": "test"})
@@ -704,28 +770,29 @@ class TestCheckpoint:
         ([5.0, 5.0], [1.0, 0.0]),
     ], ids=["one_entry", "two_d", "nan_mean", "inf_scale", "zero_scale"])
     def test_scaler_that_does_not_fit_network_rejected(self, tmp_path, mean, scale):
-        net = Network(NetworkConfig(2, 8, 2, seed=15))
+        net = Network(NetworkConfig(2, 2, seed=15))
         path = tmp_path / "x.npz"
         save_checkpoint(path, net, TargetScaler(mean, scale))
         with pytest.raises(CheckpointError, match="checkpoint scaler") as info:
             load_checkpoint(path)
         assert "\n" not in str(info.value)
 
-    @pytest.mark.parametrize("version", [1, 2, 999])
+    @pytest.mark.parametrize("version", [1, 2, 3, 999])
     def test_version_guard(self, tmp_path, version):
         rng = np.random.default_rng(18)
-        net = Network(NetworkConfig(2, 8, 2, seed=16))
+        net = Network(NetworkConfig(2, 2, seed=16))
         scaler = TargetScaler.fit(rng.normal(0, 1, (4, 2)))
         path = tmp_path / "c.npz"
         save_checkpoint(path, net, scaler)
         _edit_meta(lambda doc: {**doc, "format_version": version})(path)
-        with pytest.raises(CheckpointError, match="format"):
+        with pytest.raises(CheckpointError, match="format") as info:
             load_checkpoint(path)
+        assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("corrupt", MALFORMED_CHECKPOINTS.values(),
                              ids=MALFORMED_CHECKPOINTS.keys())
     def test_malformed_file_raises_checkpoint_error(self, tmp_path, corrupt):
-        net = Network(NetworkConfig(2, 8, 2, seed=19))
+        net = Network(NetworkConfig(2, 2, seed=19))
         path = tmp_path / "m.npz"
         save_checkpoint(path, net, TargetScaler(np.zeros(2), np.ones(2)))
         corrupt(path)
@@ -735,12 +802,12 @@ class TestCheckpoint:
         assert "\n" not in message and str(path) in message
 
     def test_oversized_config_refused_before_building(self, tmp_path):
-        # An odd input size admits no pooling, so Network would allocate a
-        # dense layer of 32 * 301**2 * 2 floats (and its gradient) first.
+        # Network would allocate an output layer of 200 000 * 32 floats
+        # (and its gradient) first.
         path = tmp_path / "big.npz"
-        save_checkpoint(path, Network(NetworkConfig(2, 8, 2, seed=20)),
+        save_checkpoint(path, Network(NetworkConfig(2, 2, seed=20)),
                         TargetScaler(np.zeros(2), np.ones(2)))
-        _edit_meta(lambda doc: {**doc, "config": {**doc["config"], "input_size": 301}})(path)
+        _edit_meta(lambda doc: {**doc, "config": {**doc["config"], "outputs": 200_000}})(path)
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointError, match="shape"):
