@@ -19,7 +19,6 @@ from .entropy import (
     total_probability,
 )
 from .evaluate import (
-    AblationConfig,
     ErrorReport,
     ReportRow,
     TrainedRun,
@@ -30,7 +29,6 @@ from .evaluate import (
     label_fit_predictor,
     make_labels,
     net_predictor,
-    run_ablation,
     run_training,
 )
 from .features import (

@@ -2,8 +2,8 @@
 
 Subcommands cover the whole pipeline at desk scale: synthesize a corpus,
 extract feature planes, fit ground-truth labels, train the regressor,
-predict single-frame rates, score error proportions, sweep the ablation
-grid, and dump curve data for plotting.  Every command validates its
+predict single-frame rates, score error proportions of one or more
+checkpoints, and dump curve data for plotting.  Every command validates its
 inputs and exits nonzero with a one-line diagnostic on failure.
 """
 
@@ -50,33 +50,6 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"size must look like 64x64, got {text!r}") from None
 
 
-def _parse_forms(text: str) -> tuple[tuple[str, bool], ...]:
-    forms = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            name, mode = part.split(":")
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"forms look like quadratic:fastened or linear:free, got {part!r}"
-            ) from None
-        if name not in FORMS or mode not in ("fastened", "free"):
-            raise argparse.ArgumentTypeError(f"bad form {part!r}")
-        forms.append((name, mode == "fastened"))
-    if not forms:
-        raise argparse.ArgumentTypeError("at least one form is required")
-    return tuple(forms)
-
-
-def _parse_feature_sets(text: str) -> tuple[tuple[str, ...], ...]:
-    sets = tuple(_parse_channels(group) for group in text.split("|") if group.strip())
-    if not sets:
-        raise argparse.ArgumentTypeError("at least one feature set is required")
-    return sets
-
-
 def _out_dir(args) -> Path:
     """Create --out; commands call this only after their inputs have loaded and been checked."""
     out = Path(args.out)
@@ -91,32 +64,6 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
                    help="anchor the model to the one-pass operating point (default: on)")
 
 
-def _add_train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--corpus", required=True, help="corpus manifest path")
-    p.add_argument("--seed", type=int, default=0, help="split/init/shuffle seed")
-    p.add_argument("--test-fraction", type=float, default=0.2,
-                   help="fraction of frames held out for testing (default: 0.2)")
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
-
-
-def _load_split_corpus(args):
-    corpus = ingest.load_corpus(args.corpus)
-    ids = [md.frame_id for _, md in corpus]
-    split = ingest.split_dataset(ids, args.seed, args.test_fraction)
-    return corpus, split
-
-
 def _corpus_sha256(manifest) -> str:
     """SHA-256 of the manifest's bytes, then of each listed frame's and sidecar's, in order."""
     digest = hashlib.sha256(Path(manifest).read_bytes())
@@ -124,6 +71,18 @@ def _corpus_sha256(manifest) -> str:
         for path in pair:
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def _load_runs(paths) -> dict[str, tuple[str, ev.TrainedRun]]:
+    """Repeated --checkpoint paths, loaded in order and keyed by run name."""
+    runs = {}
+    for path in paths:
+        run = ev.TrainedRun.load(path)
+        if run.name in runs:
+            raise ValueError(
+                f"checkpoints {runs[run.name][0]} and {path} both give column {run.name}")
+        runs[run.name] = path, run
+    return runs
 
 
 def cmd_synth(args) -> int:
@@ -157,8 +116,10 @@ def cmd_fit_labels(args) -> int:
 
 
 def cmd_train(args) -> int:
-    corpus, split = _load_split_corpus(args)
-    train_cfg = _train_config(args)
+    corpus = ingest.load_corpus(args.corpus)
+    split = ingest.split_dataset([md.frame_id for _, md in corpus], args.seed, args.test_fraction)
+    train_cfg = TrainConfig(learning_rate=args.learning_rate, batch_size=args.batch_size,
+                            epochs=args.epochs, seed=args.seed)
     run = ev.run_training(corpus, split, args.spec, args.fasten, args.features, train_cfg)
     out = _out_dir(args)
     checkpoint_path = out / "checkpoint.npz"
@@ -201,31 +162,23 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     corpus = ingest.load_corpus(args.corpus)
-    run = ev.TrainedRun.load(args.checkpoint)
-    row, details = ev.evaluate_run(corpus, run, args.thresholds)
-    report = ev.ErrorReport(thresholds=args.thresholds, rows=[row], metadata={
+    runs = _load_runs(args.checkpoint)
+    (first_path, first), *others = runs.values()
+    for path, run in others:
+        if run.test_ids != first.test_ids:
+            raise ValueError(f"checkpoints {first_path} and {path} hold different test frames")
+    rows, details = [], {}
+    for name, (_, run) in runs.items():
+        row, details[name] = ev.evaluate_run(corpus, run, args.thresholds)
+        rows.append(row)
+    report = ev.ErrorReport(thresholds=args.thresholds, rows=rows, metadata={
         "aggregation": "per (frame, label-qp) pair, anchor qp excluded",
-        "test_frames": len({d.frame_id for d in details}),
+        "test_frames": len({d.frame_id for d in details[first.name]}),
     })
     out = _out_dir(args)
     (out / "report.csv").write_text(report.to_csv())
     (out / "report.txt").write_text(report.to_table())
     (out / "report_detail.csv").write_text(ev.details_to_csv(details))
-    print(report.to_table(), end="")
-    return 0
-
-
-def cmd_ablate(args) -> int:
-    corpus, split = _load_split_corpus(args)
-    ablation = ev.AblationConfig(
-        forms=args.forms,
-        feature_sets=args.feature_sets,
-        thresholds=args.thresholds,
-    )
-    report, _ = ev.run_ablation(corpus, split, ablation, _train_config(args))
-    out = _out_dir(args)
-    (out / "report.csv").write_text(report.to_csv())
-    (out / "report.txt").write_text(report.to_table())
     print(report.to_table(), end="")
     return 0
 
@@ -236,14 +189,7 @@ def cmd_curves(args) -> int:
     if args.frame_id not in by_id:
         raise ValueError(f"frame {args.frame_id!r} is not in the corpus")
     frame, md = by_id[args.frame_id]
-    predictors, sources = {}, {}
-    for path in args.checkpoint:
-        run = ev.TrainedRun.load(path)
-        name = f"{run.form}_{'fastened' if run.fastened else 'free'}_" + "_".join(run.channels)
-        if name in sources:
-            raise ValueError(f"checkpoints {sources[name]} and {path} both give column {name}")
-        sources[name] = path
-        predictors[name] = run.predictor()
+    predictors = {name: run.predictor() for name, (_, run) in _load_runs(args.checkpoint).items()}
     csv_text = ev.curve_dump(frame, md, predictors)
     path = _out_dir(args) / "curves.csv"
     path.write_text(csv_text)
@@ -279,7 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_labels)
 
     p = sub.add_parser("train", help="train the regressor on a labeled corpus")
-    _add_train_args(p)
+    p.add_argument("--corpus", required=True, help="corpus manifest path")
+    p.add_argument("--seed", type=int, default=0, help="split/init/shuffle seed")
+    p.add_argument("--test-fraction", type=float, default=0.2,
+                   help="fraction of frames held out for testing (default: 0.2)")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     _add_spec_args(p)
     p.add_argument("--features", type=_parse_channels, default=CHANNEL_ORDER)
     p.add_argument("--out", required=True)
@@ -292,23 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qp", type=float, required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="error-proportion report for a checkpoint")
+    p = sub.add_parser("evaluate", help="error-proportion report, one row per checkpoint")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", action="append", required=True,
+                   help="repeatable: one report row per checkpoint, in argument order; "
+                        "all must hold the same test frames")
     p.add_argument("--thresholds", type=_parse_thresholds, default=ev.DEFAULT_THRESHOLDS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("ablate", help="train and score a grid of configurations")
-    _add_train_args(p)
-    p.add_argument("--forms", type=_parse_forms, default=ev.AblationConfig.forms,
-                   help="comma list like quadratic:fastened,linear:free")
-    p.add_argument("--feature-sets", type=_parse_feature_sets,
-                   default=ev.AblationConfig.feature_sets,
-                   help="'|'-separated channel lists, e.g. 'rec|rec,seg,intra'")
-    p.add_argument("--thresholds", type=_parse_thresholds, default=ev.DEFAULT_THRESHOLDS)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("curves", help="dump actual vs predicted rate curves for a frame")
     p.add_argument("--corpus", required=True)

@@ -133,13 +133,14 @@ class ErrorReport:
         return "\n".join(lines) + "\n"
 
 
-def details_to_csv(details: list[PairOutcome]) -> str:
-    """Per-pair outcomes with signed deltas, for diagnostics."""
-    lines = ["frame_id,qp,actual_bits,predicted_bits,delta_pct"]
-    for d in details:
-        predicted = "" if d.predicted is None else f"{d.predicted:.6f}"
-        delta = "" if d.delta is None else f"{d.delta:.6f}"
-        lines.append(f"{d.frame_id},{d.qp:g},{d.actual:.6f},{predicted},{delta}")
+def details_to_csv(details_by_run: dict[str, list[PairOutcome]]) -> str:
+    """Per-pair outcomes with signed deltas, for diagnostics; one block per run name."""
+    lines = ["run,frame_id,qp,actual_bits,predicted_bits,delta_pct"]
+    for run, details in details_by_run.items():
+        for d in details:
+            predicted = "" if d.predicted is None else f"{d.predicted:.6f}"
+            delta = "" if d.delta is None else f"{d.delta:.6f}"
+            lines.append(f"{run},{d.frame_id},{d.qp:g},{d.actual:.6f},{predicted},{delta}")
     return "\n".join(lines) + "\n"
 
 
@@ -219,7 +220,7 @@ def net_predictor(network: Network, scaler, form: str, fastened: bool, channels)
 
 
 # ---------------------------------------------------------------------------
-# Training runs and ablation grids
+# Training runs and their checkpoints
 # ---------------------------------------------------------------------------
 
 
@@ -253,6 +254,11 @@ class TrainedRun:
         if spec.param_count != config.outputs:
             raise ValueError(f"{spec.label()} takes {spec.param_count} coefficients but the "
                              f"network emits {config.outputs}")
+
+    @property
+    def name(self) -> str:
+        """Form, fastening and channels, e.g. quadratic_fastened_rec_seg_intra."""
+        return f"{self.form}_{'fastened' if self.fastened else 'free'}_" + "_".join(self.channels)
 
     def predictor(self):
         return net_predictor(self.network, self.scaler, self.form, self.fastened, self.channels)
@@ -342,47 +348,6 @@ def evaluate_run(corpus, run: TrainedRun,
         fastened=run.fastened,
         features="+".join(run.channels),
     )
-
-
-@dataclass(frozen=True)
-class AblationConfig:
-    """Grid of model forms x feature subsets to train and score."""
-
-    forms: tuple[tuple[str, bool], ...] = (("quadratic", True), ("quadratic", False))
-    feature_sets: tuple[tuple[str, ...], ...] = (("rec",), CHANNEL_ORDER)
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
-
-    def __post_init__(self):
-        if not self.forms or not self.feature_sets or not self.thresholds:
-            raise ValueError("forms, feature_sets, and thresholds must be nonempty")
-        for form, _ in self.forms:
-            ModelSpec(form)  # validates the name
-        for channels in self.feature_sets:
-            channel_order(channels)  # validates the subset
-
-
-def run_ablation(corpus, split: DatasetSplit, ablation: AblationConfig,
-                 train_cfg: TrainConfig) -> tuple[ErrorReport, dict]:
-    """Train and score every (form, features) cell; rows in grid order."""
-    report = ErrorReport(
-        thresholds=tuple(float(t) for t in ablation.thresholds),
-        metadata={
-            "aggregation": "per (frame, label-qp) pair, anchor qp excluded",
-            "train_frames": len(split.train),
-            "validation_frames": len(split.validation),
-            "test_frames": len(split.test),
-            "epochs": train_cfg.epochs,
-            "seed": train_cfg.seed,
-        },
-    )
-    runs: dict[tuple, TrainedRun] = {}
-    for form, fastened in ablation.forms:
-        for channels in ablation.feature_sets:
-            run = run_training(corpus, split, form, fastened, channels, train_cfg)
-            row, _ = evaluate_run(corpus, run, ablation.thresholds)
-            report.rows.append(row)
-            runs[(form, fastened, run.channels)] = run
-    return report, runs
 
 
 def curve_dump(frame: GrayFrame, md: CodingMetadata, predictors: dict) -> str:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rqpkit.cli import build_parser, main
-from rqpkit.evaluate import AblationConfig
 from rqpkit.features import CHANNEL_ORDER, stack_from_coding
 from rqpkit.ingest import load_frame, load_metadata, read_manifest
 from rqpkit.pgm import read_pgm, write_pgm
@@ -43,6 +42,15 @@ def checkpoint(workdir, corpus_dir):
         "--out", str(out),
     ])
     assert code == 0
+    return out / "checkpoint.npz"
+
+
+@pytest.fixture(scope="module")
+def rec_checkpoint(workdir, corpus_dir):
+    """A rec-only run on the same split as `checkpoint` (same seed and test fraction)."""
+    out = workdir / "trained_rec"
+    assert main(["train", "--corpus", str(corpus_dir / "manifest.txt"), "--seed", "7",
+                 "--epochs", "1", "--features", "rec", "--out", str(out)]) == 0
     return out / "checkpoint.npz"
 
 
@@ -206,8 +214,59 @@ class TestEvaluate:
         assert report_a == (out_b / "report.csv").read_bytes()
         assert (out_a / "report.txt").exists()
         detail = (out_a / "report_detail.csv").read_text().splitlines()
-        assert detail[0] == "frame_id,qp,actual_bits,predicted_bits,delta_pct"
+        assert detail[0] == "run,frame_id,qp,actual_bits,predicted_bits,delta_pct"
         assert len(detail) == 1 + 2 * 7  # 2 test frames x 7 non-anchor label QPs
+        assert {row.split(",")[0] for row in detail[1:]} == {"quadratic_fastened_rec_seg_intra"}
+
+    def test_one_row_per_checkpoint_in_argument_order(self, workdir, corpus_dir, checkpoint,
+                                                      rec_checkpoint):
+        def report_lines(out, *paths):
+            args = ["evaluate", "--corpus", str(corpus_dir / "manifest.txt"), "--out", str(out)]
+            for path in paths:
+                args += ["--checkpoint", str(path)]
+            assert main(args) == 0
+            return (out / "report.csv").read_bytes().splitlines(keepends=True)
+
+        header, row_all = report_lines(workdir / "eval_all", checkpoint)
+        _, row_rec = report_lines(workdir / "eval_rec", rec_checkpoint)
+        assert report_lines(workdir / "eval_all_rec", checkpoint, rec_checkpoint) == [
+            header, row_all, row_rec]
+        assert report_lines(workdir / "eval_rec_all", rec_checkpoint, checkpoint) == [
+            header, row_rec, row_all]
+        detail = (workdir / "eval_rec_all" / "report_detail.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in detail[1:]] == (
+            ["quadratic_fastened_rec"] * 14 + ["quadratic_fastened_rec_seg_intra"] * 14)
+
+    def test_repeated_run_is_reported(self, workdir, corpus_dir, checkpoint, capsys):
+        out = workdir / "eval_twice"
+        code = main(["evaluate", "--corpus", str(corpus_dir / "manifest.txt"),
+                     "--checkpoint", str(checkpoint), "--checkpoint", str(checkpoint),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.count(str(checkpoint)) == 2
+        assert "quadratic_fastened_rec_seg_intra" in err
+        assert not out.exists()
+
+    def test_different_test_frames_rejected(self, workdir, corpus_dir, checkpoint, capsys):
+        other = workdir / "trained_seed8"
+        assert main(["train", "--corpus", str(corpus_dir / "manifest.txt"), "--seed", "8",
+                     "--epochs", "1", "--features", "rec", "--out", str(other)]) == 0
+        other_checkpoint = other / "checkpoint.npz"
+        test_ids = [load_checkpoint(path)[2]["test_ids"] for path in (checkpoint, other_checkpoint)]
+        assert test_ids[0] != test_ids[1]
+        capsys.readouterr()
+        out = workdir / "eval_mixed_splits"
+        code = main(["evaluate", "--corpus", str(corpus_dir / "manifest.txt"),
+                     "--checkpoint", str(checkpoint), "--checkpoint", str(other_checkpoint),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert str(checkpoint) in err and str(other_checkpoint) in err
+        assert "test frames" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("thresholds", ["nan", "inf", "10,nan"])
     def test_non_finite_thresholds_rejected(self, workdir, corpus_dir, checkpoint, thresholds):
@@ -233,39 +292,6 @@ class TestEvaluate:
         assert code == 2
         assert "missing.npz" in capsys.readouterr().err
         assert not out.exists()
-
-
-class TestAblate:
-    def test_small_grid(self, workdir, corpus_dir):
-        out = workdir / "ablate"
-        code = main([
-            "ablate",
-            "--corpus", str(corpus_dir / "manifest.txt"),
-            "--seed", "7",
-            "--epochs", "1",
-            "--forms", "quadratic:fastened",
-            "--feature-sets", "rec|rec,seg,intra",
-            "--out", str(out),
-        ])
-        assert code == 0
-        lines = (out / "report.csv").read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert lines[1].startswith("quadratic,yes,rec,")
-        assert lines[2].startswith("quadratic,yes,rec+seg+intra,")
-
-    def test_grid_defaults_are_ablation_config_defaults(self):
-        args = build_parser().parse_args(["ablate", "--corpus", "m", "--out", "o"])
-        default = AblationConfig()
-        assert args.forms == default.forms
-        assert args.feature_sets == default.feature_sets
-        assert args.thresholds == default.thresholds
-
-    def test_bad_forms_rejected(self, corpus_dir, workdir, capsys):
-        # Flag validation fails in argparse itself, which exits with code 2.
-        with pytest.raises(SystemExit) as exc:
-            main(["ablate", "--corpus", str(corpus_dir / "manifest.txt"),
-                  "--forms", "cubic:fastened", "--out", str(workdir / "x")])
-        assert exc.value.code == 2
 
 
 class TestCurves:

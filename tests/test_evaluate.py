@@ -1,4 +1,4 @@
-"""Pipeline evaluation: label fitting, error reports, ablation, curve dumps."""
+"""Pipeline evaluation: label fitting, error reports, training runs, curve dumps."""
 
 import json
 import math
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from rqpkit.evaluate import (
-    AblationConfig,
     ErrorReport,
     ReportRow,
     TrainedRun,
@@ -19,7 +18,6 @@ from rqpkit.evaluate import (
     frame_spec,
     label_fit_predictor,
     make_labels,
-    run_ablation,
     run_training,
 )
 from rqpkit.features import CuRect, GrayFrame, PuMode
@@ -324,8 +322,9 @@ class TestReportFormats:
             type("D", (), {"frame_id": "f0", "qp": 14.0, "actual": 100.0,
                            "predicted": 90.0, "delta": 10.0})(),
         ]
-        text = details_to_csv(details)
-        assert text.splitlines()[1] == "f0,14,100.000000,90.000000,10.000000"
+        lines = details_to_csv({"quadratic_fastened_rec": details}).splitlines()
+        assert lines[0] == "run,frame_id,qp,actual_bits,predicted_bits,delta_pct"
+        assert lines[1] == "quadratic_fastened_rec,f0,14,100.000000,90.000000,10.000000"
 
 
 class TestTrainingRuns:
@@ -340,6 +339,7 @@ class TestTrainingRuns:
         row, details = evaluate_run(tiny_corpus, run)
         assert row.n_pairs == len(split.test) * (len(QP_GRID) - 1)
         assert row.features == "rec"
+        assert run.name == "quadratic_fastened_rec"
 
     def test_save_load_round_trip(self, tiny_corpus, tmp_path):
         ids = [md.frame_id for _, md in tiny_corpus]
@@ -375,6 +375,7 @@ class TestTrainingRuns:
         run = run_training(tiny_corpus, split, "linear", False, ("intra", "rec"), cfg)
         assert run.channels == ("rec", "intra")
         assert run.network.config.outputs == 2
+        assert run.name == "linear_free_rec_intra"
 
     def test_unknown_channel_rejected(self, tiny_corpus):
         # Dropping the unknown name would train a rec-only network.
@@ -424,34 +425,6 @@ class TestTrainingRuns:
             TrainedRun.load(path)
         message = str(info.value)
         assert "\n" not in message and str(path) in message
-
-    def test_ablation_grid(self, tiny_corpus):
-        ids = [md.frame_id for _, md in tiny_corpus]
-        split = split_dataset(ids, seed=1, test_fraction=0.25)
-        ablation = AblationConfig(
-            forms=(("quadratic", True), ("quadratic", False)),
-            feature_sets=(("rec",), ("rec", "seg")),
-        )
-        report, runs = run_ablation(tiny_corpus, split, ablation, TrainConfig(epochs=1, seed=1))
-        assert len(report.rows) == 4
-        assert [(r.model, r.fastened, r.features) for r in report.rows] == [
-            ("quadratic", True, "rec"),
-            ("quadratic", True, "rec+seg"),
-            ("quadratic", False, "rec"),
-            ("quadratic", False, "rec+seg"),
-        ]
-        assert set(runs) == {
-            ("quadratic", True, ("rec",)),
-            ("quadratic", True, ("rec", "seg")),
-            ("quadratic", False, ("rec",)),
-            ("quadratic", False, ("rec", "seg")),
-        }
-
-    def test_ablation_config_validation(self):
-        with pytest.raises(ValueError):
-            AblationConfig(forms=())
-        with pytest.raises(ValueError):
-            AblationConfig(feature_sets=(("luma",),))
 
 
 class TestCurveDump:
