@@ -36,7 +36,6 @@ from .regressor import (
     TrainResult,
     load_checkpoint,
     mean_predictor_mse,
-    normalize_stack,
     save_checkpoint,
     train,
 )
@@ -212,7 +211,7 @@ def net_predictor(network: Network, scaler, form: str, fastened: bool, channels)
     channels = tuple(channels)
 
     def params_fn(frame: GrayFrame, md: CodingMetadata) -> ModelParams:
-        x = normalize_stack(stack_from_coding(frame, md, channels))
+        x = stack_from_coding(frame, md, channels)
         coeffs = scaler.inverse(network.forward(x[None])[0])
         return ModelParams(frame_spec(form, fastened, md), tuple(float(c) for c in coeffs))
 
@@ -293,10 +292,13 @@ def corpus_index(corpus) -> dict[str, tuple[GrayFrame, CodingMetadata]]:
 
 
 def _dataset(by_id, ids, form, fastened, channels) -> tuple[np.ndarray, np.ndarray]:
-    """Network inputs (n, C, H, W) in [0, 1] and fitted label coefficients (n, outputs)."""
+    """uint8 feature stacks (n, C, H, W) and fitted label coefficients (n, outputs).
+
+    The stacks stay 8-bit planes: `Network.forward` maps each frame onto
+    [0, 1] as it reads it.
+    """
     pairs = [by_id[frame_id] for frame_id in ids]
-    stacks = [normalize_stack(stack_from_coding(frame, md, channels))
-              for frame, md in pairs]
+    stacks = [stack_from_coding(frame, md, channels) for frame, md in pairs]
     for (_, md), stack in zip(pairs, stacks):
         if stack.shape != stacks[0].shape:
             (_, h, w), (_, h0, w0) = stack.shape, stacks[0].shape

@@ -7,7 +7,7 @@ an adaptive-moment optimizer on a mean-squared parameter loss.
 """
 
 from .layers import AvgPool2d, Conv2d, Dense, ReLU
-from .network import Network, NetworkConfig
+from .network import Network, NetworkConfig, normalize_stack
 from .training import (
     Adam,
     DegenerateLabelsError,
@@ -17,7 +17,6 @@ from .training import (
     TrainResult,
     mean_predictor_mse,
     mse_loss,
-    normalize_stack,
     train,
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint

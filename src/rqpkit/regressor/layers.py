@@ -11,9 +11,11 @@ It runs as im2col GEMMs in the Caffe layout (Chellapilla et al., 2006):
 forward copies the padded input's sliding windows into a (C·9, B·H·W)
 column matrix and multiplies the (O, C·9) weights by it.  It caches only
 the window view of its padded input, and backward rebuilds the columns
-for dW rather than holding the copy.  Unless told not to (the network's
-first stage), backward also forms every tap's input gradient with one
-more product and scatters it back (col2im).
+for dW rather than holding the copy.  Given a scale (the network's
+first stage on uint8 planes), forward writes its input into float64
+padding and multiplies it by the scale there, in place.  Unless told
+not to (the network's first stage), backward also forms every tap's
+input gradient with one more product and scatters it back (col2im).
 
 AvgPool2d sums with strided slices, in a fixed order: the block's column
 phases along W, then the row phases of that result along H, then one
@@ -23,9 +25,11 @@ ReLU's backward multiplies by its mask.  Neither makes a reduction or
 
 Each layer keeps the cache of its last forward only.  `Network` calls
 the first stage's layers (conv0, its ReLU and its pool) one frame at a
-time: it keeps each frame's conv0 window view, gathers the frames' ReLU
-masks into one batch-wide `mask`, and points conv0's cache and the ReLU's
-mask at one frame before that frame's backward.
+time and gathers the frames' ReLU masks into one batch-wide `mask`.
+Before each frame's backward it points the ReLU's mask at that frame and
+conv0's cache at `padded_windows` of that frame, rebuilt from the input
+batch it keeps with the scale forward used, so conv0 holds one frame's
+window at a time.
 """
 
 from __future__ import annotations
@@ -47,6 +51,21 @@ def _windows(x: np.ndarray) -> np.ndarray:
     )
 
 
+def padded_windows(x: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Window view of x zero-padded by one pixel: what Conv2d.forward reads and caches.
+
+    With a scale, x is written into float64 padding and multiplied by it
+    there in place: the bits of padding `x.astype(float64) * scale`, without
+    that copy.
+    """
+    b, c, h, w = x.shape
+    padded = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype if scale is None else np.float64)
+    padded[:, :, 1 : 1 + h, 1 : 1 + w] = x
+    if scale is not None:
+        padded *= scale
+    return _windows(padded)
+
+
 def _cols(win: np.ndarray) -> np.ndarray:
     """im2col matrix (ch·3·3, batch·out_h·out_w) of a window view."""
     cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
@@ -66,11 +85,10 @@ class Conv2d:
         self.db = np.zeros_like(self.b)
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, scale: float | None = None) -> np.ndarray:
+        """Convolve x; with a scale, convolve x * scale in float64 (see padded_windows)."""
         b, c, h, w = x.shape
-        padded = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
-        padded[:, :, 1 : 1 + h, 1 : 1 + w] = x
-        win = _windows(padded)
+        win = padded_windows(x, scale)
         out = self.w.reshape(self.out_channels, -1) @ _cols(win)
         out = out.reshape(self.out_channels, b, h, w).transpose(1, 0, 2, 3)
         out += self.b[None, :, None, None]

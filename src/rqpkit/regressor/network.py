@@ -9,14 +9,25 @@ dense layer map the 32 averages to one value per model coefficient, so
 the network reads frames of any height and width.  The architecture is
 fixed and deliberately small so it trains on a CPU in minutes.
 
+The network reads a batch of feature stacks, (batch, C, H, W).  A uint8
+batch holds 8-bit planes, mapped onto [0, 1] as the first step of the
+first stage: conv0 writes each frame into its float64 zero padding and
+multiplies it by INPUT_SCALE there, which gives per value the bits of
+`normalize_stack` with no float64 copy of the frame or the batch.  A
+floating batch is taken as already in those network units.  Any other
+dtype, and an empty batch, is a ValueError.
+
 `Network` runs the first stage (conv0, its rectifier and its pool) one
 frame at a time, for every batch size, and the later layers on the whole
 batch.  At 64x64 a frame's first-stage column matrix is 885 KB and its
 activations 262 KB, so they stay in a core's cache, where the whole
-batch's would not.  Forward keeps each frame's conv0 window view for
-backward, which sums conv0's `dw`/`db` over the frames in frame order.
-After a forward, the first rectifier's `mask` covers the whole batch, so
-callers can read every frame's kinks.
+batch's would not.  Forward keeps a reference to its input batch, not a
+float64 copy of it: backward rebuilds each frame's padded conv0 window
+from that batch, with the same values forward read, and sums conv0's
+`dw`/`db` over the frames in frame order.  So the batch must not change
+between a forward and its backward.  After a forward, the first
+rectifier's `mask` covers the whole batch, so callers can read every
+frame's kinks.
 """
 
 from __future__ import annotations
@@ -25,11 +36,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import KERNEL, AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU
+from .layers import KERNEL, AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU, padded_windows
 
 CONV_CHANNELS = (8, 16, 32)
 POOL = 4
 STAGE = 3  # layers per conv stage: the conv, its rectifier, its pool
+INPUT_SCALE = 1.0 / 255.0
+
+
+def normalize_stack(planes: np.ndarray) -> np.ndarray:
+    """Affine map of 8-bit planes onto [0, 1] as float64, shape unchanged."""
+    units = planes.astype(np.float64)
+    units *= INPUT_SCALE
+    return units
+
+
+def _scale(x: np.ndarray) -> float | None:
+    """The factor conv0 applies to x's values: INPUT_SCALE for uint8 planes, none for units."""
+    return INPUT_SCALE if x.dtype == np.uint8 else None
+
+
+def check_input_dtype(x: np.ndarray) -> None:
+    """Refuse a batch that is neither uint8 planes nor floating network units."""
+    if x.dtype != np.uint8 and not np.issubdtype(x.dtype, np.floating):
+        raise ValueError(f"network input must be uint8 planes or floating network units, "
+                         f"got dtype {x.dtype}")
 
 
 @dataclass(frozen=True)
@@ -79,21 +110,20 @@ class Network:
         hidden.w = taps
         self.learned.update(hidden=hidden, dense=head)
         self.layers += [hidden, ReLU(), head]
-        self._conv0_windows = []
+        self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.config.input_channels:
             raise ValueError(f"input shape {x.shape} does not match "
                              f"(batch, {self.config.input_channels}, height, width)")
-        conv, relu = self.layers[:2]
+        if len(x) == 0:
+            raise ValueError(f"input shape {x.shape} holds no frame")
+        check_input_dtype(x)
+        conv, relu, pool = self.layers[:STAGE]
         mask = np.empty((len(x), conv.out_channels) + x.shape[2:], dtype=bool)
-        outs, self._conv0_windows = [], []
-        for i, frame in enumerate(x):
-            out = frame[None]
-            for layer in self.layers[:STAGE]:
-                out = layer.forward(out)
-            outs.append(out)
-            self._conv0_windows.append(conv._cache)
+        outs, self._x, scale = [], x, _scale(x)
+        for i in range(len(x)):
+            outs.append(pool.forward(relu.forward(conv.forward(x[i : i + 1], scale))))
             mask[i] = relu.mask[0]
         relu.mask = mask
         out = np.concatenate(outs)
@@ -111,10 +141,11 @@ class Network:
             dout = layer.backward(dout)
         conv, relu, pool = self.layers[:STAGE]
         mask = relu.mask
-        dw, db = np.zeros_like(conv.w), np.zeros_like(conv.b)
-        for i, win in enumerate(self._conv0_windows):
+        dw, db, scale = np.zeros_like(conv.w), np.zeros_like(conv.b), _scale(self._x)
+        for i in range(len(mask)):
             # Point conv0's cache and the rectifier's mask at frame i.
-            conv._cache, relu.mask = win, mask[i : i + 1]
+            conv._cache = padded_windows(self._x[i : i + 1], scale)
+            relu.mask = mask[i : i + 1]
             conv.backward(relu.backward(pool.backward(dout[i : i + 1])), input_grad=False)
             dw += conv.dw
             db += conv.db

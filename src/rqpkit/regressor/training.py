@@ -1,10 +1,12 @@
 """Training loop, scalers, loss, and the adaptive-moment optimizer.
 
-A feature stack is a (C, H, W) uint8 array; `normalize_stack` maps it
-from [0, 255] to float64 in [0, 1].  Target coefficients are
-standardized per parameter with mean/deviation taken from the training
-labels only.  The loss is the mean squared difference between predicted
-and fitted coefficients in standardized space.
+`train` takes the feature stacks as the network reads them: a uint8
+(n, C, H, W) batch of 8-bit planes, which `Network.forward` maps onto
+[0, 1] one frame at a time, so no float64 copy of the training set is
+made; a floating batch is taken as already in network units.  Target
+coefficients are standardized per parameter with mean/deviation taken
+from the training labels only.  The loss is the mean squared difference
+between predicted and fitted coefficients in standardized space.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .network import Network
-
-INPUT_SCALE = 1.0 / 255.0
+from .network import Network, check_input_dtype
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -28,11 +28,6 @@ class DegenerateLabelsError(ValueError):
 
 class TrainingError(RuntimeError):
     """Training aborted (non-finite loss or weights)."""
-
-
-def normalize_stack(planes: np.ndarray) -> np.ndarray:
-    """Affine map of 8-bit planes onto [0, 1] as float64, shape unchanged."""
-    return planes.astype(np.float64) * INPUT_SCALE
 
 
 class TargetScaler:
@@ -147,13 +142,17 @@ def _batched_loss(network: Network, x: np.ndarray, y: np.ndarray, batch: int) ->
 
 def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
           validation=None) -> TrainResult:
-    """Train on inputs x (n, C, H, W) in [0, 1] and raw coefficients y (n, outputs).
+    """Train on feature stacks x (n, C, H, W) and raw coefficients y (n, outputs).
 
-    The scaler is fitted on y only; `validation`, an (x, y) pair, is scored
-    each epoch with the same scaler, `cfg.batch_size` rows at a time, so it
-    peaks at the training step's memory.
+    x is uint8 planes or floating network units, as `Network.forward` reads,
+    and its batches reach the network as they are; any other dtype is a
+    ValueError, raised before the scaler is fitted.  The scaler is fitted on
+    y only; `validation`, an (x, y) pair, is scored each epoch with the same
+    scaler, `cfg.batch_size` rows at a time, so it peaks at the training
+    step's memory.
     """
     for xs, ys in [(x, y)] + ([validation] if validation is not None else []):
+        check_input_dtype(xs)
         if len(xs) == 0 or np.shape(ys) != (len(xs), network.config.outputs):
             raise ValueError(f"need a nonempty x and a y of {len(xs)} rows of "
                              f"{network.config.outputs} coefficients, got {np.shape(ys)}")

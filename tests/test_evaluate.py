@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,6 +400,23 @@ class TestTrainingRuns:
         with pytest.raises(ValueError, match=f"^frame {ids[4]} is 64x64, expected 32x32 "):
             run_training(corpus, DatasetSplit(ids, (), ()), "quadratic", True, ("rec",),
                          TrainConfig(epochs=1))
+
+    def test_training_keeps_frames_as_uint8_stacks(self):
+        # 97 training frames of 3 64x64 planes: a float64 copy of them alone
+        # (9.5 MB) exceeds the bound, so the stacks stay 8-bit until the
+        # network's first stage reads them one frame at a time.
+        corpus = synth_corpus(120, seed=5)
+        split = split_dataset([md.frame_id for _, md in corpus], seed=5, test_fraction=0.1)
+        bound = 8_000_000
+        assert len(split.train) * 3 * 64 * 64 * 8 > bound
+        tracemalloc.start()
+        try:
+            run_training(corpus, split, "quadratic", True, ("rec", "seg", "intra"),
+                         TrainConfig(epochs=1, seed=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.parametrize("field,value", [
         ("channels", ["rec"]),

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -348,26 +349,113 @@ class TestFirstStagePerFrame:
 
     def test_training_step_working_set(self):
         # One batch-10 64x64 step peaks below the batch's conv0 column matrix
-        # (27 x 40 960 float64), which the first stage never builds.
+        # (27 x 40 960 float64), which the first stage never builds, whether
+        # the batch is float64 network units or uint8 planes.
         net = Network(NetworkConfig(3, 2, seed=44))
         optimizer = Adam(net.parameters(), 1e-4)
         rng = np.random.default_rng(45)
         x = rng.uniform(0.0, 1.0, (10, 3, 64, 64))
         y = rng.standard_normal((10, 2))
+        planes = rng.integers(0, 256, x.shape, dtype=np.uint8)
 
-        def step():
-            _, grad = mse_loss(net.forward(x), y)
+        def step(batch):
+            _, grad = mse_loss(net.forward(batch), y)
             net.backward(grad)
             optimizer.step(net.gradients())
 
-        step()
-        tracemalloc.start()
-        try:
-            step()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 27 * 10 * 64 * 64 * 8
+        for batch in (x, planes):
+            step(batch)
+            tracemalloc.start()
+            try:
+                step(batch)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 27 * 10 * 64 * 64 * 8
+        # After a uint8 forward the network keeps the uint8 batch and one
+        # frame's conv0 window, not a float64 copy of the batch.
+        net.forward(planes)
+        assert held_float64_bytes(net) < planes.size * 8
+
+
+def held_float64_bytes(net: Network) -> int:
+    """Bytes of the distinct float64 buffers the network and its layers reference."""
+    owners = {}
+    for obj in [net] + net.layers:
+        for value in vars(obj).values():
+            for a in value if isinstance(value, list) else [value]:
+                if isinstance(a, np.ndarray):
+                    while getattr(a, "base", None) is not None:  # a view's base, or a window's
+                        a = a.base
+                    owners[id(a)] = a
+    return sum(a.nbytes for a in owners.values() if a.dtype == np.float64)
+
+
+class TestUint8Input:
+    """uint8 planes are mapped onto [0, 1] inside forward, with the bits normalize_stack gives."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        batch=st.sampled_from([1, 3, 10]),
+        shape=st.sampled_from([(8, 8), (16, 16), (48, 80)]),
+        channels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_forward_and_gradients_equal_normalized_input(self, batch, shape, channels, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 256, (batch, channels) + shape, dtype=np.uint8)
+        cfg = NetworkConfig(channels, 2, seed=seed)
+        net, twin = Network(cfg), Network(cfg)
+        out = net.forward(x)
+        assert out.tobytes() == twin.forward(normalize_stack(x)).tobytes()
+        assert np.array_equal(net.layers[1].mask, twin.layers[1].mask)
+        dout = rng.standard_normal(out.shape)
+        net.backward(dout)
+        twin.backward(dout)
+        for got, want in zip(net.gradients(), twin.gradients(), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_train_equals_train_on_normalized_input(self):
+        rng = np.random.default_rng(50)
+        # Seven frames at batch 3: two full batches and a ragged one of 1.
+        x = rng.integers(0, 256, (7, 3, 16, 16), dtype=np.uint8)
+        val_x = rng.integers(0, 256, (4, 3, 16, 16), dtype=np.uint8)
+        y, val_y = rng.normal(0.0, 2.0, (7, 2)), rng.normal(0.0, 2.0, (4, 2))
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=3, epochs=3, seed=51)
+        runs = []
+        for xs, val_xs in [(x, val_x), (normalize_stack(x), normalize_stack(val_x))]:
+            net = Network(NetworkConfig(3, 2, seed=52))
+            result = train(net, xs, y, cfg, (val_xs, val_y))
+            runs.append((repr(result.train_loss), repr(result.val_loss),
+                         b"".join(p.tobytes() for p in net.parameters())))
+        assert runs[0] == runs[1]
+
+    def test_full_scale_planes_are_ones(self):
+        net = Network(NetworkConfig(3, 2))
+        got = net.forward(np.full((1, 3, 8, 8), 255, np.uint8))
+        assert np.array_equal(got, net.forward(np.ones((1, 3, 8, 8))))
+
+    @pytest.mark.parametrize("dtype", ["int64", "int8", "uint16", "bool"])
+    def test_other_non_floating_dtypes_refused(self, dtype):
+        net = Network(NetworkConfig(3, 2))
+        with pytest.raises(ValueError, match=f"dtype {dtype}$") as exc:
+            net.forward(np.ones((1, 3, 8, 8), dtype))
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("dtype", ["uint8", "float64"])
+    def test_empty_batch_names_its_shape(self, dtype):
+        with pytest.raises(ValueError, match=re.escape("(0, 3, 8, 8)")):
+            Network(NetworkConfig(3, 2)).forward(np.zeros((0, 3, 8, 8), dtype))
+
+    @pytest.mark.parametrize("bad", ["training", "validation"])
+    def test_train_checks_dtype_before_fitting_the_scaler(self, bad):
+        # Constant labels would fail TargetScaler.fit; the dtype is refused first.
+        good, wrong = np.ones((4, 2, 8, 8), np.uint8), np.ones((4, 2, 8, 8), np.int64)
+        x, val_x = (wrong, good) if bad == "training" else (good, wrong)
+        y = np.ones((4, 2))
+        with pytest.raises(ValueError, match="dtype int64") as exc:
+            train(Network(NetworkConfig(2, 2)), x, y, TrainConfig(), (val_x, y))
+        assert not isinstance(exc.value, DegenerateLabelsError)
 
 
 class TestShapeAlgebra:
