@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pgm import check_pixels
+
 CHANNEL_ORDER = ("rec", "seg", "intra")
 
 PU_SIZE = 16
@@ -39,14 +41,7 @@ class GrayFrame:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.pixels)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"pixels must be a nonempty 2-d array, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"pixels must be integers, got dtype {arr.dtype}")
-        if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
-            raise ValueError("pixel values must lie in [0, 255]")
-        arr = arr.astype(np.uint8, copy=True)
+        arr = check_pixels(self.pixels).astype(np.uint8, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 

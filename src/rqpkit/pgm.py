@@ -65,11 +65,8 @@ def read_pgm(path) -> np.ndarray:
     return pixels
 
 
-def write_pgm(path, pixels: np.ndarray) -> None:
-    """Write a nonempty (height, width) array of integers in [0, 255] as binary PGM.
-
-    Anything else raises ValueError, so what is written reads back equal.
-    """
+def check_pixels(pixels) -> np.ndarray:
+    """pixels as an array; ValueError unless a nonempty 2-d array of integers in [0, 255]."""
     arr = np.asarray(pixels)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"pixels must be a nonempty 2-d array, got shape {arr.shape}")
@@ -77,6 +74,11 @@ def write_pgm(path, pixels: np.ndarray) -> None:
         raise ValueError(f"pixels must be integers, got dtype {arr.dtype}")
     if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
         raise ValueError("pixel values must lie in [0, 255]")
-    arr = arr.astype(np.uint8, copy=False)
+    return arr
+
+
+def write_pgm(path, pixels: np.ndarray) -> None:
+    """Write pixels that pass check_pixels as binary PGM, so they read back equal."""
+    arr = check_pixels(pixels).astype(np.uint8, copy=False)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + arr.tobytes())

@@ -2,20 +2,21 @@
 
 Every layer caches what its backward pass needs during forward, until the
 next forward; backward reads the cache, stores parameter gradients on the
-layer (dw/db), and returns the gradient with respect to its input (which
-Conv2d can skip).  All math is float64 so the analytic gradients can be
-checked against central finite differences.
+layer (dw/db), and returns the gradient with respect to its input.  All
+math is float64 so the analytic gradients can be checked against central
+finite differences.
 
 Conv2d is the network's one convolution: 3x3, stride 1, zero padding 1.
 It runs as im2col GEMMs in the Caffe layout (Chellapilla et al., 2006):
 forward copies the padded input's sliding windows into a (C·9, B·H·W)
-column matrix and multiplies the (O, C·9) weights by it.  It caches only
-the window view of its padded input, and backward rebuilds the columns
-for dW rather than holding the copy.  Given a scale (the network's
-first stage on uint8 planes), forward writes its input into float64
-padding and multiplies it by the scale there, in place.  Unless told
-not to (the network's first stage), backward also forms every tap's
-input gradient with one more product and scatters it back (col2im).
+column matrix and multiplies the (O, C·9) weights by it.  It caches a
+reference to the input it read, with its scale, not a padded copy.
+Given a scale (the network's first stage on uint8 planes), forward writes
+its input into float64 padding and multiplies it by the scale there, in
+place.  `weight_gradients` is the one place a conv's dW and db are
+formed: it rebuilds the columns from an input the way forward built
+them.  Backward stores those and also forms every tap's input gradient
+with one more product and scatters it back (col2im).
 
 AvgPool2d sums with strided slices, in a fixed order: the block's column
 phases along W, then the row phases of that result along H, then one
@@ -25,11 +26,9 @@ ReLU's backward multiplies by its mask.  Neither makes a reduction or
 
 Each layer keeps the cache of its last forward only.  `Network` calls
 the first stage's layers (conv0, its ReLU and its pool) one frame at a
-time and gathers the frames' ReLU masks into one batch-wide `mask`.
-Before each frame's backward it points the ReLU's mask at that frame and
-conv0's cache at `padded_windows` of that frame, rebuilt from the input
-batch it keeps with the scale forward used, so conv0 holds one frame's
-window at a time.
+time and gathers the frames' ReLU masks into one batch-wide `mask`.  Its
+backward reads that mask a frame's row at a time and sums conv0's
+per-frame `weight_gradients` in frame order; it writes no layer's cache.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ def _windows(x: np.ndarray) -> np.ndarray:
 
 
 def padded_windows(x: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Window view of x zero-padded by one pixel: what Conv2d.forward reads and caches.
+    """Window view of x zero-padded by one pixel: what Conv2d convolves.
 
     With a scale, x is written into float64 padding and multiplied by it
     there in place: the bits of padding `x.astype(float64) * scale`, without
@@ -88,22 +87,27 @@ class Conv2d:
     def forward(self, x: np.ndarray, scale: float | None = None) -> np.ndarray:
         """Convolve x; with a scale, convolve x * scale in float64 (see padded_windows)."""
         b, c, h, w = x.shape
-        win = padded_windows(x, scale)
-        out = self.w.reshape(self.out_channels, -1) @ _cols(win)
+        out = self.w.reshape(self.out_channels, -1) @ _cols(padded_windows(x, scale))
         out = out.reshape(self.out_channels, b, h, w).transpose(1, 0, 2, 3)
         out += self.b[None, :, None, None]
-        self._cache = win
+        self._cache = x, scale
         return out
 
-    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Store dw/db; return the input gradient, or None when input_grad is False."""
-        win = self._cache
+    def weight_gradients(self, x: np.ndarray, dout: np.ndarray,
+                         scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """dW and db, given the output gradient dout of forward(x, scale)."""
+        cols = _cols(padded_windows(x, scale))
         d2 = dout.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
-        self.dw = (d2 @ _cols(win).T).reshape(self.w.shape)
-        self.db = dout.sum(axis=(0, 2, 3))
-        if not input_grad:
-            return None
-        b, c, h, w = win.shape[:4]
+        # The bits of d2 @ cols.T; OpenBLAS forms this order faster at conv1's shape.
+        dw = (cols @ d2.T).T
+        return dw.reshape(self.w.shape), dout.sum(axis=(0, 2, 3))
+
+    def backward(self, dout: np.ndarray) -> np.ndarray:
+        """Store dw/db; return the input gradient."""
+        x, scale = self._cache
+        self.dw, self.db = self.weight_gradients(x, dout, scale)
+        b, c, h, w = x.shape
+        d2 = dout.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
         dx_padded = np.zeros((b, c, h + 2, w + 2))
         # One GEMM gives every tap's contribution; col2im scatters each
         # back onto the padded input grid.

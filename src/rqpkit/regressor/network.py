@@ -22,9 +22,10 @@ frame at a time, for every batch size, and the later layers on the whole
 batch.  At 64x64 a frame's first-stage column matrix is 885 KB and its
 activations 262 KB, so they stay in a core's cache, where the whole
 batch's would not.  Forward keeps a reference to its input batch, not a
-float64 copy of it: backward rebuilds each frame's padded conv0 window
-from that batch, with the same values forward read, and sums conv0's
-`dw`/`db` over the frames in frame order.  So the batch must not change
+float64 copy of it.  Backward multiplies each frame's pooled gradient by
+that frame's row of the first rectifier's batch-wide `mask` and sums
+conv0's `weight_gradients` of that frame, read from the batch with the
+scale forward used, in frame order.  So the batch must not change
 between a forward and its backward.  After a forward, the first
 rectifier's `mask` covers the whole batch, so callers can read every
 frame's kinks.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import KERNEL, AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU, padded_windows
+from .layers import KERNEL, AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU
 
 CONV_CHANNELS = (8, 16, 32)
 POOL = 4
@@ -140,16 +141,12 @@ class Network:
         for layer in reversed(self.layers[STAGE:]):
             dout = layer.backward(dout)
         conv, relu, pool = self.layers[:STAGE]
-        mask = relu.mask
         dw, db, scale = np.zeros_like(conv.w), np.zeros_like(conv.b), _scale(self._x)
-        for i in range(len(mask)):
-            # Point conv0's cache and the rectifier's mask at frame i.
-            conv._cache = padded_windows(self._x[i : i + 1], scale)
-            relu.mask = mask[i : i + 1]
-            conv.backward(relu.backward(pool.backward(dout[i : i + 1])), input_grad=False)
-            dw += conv.dw
-            db += conv.db
-        relu.mask = mask
+        for i in range(len(self._x)):
+            d = pool.backward(dout[i : i + 1]) * relu.mask[i : i + 1]
+            frame_dw, frame_db = conv.weight_gradients(self._x[i : i + 1], d, scale)
+            dw += frame_dw
+            db += frame_db
         conv.dw, conv.db = dw, db
 
     def parameters(self) -> list[np.ndarray]:

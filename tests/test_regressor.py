@@ -34,7 +34,7 @@ from rqpkit.regressor import (
     train,
 )
 from rqpkit.regressor.layers import AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU
-from rqpkit.regressor.network import parameter_shapes
+from rqpkit.regressor.network import INPUT_SCALE, parameter_shapes
 
 
 def toy_stack(rng, channels=2, size=8) -> np.ndarray:
@@ -185,7 +185,7 @@ class TestPoolForward:
             assert np.array_equal(out, blocks.mean(axis=(3, 5)))
 
 
-def naive_conv_input_grad(layer: Conv2d, dout: np.ndarray, x_shape) -> np.ndarray:
+def naive_conv_dx(layer: Conv2d, dout: np.ndarray, x_shape) -> np.ndarray:
     """Input gradient of a 3x3 stride-1 conv layer, one output position at a time."""
     b, c, h, w = x_shape
     dx = np.zeros((b, c, h + 2, w + 2))
@@ -227,7 +227,7 @@ class TestConvAgainstTapLoop:
         x = rng.uniform(0.0, 1.0, (10, in_ch, size, size))
         out = layer.forward(x)
         dout = rng.standard_normal(out.shape)
-        layer.backward(dout, input_grad=False)
+        layer.backward(dout)
         ref_out, ref_dw = naive_conv_forward_and_dw(layer, x, dout)
         assert out.shape == ref_out.shape
         assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
@@ -256,21 +256,25 @@ class TestConvBackward:
         x = rng.standard_normal((2, in_ch, *shape))
         dout = rng.standard_normal(layer.forward(x).shape)
         dx = layer.backward(dout)
-        ref = naive_conv_input_grad(layer, dout, x.shape)
+        ref = naive_conv_dx(layer, dout, x.shape)
         assert dx.shape == x.shape
         assert np.max(np.abs(dx - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("batch", [1, 2])
     def test_parameter_only_backward(self, batch):
+        # weight_gradients reads any input it is given, cached or not, and
+        # forms backward's dw/db bit for bit, for float input and for uint8
+        # planes at the network's input scale.
         rng = np.random.default_rng(32)
-        full, bare = (Conv2d(3, 4, rng=np.random.default_rng(33)) for _ in range(2))
+        layer = Conv2d(3, 4, rng=np.random.default_rng(33))
         x = rng.standard_normal((batch, 3, 8, 8))
-        dout = rng.standard_normal(full.forward(x).shape)
-        bare.forward(x)
-        assert full.backward(dout) is not None
-        assert bare.backward(dout, input_grad=False) is None
-        assert np.array_equal(bare.dw, full.dw)
-        assert np.array_equal(bare.db, full.db)
+        planes = rng.integers(0, 256, x.shape, dtype=np.uint8)
+        for inputs, scale in [(x, None), (planes, INPUT_SCALE)]:
+            dout = rng.standard_normal(layer.forward(inputs, scale).shape)
+            dw, db = layer.weight_gradients(inputs, dout, scale)
+            assert layer.backward(dout).shape == x.shape
+            assert dw.tobytes() == layer.dw.tobytes()
+            assert db.tobytes() == layer.db.tobytes()
 
     def test_network_gradients_match_full_backward(self):
         # Network.backward runs the first stage one frame at a time and sums
@@ -292,7 +296,7 @@ class TestConvBackward:
             frame_dout = dout[i : i + 1]
             for layer in reversed(first[1:]):
                 frame_dout = layer.backward(frame_dout)
-            first[0].backward(frame_dout, input_grad=False)
+            first[0].backward(frame_dout)
             dws.append(first[0].dw)
             dbs.append(first[0].db)
         per_frame = [sum(dws), sum(dbs)] + [g.copy() for g in twin.gradients()[2:]]
@@ -377,13 +381,22 @@ class TestFirstStagePerFrame:
         net.forward(planes)
         assert held_float64_bytes(net) < planes.size * 8
 
+    def test_conv0_keeps_the_uint8_batch(self):
+        # conv0 caches the frame it read, a view of the batch, not a float64 window.
+        net = Network(NetworkConfig(3, 2, seed=49))
+        planes = np.random.default_rng(49).integers(0, 256, (3, 3, 16, 16), dtype=np.uint8)
+        net.backward(np.ones_like(net.forward(planes)))
+        cached = net.layers[0]._cache[0]
+        assert cached.dtype == np.uint8
+        assert np.shares_memory(cached, planes)
+
 
 def held_float64_bytes(net: Network) -> int:
     """Bytes of the distinct float64 buffers the network and its layers reference."""
     owners = {}
     for obj in [net] + net.layers:
         for value in vars(obj).values():
-            for a in value if isinstance(value, list) else [value]:
+            for a in value if isinstance(value, (list, tuple)) else [value]:
                 if isinstance(a, np.ndarray):
                     while getattr(a, "base", None) is not None:  # a view's base, or a window's
                         a = a.base
@@ -485,7 +498,7 @@ class TestShapeAlgebra:
         net = Network(NetworkConfig(3, 2, seed=46))
         assert net.forward(np.zeros((2, 3) + shape)).shape == (2, 2)
         convs = [layer for layer in net.layers if isinstance(layer, Conv2d)]
-        assert [conv._cache.shape[2:4] for conv in convs] == planes
+        assert [conv._cache[0].shape[2:4] for conv in convs] == planes
 
     def test_non_square_gradients(self):
         # 8x12 pools by 4 to 2x3, passes 2x3 through and averages it whole.
