@@ -116,10 +116,10 @@ def cmd_fit_labels(args) -> int:
 
 
 def cmd_train(args) -> int:
-    corpus = ingest.load_corpus(args.corpus)
-    split = ingest.split_dataset([md.frame_id for _, md in corpus], args.seed, args.test_fraction)
     train_cfg = TrainConfig(learning_rate=args.learning_rate, batch_size=args.batch_size,
                             epochs=args.epochs, seed=args.seed)
+    corpus = ingest.load_corpus(args.corpus)
+    split = ingest.split_dataset([md.frame_id for _, md in corpus], args.seed, args.test_fraction)
     run = ev.run_training(corpus, split, args.spec, args.fasten, args.features, train_cfg)
     out = _out_dir(args)
     checkpoint_path = out / "checkpoint.npz"

@@ -6,7 +6,8 @@ from the model, and the signed percentage error against the measured rate
 is thresholded.  The one-pass anchor QP is excluded (its rate is known,
 not predicted), and inversions with no finite solution (no real root, a
 constant model, or a rate that over- or underflows) count as misses beyond
-every threshold rather than being dropped.
+every threshold rather than being dropped, as does a finite rate so far
+off that its percentage error overflows to infinity.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .regressor import (
     TrainConfig,
     TrainResult,
     load_checkpoint,
-    mean_predictor_mse,
+    mse_loss,
     save_checkpoint,
     train,
 )
@@ -148,7 +149,8 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
     """Score a predictor over every (frame, label QP != anchor QP) pair.
 
     params_fn(frame, md) supplies the model coefficients for one frame;
-    inversion failures count toward n_pairs but meet no threshold.
+    inversion failures and infinite errors count toward n_pairs but meet no
+    threshold.
     """
     thresholds = tuple(float(t) for t in thresholds)
     details: list[PairOutcome] = []
@@ -165,6 +167,8 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
                 predicted = predict_rate(params, sample.qp)
                 delta = relative_error(sample.rate, predicted)
             except InversionError:
+                delta = float("nan")
+            if not np.isfinite(delta):  # no finite rate, or an error too large for a float
                 n_failures += 1
                 details.append(PairOutcome(md.frame_id, sample.qp, sample.rate, None, None))
                 continue
@@ -322,7 +326,10 @@ def run_training(corpus, split: DatasetSplit, form: str, fastened: bool, channel
     if split.validation:
         validation = _dataset(by_id, split.validation, form, fastened, channels)
     result = train(network, x, y, train_cfg, validation)
-    baseline = mean_predictor_mse(result.scaler, validation[1]) if validation else None
+    baseline = None
+    if validation:
+        z = result.scaler.transform(validation[1])
+        baseline = mse_loss(np.zeros_like(z), z)[0]  # the mean predictor, in standardized units
     return TrainedRun(
         form=form,
         fastened=fastened,

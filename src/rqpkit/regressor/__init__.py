@@ -15,7 +15,6 @@ from .training import (
     TrainConfig,
     TrainingError,
     TrainResult,
-    mean_predictor_mse,
     mse_loss,
     train,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "TrainResult",
     "TrainingError",
     "load_checkpoint",
-    "mean_predictor_mse",
     "mse_loss",
     "normalize_stack",
     "save_checkpoint",

@@ -57,6 +57,12 @@ def _scale(x: np.ndarray) -> float | None:
     return INPUT_SCALE if x.dtype == np.uint8 else None
 
 
+def check_int(name: str, value, minimum: int) -> None:
+    """Refuse a config field that is not an integer (bools excluded) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def check_input_dtype(x: np.ndarray) -> None:
     """Refuse a batch that is neither uint8 planes nor floating network units."""
     if x.dtype != np.uint8 and not np.issubdtype(x.dtype, np.floating):
@@ -73,10 +79,11 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int("input_channels", self.input_channels, 1)
+        check_int("outputs", self.outputs, 1)
+        check_int("seed", self.seed, 0)
         if self.input_channels not in (1, 2, 3):
             raise ValueError(f"input_channels must be 1, 2, or 3, got {self.input_channels}")
-        if self.outputs < 1:
-            raise ValueError(f"outputs must be >= 1, got {self.outputs}")
 
 
 def parameter_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:

@@ -5,8 +5,9 @@
 [0, 1] one frame at a time, so no float64 copy of the training set is
 made; a floating batch is taken as already in network units.  Target
 coefficients are standardized per parameter with mean/deviation taken
-from the training labels only.  The loss is the mean squared difference
-between predicted and fitted coefficients in standardized space.
+from the training labels only.  One loss, `mse_loss`, the mean squared
+difference between predicted and fitted coefficients in standardized
+space, scores training, validation and the mean-predictor baseline.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .network import Network, check_input_dtype
+from .network import Network, check_input_dtype, check_int
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -107,8 +108,9 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be positive")
+        check_int("batch_size", self.batch_size, 1)
+        check_int("epochs", self.epochs, 1)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -130,16 +132,6 @@ class TrainResult:
     update_ratios: list[tuple[float, ...]] = field(default_factory=list)
 
 
-def _batched_loss(network: Network, x: np.ndarray, y: np.ndarray, batch: int) -> float:
-    """Mean squared error over (x, y), scored `batch` rows at a time."""
-    total = 0.0
-    for start in range(0, len(x), batch):
-        out = network.forward(x[start : start + batch])
-        diff = out - y[start : start + batch]
-        total += float(np.sum(diff * diff))
-    return total / y.size
-
-
 def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
           validation=None) -> TrainResult:
     """Train on feature stacks x (n, C, H, W) and raw coefficients y (n, outputs).
@@ -148,8 +140,9 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     and its batches reach the network as they are; any other dtype is a
     ValueError, raised before the scaler is fitted.  The scaler is fitted on
     y only; `validation`, an (x, y) pair, is scored each epoch with the same
-    scaler, `cfg.batch_size` rows at a time, so it peaks at the training
-    step's memory.
+    scaler and the training loss, `mse_loss`, over the whole set.  Its
+    outputs are forwarded `cfg.batch_size` rows at a time, so it peaks at
+    the training step's memory.
     """
     for xs, ys in [(x, y)] + ([validation] if validation is not None else []):
         check_input_dtype(xs)
@@ -196,12 +189,9 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
                 for p, q in zip(network.parameters(), before)
             ))
         if validation is not None:
-            result.val_loss.append(_batched_loss(network, *validation, cfg.batch_size))
+            val_x, val_y = validation
+            outputs = [network.forward(val_x[i : i + cfg.batch_size])
+                       for i in range(0, len(val_x), cfg.batch_size)]
+            result.val_loss.append(mse_loss(np.concatenate(outputs), val_y)[0])
         result.epoch_s.append(perf_counter() - start_s)
     return result
-
-
-def mean_predictor_mse(scaler: TargetScaler, labels: np.ndarray) -> float:
-    """Standardized-space MSE of always predicting the training-label mean."""
-    standardized = scaler.transform(labels)
-    return float(np.mean(standardized * standardized))

@@ -202,6 +202,16 @@ class TestTrainPredict:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--epochs", "0"),
+                                             ("--batch-size", "-3")])
+    def test_bad_train_config_names_its_field(self, workdir, corpus_dir, capsys, flag, value):
+        out = workdir / "bad_config"
+        code = main(["train", "--corpus", str(corpus_dir / "manifest.txt"), flag, value,
+                     "--out", str(out)])
+        assert code == 2
+        assert f"error: {flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_reports_written_and_reproducible(self, workdir, corpus_dir, checkpoint):

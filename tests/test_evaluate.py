@@ -245,6 +245,23 @@ class TestEvaluateFrames:
         assert row.n_failures == row.n_pairs == len(QP_GRID) - 1
         assert all(d.predicted is None for d in details)
 
+    def test_infinite_errors_scored_as_misses(self):
+        # A finite 6.75e306 bits at QP 14 against 1.5 measured: the % error overflows to -inf.
+        anchor = OperationalPoint(10.0, 2.0)
+        labels = RQPCurve((RQPSample(10.0, 2.0), RQPSample(14.0, 1.5)))
+        md = CodingMetadata("f0", 16, 16, (CuRect(0, 0, 16, 16),), (PuMode(0, 0, 3),),
+                            anchor, labels)
+        frame = GrayFrame(np.full((16, 16), 100, dtype=np.uint8))
+        slope = 4.0 / (706.5 - math.log(2.0))
+        row, details = evaluate_frames(
+            [(frame, md)], lambda f, m: ModelParams(frame_spec("linear", True, m), (slope,)),
+            model="linear", fastened=True, features="x",
+        )
+        assert row.n_failures == row.n_pairs == 1
+        assert details[0].predicted is None and details[0].delta is None
+        assert math.isnan(row.mean_abs_delta)
+        assert details_to_csv({"r": details}).splitlines()[1] == "r,f0,14,1.500000,,"
+
     def test_constant_models_scored_as_misses(self):
         frame, md = on_model_metadata("f0")
         row, details = evaluate_frames(

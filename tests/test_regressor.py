@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import rqpkit.regressor
 from gradcheck import check_layer, check_network
-from rqpkit.evaluate import net_predictor
+from rqpkit.evaluate import frame_spec, make_labels, net_predictor, run_training
 from rqpkit.features import CuRect, GrayFrame, PuMode, stack_from_coding
-from rqpkit.ingest import CodingMetadata
+from rqpkit.ingest import CodingMetadata, DatasetSplit
 from rqpkit.model import ModelSpec, OperationalPoint
 from rqpkit.regressor import (
     Adam,
@@ -27,7 +27,6 @@ from rqpkit.regressor import (
     TrainConfig,
     TrainingError,
     load_checkpoint,
-    mean_predictor_mse,
     mse_loss,
     normalize_stack,
     save_checkpoint,
@@ -519,6 +518,14 @@ class TestShapeAlgebra:
         with pytest.raises(ValueError):
             NetworkConfig(4, 2)
 
+    @pytest.mark.parametrize("name, value", [
+        ("input_channels", 2.0), ("input_channels", True), ("outputs", 2.5), ("outputs", True),
+        ("seed", 0.5), ("seed", -1),
+    ])
+    def test_integer_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            NetworkConfig(**{"input_channels": 2, "outputs": 2, name: value})
+
     def test_input_shape_validated(self):
         net = Network(NetworkConfig(2, 2))
         with pytest.raises(ValueError, match="shape"):
@@ -698,6 +705,18 @@ class TestTraining:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=learning_rate)
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 2.5), ("batch_size", 2.5), ("batch_size", True), ("epochs", np.float64(3.0)),
+        ("seed", 1.5), ("seed", -1), ("seed", np.int64(-2)),
+    ])
+    def test_integer_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(batch_size=np.int32(4), epochs=np.uint8(2), seed=np.int64(7))
+        assert (cfg.batch_size, cfg.epochs, cfg.seed) == (4, 2, 7)
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_weights_abort(self):
         # One batch, one epoch: the loss is checked before the only step, so
@@ -736,14 +755,30 @@ class TestTraining:
         with pytest.raises(ValueError, match="coefficients"):
             train(net, *data, TrainConfig())
 
-    def test_mean_predictor_baseline(self):
+    def test_mean_predictor_baseline(self, tiny_corpus):
+        ids = [md.frame_id for _, md in tiny_corpus]
+        split = DatasetSplit(train=tuple(ids[:7]), validation=tuple(ids[7:11]), test=(ids[11],))
+        run = run_training(tiny_corpus, split, "quadratic", True, ("rec",),
+                           TrainConfig(epochs=1, seed=10))
+        by_id = {md.frame_id: md for _, md in tiny_corpus}
+        val_y = [make_labels(md, frame_spec("quadratic", True, md)).coeffs
+                 for md in (by_id[i] for i in split.validation)]
+        z = run.scaler.transform(np.array(val_y))
+        assert run.baseline_val_mse == float(np.mean(z * z))
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 7])
+    def test_val_loss_is_mse_loss_over_the_whole_set(self, batch_size):
+        # Frozen weights and 7 validation frames: batches of 3 end in a ragged batch of 1.
         rng = np.random.default_rng(12)
         data = toy_dataset(rng, 10)
-        val = toy_dataset(rng, 4)
+        val_x, val_y = toy_dataset(rng, 7)
         net = Network(NetworkConfig(2, 2, seed=10))
-        result = train(net, *data, TrainConfig(epochs=1, seed=10), val)
-        z = result.scaler.transform(val[1])
-        assert mean_predictor_mse(result.scaler, val[1]) == pytest.approx(float(np.mean(z * z)))
+        cfg = TrainConfig(learning_rate=0.0, batch_size=batch_size, epochs=2, seed=10)
+        result = train(net, *data, cfg, (val_x, val_y))
+        want = mse_loss(net.forward(val_x), result.scaler.transform(val_y))[0]
+        assert result.val_loss == pytest.approx([want, want], rel=1e-15, abs=0.0)
+        if batch_size == 7:
+            assert result.val_loss == [want, want]
 
 
 class TestPredictParams:
