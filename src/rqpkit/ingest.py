@@ -10,15 +10,18 @@ The synthetic generator manufactures frames whose high-frequency energy
 follows a drawn Cauchy scale, partitions them more finely where local
 variance is higher, derives plausible intra modes from local gradient
 orientation, and labels them with scaled entropy curves, so the texture
-genuinely predicts the rate curve without running an encoder.  A frame
-costs a few whole-array passes.  The quadtree takes each node's
-deviation in closed form from exact integer block sums, computed once
-per quadtree size.  One batched gradient over all 16x16 blocks gives the
-intra modes.  Sidecars are written as compact JSON and read in any layout.
+genuinely predicts the rate curve without running an encoder.  Each
+stage runs once over a chunk of frames of at most 2^16 pixels: one FFT
+pair makes the chunk's textures, exact integer block sums give every
+quadtree node's deviation in closed form, and one batched gradient over
+all 16x16 blocks gives the intra modes.  Each frame draws from its own
+RNG in a fixed order, so no frame depends on the chunking or on how many
+follow it.  Sidecars are written as compact JSON and read in any layout.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import check_int
 from .entropy import CauchyParams, synth_curve
 from .features import CuRect, GrayFrame, PuMode, PU_SIZE, validate_coverage, validate_tiling
 from .model import OperationalPoint, RQPCurve, RQPSample
@@ -221,150 +225,197 @@ _MIN_CU = 8
 # Local-deviation thresholds above which a coding unit of the given size splits.
 _SPLIT_THRESHOLDS = {64: 31.0, 32: 33.0, 16: 35.0}
 _FLAT_GRADIENT_ENERGY = 60.0
+# Pixels per generator chunk: 16 frames at 64x64, 4 at 128x128.  Each stage runs
+# once over a chunk, so a corpus's working set does not grow with its count.  A
+# stage holds up to ~35 bytes a pixel; a 2^18 chunk ran no faster over 200 64x64
+# frames and held ~6 MB more at its peak.
+_CHUNK_PIXELS = 1 << 16
 
 
-def _textured_frame(rng: np.random.Generator, width: int, height: int, scale: float) -> GrayFrame:
-    """Power-law noise whose high-frequency share rises with the Cauchy scale."""
-    lo, hi = _SCALE_RANGE
-    t = (math.log(scale) - math.log(lo)) / (math.log(hi) - math.log(lo))
-    smooth, busy = _SPECTRAL_FALLOFF
-    falloff = smooth + (busy - smooth) * min(max(t, 0.0), 1.0)
-    white = rng.standard_normal((height, width))
-    spectrum = np.fft.rfft2(white)
-    fy = np.fft.fftfreq(height)[:, None]
-    fx = np.fft.rfftfreq(width)[None, :]
-    radius = np.hypot(fy, fx)
+@functools.lru_cache(maxsize=8)
+def _frequency_radius(height: int, width: int) -> np.ndarray:
+    """Read-only |f| over an rfft2 grid, with the DC bin set to 1."""
+    radius = np.hypot(np.fft.fftfreq(height)[:, None], np.fft.rfftfreq(width)[None, :])
     radius[0, 0] = 1.0
-    spectrum *= radius ** (-falloff)
-    spectrum[0, 0] = 0.0
+    radius.setflags(write=False)
+    return radius
+
+
+def _textures(rngs, scales, width: int, height: int) -> np.ndarray:
+    """Power-law noise whose high-frequency share rises with each frame's Cauchy scale.
+
+    Draws each frame's white noise from its rng; returns the (n, height, width)
+    uint8 textures.  Every step after the draw runs once over the whole chunk.
+    """
+    lo, hi = _SCALE_RANGE
+    smooth, busy = _SPECTRAL_FALLOFF
+    falloff = np.empty((len(scales), 1, 1))
+    for k, scale in enumerate(scales):
+        t = (math.log(scale) - math.log(lo)) / (math.log(hi) - math.log(lo))
+        falloff[k] = smooth + (busy - smooth) * min(max(t, 0.0), 1.0)
+    white = np.empty((len(rngs), height, width))
+    for rng, plane in zip(rngs, white):
+        rng.standard_normal(out=plane)
+    # Each chunk-sized buffer is dropped, or reused in place, once read.
+    spectrum = np.fft.rfft2(white)
+    del white
+    spectrum *= _frequency_radius(height, width) ** -falloff
+    spectrum[:, 0, 0] = 0.0
     tex = np.fft.irfft2(spectrum, s=(height, width))
-    tex = tex - tex.mean()
-    sd = tex.std()
-    if sd > 0:
-        tex = tex / sd * 36.0
-    pixels = np.clip(np.rint(tex + 128.0), 0, 255).astype(np.uint8)
-    return GrayFrame(pixels)
+    del spectrum
+    tex -= tex.mean(axis=(1, 2), keepdims=True)
+    sd = tex.std(axis=(1, 2), keepdims=True)
+    # A zero deviation leaves only zeros (or underflow), which map to 128 either way.
+    tex /= np.where(sd > 0, sd, 1.0)
+    tex *= 36.0
+    tex += 128.0
+    return np.clip(np.rint(tex, out=tex), 0, 255, out=tex).astype(np.uint8)
 
 
 def _block_moments(pixels: np.ndarray) -> dict[int, tuple[list, list]]:
     """Exact pixel sum and sum of squares of every block at each quadtree size.
 
-    The plane is zero-padded to whole CTUs, so a block that overhangs the
-    frame sums its in-frame pixels only.  Each size maps to two nested
-    lists of ints indexed [y // size][x // size].
+    pixels is an (n, height, width) stack.  Each plane is zero-padded to whole
+    CTUs, so a block that overhangs the frame sums its in-frame pixels only.
+    Each size maps to two nested lists of ints indexed [frame][y // size][x // size].
     """
-    height, width = pixels.shape
-    padded = np.zeros((-(-height // _CTU_SIZE) * _CTU_SIZE, -(-width // _CTU_SIZE) * _CTU_SIZE),
+    n, height, width = pixels.shape
+    padded = np.zeros((n, -(-height // _CTU_SIZE) * _CTU_SIZE, -(-width // _CTU_SIZE) * _CTU_SIZE),
                       dtype=np.int64)
-    padded[:height, :width] = pixels
-    grid = (padded.shape[0] // _MIN_CU, _MIN_CU, padded.shape[1] // _MIN_CU, _MIN_CU)
-    s = padded.reshape(grid).sum(axis=(1, 3))
-    q = (padded * padded).reshape(grid).sum(axis=(1, 3))
+    padded[:, :height, :width] = pixels
+    grid = (n, padded.shape[1] // _MIN_CU, _MIN_CU, padded.shape[2] // _MIN_CU, _MIN_CU)
+    s = padded.reshape(grid).sum(axis=(2, 4))
+    q = (padded * padded).reshape(grid).sum(axis=(2, 4))
     moments = {_MIN_CU: (s.tolist(), q.tolist())}
     size = _MIN_CU
     while size < _CTU_SIZE:
         size *= 2
-        s = s[0::2, 0::2] + s[0::2, 1::2] + s[1::2, 0::2] + s[1::2, 1::2]
-        q = q[0::2, 0::2] + q[0::2, 1::2] + q[1::2, 0::2] + q[1::2, 1::2]
+        s = s[:, 0::2, 0::2] + s[:, 0::2, 1::2] + s[:, 1::2, 0::2] + s[:, 1::2, 1::2]
+        q = q[:, 0::2, 0::2] + q[:, 0::2, 1::2] + q[:, 1::2, 0::2] + q[:, 1::2, 1::2]
         moments[size] = (s.tolist(), q.tolist())
     return moments
 
 
-def _quadtree_cus(rng: np.random.Generator, frame: GrayFrame) -> tuple[CuRect, ...]:
-    """Random valid quadtree tiling, splitting where local deviation is high."""
-    moments = _block_moments(frame.pixels)
-    rects: list[CuRect] = []
+def _quadtree_cus(rngs, pixels: np.ndarray) -> list[tuple[CuRect, ...]]:
+    """Per frame of an (n, height, width) stack: a random valid quadtree tiling that
+    splits where local deviation is high, with one jitter per node from the frame's rng."""
+    _, height, width = pixels.shape
+    moments = _block_moments(pixels)
+    tilings = []
+    for k, rng in enumerate(rngs):
+        rects: list[CuRect] = []
 
-    def visit(x: int, y: int, size: int) -> None:
-        if x >= frame.width or y >= frame.height:
-            return
-        w = min(size, frame.width - x)
-        h = min(size, frame.height - y)
-        sums, squares = moments[size]
-        s, q, n = sums[y // size][x // size], squares[y // size][x // size], w * h
-        local_sd = math.sqrt((n * q - s * s) / (n * n))
-        jitter = rng.uniform(0.85, 1.2)
-        threshold = _SPLIT_THRESHOLDS.get(size)
-        if threshold is not None and size > _MIN_CU and local_sd * jitter > threshold:
-            half = size // 2
-            visit(x, y, half)
-            visit(x + half, y, half)
-            visit(x, y + half, half)
-            visit(x + half, y + half, half)
-        else:
-            rects.append(CuRect(x, y, w, h))
+        def visit(x: int, y: int, size: int) -> None:
+            if x >= width or y >= height:
+                return
+            w = min(size, width - x)
+            h = min(size, height - y)
+            sums, squares = moments[size]
+            s, q, n = sums[k][y // size][x // size], squares[k][y // size][x // size], w * h
+            local_sd = math.sqrt((n * q - s * s) / (n * n))
+            jitter = rng.uniform(0.85, 1.2)
+            threshold = _SPLIT_THRESHOLDS.get(size)
+            if threshold is not None and size > _MIN_CU and local_sd * jitter > threshold:
+                half = size // 2
+                visit(x, y, half)
+                visit(x + half, y, half)
+                visit(x, y + half, half)
+                visit(x + half, y + half, half)
+            else:
+                rects.append(CuRect(x, y, w, h))
 
-    for cy in range(0, frame.height, _CTU_SIZE):
-        for cx in range(0, frame.width, _CTU_SIZE):
-            visit(cx, cy, _CTU_SIZE)
-    return tuple(rects)
+        for cy in range(0, height, _CTU_SIZE):
+            for cx in range(0, width, _CTU_SIZE):
+                visit(cx, cy, _CTU_SIZE)
+        tilings.append(tuple(rects))
+    return tilings
 
 
-def _intra_modes(rng: np.random.Generator, frame: GrayFrame) -> tuple[PuMode, ...]:
-    """Per 16x16 block: angular mode along the dominant gradient, DC/planar when flat."""
-    rows, cols = frame.height // PU_SIZE, frame.width // PU_SIZE
+def _intra_modes(rngs, pixels: np.ndarray) -> list[tuple[PuMode, ...]]:
+    """Per 16x16 block of each frame of an (n, height, width) stack: angular mode along
+    the dominant gradient, DC/planar (drawn from the frame's rng) when flat."""
+    n, height, width = pixels.shape
+    rows, cols = height // PU_SIZE, width // PU_SIZE
     area = PU_SIZE * PU_SIZE
-    blocks = (frame.pixels.reshape(rows, PU_SIZE, cols, PU_SIZE).swapaxes(1, 2)
+    blocks = (pixels.reshape(n, rows, PU_SIZE, cols, PU_SIZE).swapaxes(2, 3)
               .astype(np.float64, order="C"))
     # One pass over every block; each takes one-sided differences at its own edges.
-    gy, gx = np.gradient(blocks, axis=(2, 3))
+    gy, gx = np.gradient(blocks, axis=(3, 4))
+    del blocks
 
     def block_sums(values: np.ndarray) -> np.ndarray:
-        return values.reshape(rows, cols, area).sum(axis=-1)
+        return values.reshape(n, rows, cols, area).sum(axis=-1)
 
-    energy = (block_sums(gx * gx + gy * gy) / area).tolist()
+    # Squares in place, so the pass holds two chunk-sized arrays and one temporary.
     cross = block_sums(gx * gy).tolist()
-    spread = block_sums(gx * gx - gy * gy).tolist()
-    pus: list[PuMode] = []
-    for i in range(rows):
-        for j in range(cols):
-            if energy[i][j] < _FLAT_GRADIENT_ENERGY:
-                mode = int(rng.integers(0, 2))  # planar or DC
-            else:
-                theta = 0.5 * math.atan2(2.0 * cross[i][j], spread[i][j])
-                frac = (theta + math.pi / 2.0) / math.pi
-                mode = 2 + min(32, int(round(frac * 32.0)))
-            pus.append(PuMode(j * PU_SIZE, i * PU_SIZE, mode))
-    return tuple(pus)
+    gx *= gx
+    gy *= gy
+    energy = (block_sums(gx + gy) / area).tolist()
+    spread = block_sums(np.subtract(gx, gy, out=gx)).tolist()
+    frames = []
+    for k, rng in enumerate(rngs):
+        pus: list[PuMode] = []
+        for i in range(rows):
+            for j in range(cols):
+                if energy[k][i][j] < _FLAT_GRADIENT_ENERGY:
+                    mode = int(rng.integers(0, 2))  # planar or DC
+                else:
+                    theta = 0.5 * math.atan2(2.0 * cross[k][i][j], spread[k][i][j])
+                    frac = (theta + math.pi / 2.0) / math.pi
+                    mode = 2 + min(32, int(round(frac * 32.0)))
+                pus.append(PuMode(j * PU_SIZE, i * PU_SIZE, mode))
+        frames.append(tuple(pus))
+    return frames
 
 
-def _synth_item(frame_id: str, rng: np.random.Generator, width: int, height: int):
+def _synth_chunk(frame_ids, rngs, width: int, height: int):
+    """Items for one chunk of frames.  Each frame draws from its own rng in a fixed
+    order - scale, white noise, quadtree jitters, flat-block modes, bits scale - so
+    the chunking never changes a frame."""
     lo, hi = _SCALE_RANGE
-    scale = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-    frame = _textured_frame(rng, width, height, scale)
-    cus = _quadtree_cus(rng, frame)
-    pus = _intra_modes(rng, frame)
-    bits_scale = width * height * rng.uniform(0.9, 1.1)
-    labels = synth_curve(CauchyParams(scale), LABEL_QPS, bits_scale)
-    anchor = OperationalPoint(DEFAULT_QP0, labels.rate_at(DEFAULT_QP0))
-    md = CodingMetadata(
-        frame_id=frame_id,
-        width=width,
-        height=height,
-        cus=cus,
-        pus=pus,
-        anchor=anchor,
-        labels=labels,
-    )
-    return frame, md
+    scales = [math.exp(rng.uniform(math.log(lo), math.log(hi))) for rng in rngs]
+    pixels = _textures(rngs, scales, width, height)
+    items = []
+    for frame_id, rng, scale, plane, cus, pus in zip(
+            frame_ids, rngs, scales, pixels, _quadtree_cus(rngs, pixels), _intra_modes(rngs, pixels)):
+        bits_scale = width * height * rng.uniform(0.9, 1.1)
+        labels = synth_curve(CauchyParams(scale), LABEL_QPS, bits_scale)
+        anchor = OperationalPoint(DEFAULT_QP0, labels.rate_at(DEFAULT_QP0))
+        md = CodingMetadata(
+            frame_id=frame_id,
+            width=width,
+            height=height,
+            cus=cus,
+            pus=pus,
+            anchor=anchor,
+            labels=labels,
+        )
+        items.append((GrayFrame(plane), md))
+    return items
 
 
 def synth_corpus(count: int, seed: int, size: tuple[int, int] = (64, 64)):
     """Deterministic list of (GrayFrame, CodingMetadata) synthetic frames.
 
     Dimensions must be positive multiples of 16 so the prediction-block
-    grid is exact.
+    grid is exact.  The first k items do not depend on count.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    check_int("count", count, 1)
+    check_int("seed", seed, 0)
     width, height = size
-    if width < PU_SIZE or height < PU_SIZE or width % PU_SIZE or height % PU_SIZE:
+    check_int("width", width, PU_SIZE)
+    check_int("height", height, PU_SIZE)
+    if width % PU_SIZE or height % PU_SIZE:
         raise ValueError(f"frame dimensions must be positive multiples of {PU_SIZE}, got {size}")
     children = np.random.SeedSequence(seed).spawn(count)
-    return [
-        _synth_item(f"s{seed}f{i:04d}", np.random.default_rng(children[i]), width, height)
-        for i in range(count)
-    ]
+    per_chunk = max(1, _CHUNK_PIXELS // (width * height))
+    items = []
+    for start in range(0, count, per_chunk):
+        stop = min(start + per_chunk, count)
+        items += _synth_chunk([f"s{seed}f{i:04d}" for i in range(start, stop)],
+                              [np.random.default_rng(c) for c in children[start:stop]],
+                              width, height)
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +432,16 @@ class DatasetSplit:
     test: tuple[str, ...]
 
     def __post_init__(self):
-        groups = (set(self.train), set(self.validation), set(self.test))
-        total = sum(len(g) for g in groups)
-        if total != len(set().union(*groups)):
-            raise ValueError("split groups must be disjoint")
+        _refuse_repeated_ids([*self.train, *self.validation, *self.test], "split")
+
+
+def _refuse_repeated_ids(ids, where: str) -> None:
+    """ValueError naming the first frame id that occurs twice in ids."""
+    seen = set()
+    for frame_id in ids:
+        if frame_id in seen:
+            raise ValueError(f"frame id {frame_id!r} appears more than once in the {where}")
+        seen.add(frame_id)
 
 
 def split_dataset(ids, seed: int, test_fraction: float) -> DatasetSplit:
@@ -392,6 +449,7 @@ def split_dataset(ids, seed: int, test_fraction: float) -> DatasetSplit:
     ids = list(ids)
     if not ids:
         raise ValueError("cannot split an empty id list")
+    _refuse_repeated_ids(ids, "id list")
     if not 0.0 <= test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in [0, 1), got {test_fraction}")
     order = np.random.default_rng(seed).permutation(len(ids))
@@ -412,7 +470,12 @@ def split_dataset(ids, seed: int, test_fraction: float) -> DatasetSplit:
 
 
 def save_corpus(items, out_dir) -> Path:
-    """Write frames, sidecars, and a manifest; returns the manifest path."""
+    """Write frames, sidecars, and a manifest; returns the manifest path.
+
+    Frame ids name the files, so a repeated id is refused before anything is written.
+    """
+    items = list(items)
+    _refuse_repeated_ids((md.frame_id for _, md in items), "corpus")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pairs = []

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..checks import check_int
 from .layers import KERNEL, AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU
 
 CONV_CHANNELS = (8, 16, 32)
@@ -55,12 +56,6 @@ def normalize_stack(planes: np.ndarray) -> np.ndarray:
 def _scale(x: np.ndarray) -> float | None:
     """The factor conv0 applies to x's values: INPUT_SCALE for uint8 planes, none for units."""
     return INPUT_SCALE if x.dtype == np.uint8 else None
-
-
-def check_int(name: str, value, minimum: int) -> None:
-    """Refuse a config field that is not an integer (bools excluded) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def check_input_dtype(x: np.ndarray) -> None:

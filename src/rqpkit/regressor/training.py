@@ -17,7 +17,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .network import Network, check_input_dtype, check_int
+from ..checks import check_int
+from .network import Network, check_input_dtype
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8

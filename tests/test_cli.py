@@ -73,6 +73,12 @@ class TestSynth:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_names_its_argument(self, workdir, capsys):
+        code = main(["synth", "--count", "1", "--seed", "-1", "--out", str(workdir / "neg")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert not (workdir / "neg").exists()
+
 
 class TestExtract:
     def test_planes_match_library(self, workdir, corpus_dir):

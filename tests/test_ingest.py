@@ -11,14 +11,16 @@ from hypothesis import example, given, settings, strategies as st
 from rqpkit.features import PU_SIZE, CuRect, GrayFrame, PuMode
 from rqpkit.ingest import (
     LABEL_QPS,
+    DatasetSplit,
     MetadataError,
+    _CHUNK_PIXELS,
     _CTU_SIZE,
     _FLAT_GRADIENT_ENERGY,
     _MIN_CU,
     _SPLIT_THRESHOLDS,
     _intra_modes,
     _quadtree_cus,
-    _textured_frame,
+    _textures,
     load_corpus,
     load_frame,
     load_metadata,
@@ -182,6 +184,26 @@ class TestSynthCorpus:
         with pytest.raises(ValueError):
             synth_corpus(2, seed=0, size=(30, 32))
 
+    @pytest.mark.parametrize("count, seed, size, message", [
+        (True, 0, (32, 32), "count must be an integer >= 1, got True"),
+        (2.5, 0, (32, 32), "count must be an integer >= 1, got 2.5"),
+        (1, 1.5, (32, 32), "seed must be an integer >= 0, got 1.5"),
+        (1, -1, (32, 32), "seed must be an integer >= 0, got -1"),
+        (1, 0, (32.0, 32), "width must be an integer >= 16, got 32.0"),
+        (1, 0, (32, False), "height must be an integer >= 16, got False"),
+        (1, 0, (0, 32), "width must be an integer >= 16, got 0"),
+    ], ids=["bool_count", "float_count", "float_seed", "negative_seed", "float_width",
+            "bool_height", "zero_width"])
+    def test_arguments_checked_by_name(self, count, seed, size, message):
+        with pytest.raises(ValueError) as exc:
+            synth_corpus(count, seed, size)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_arguments_accepted(self):
+        a = synth_corpus(np.int64(2), np.uint8(3), size=(np.int32(32), 32))
+        assert a == synth_corpus(2, 3, size=(32, 32))
+        assert a[0][1].frame_id == "s3f0000"
+
     def test_items_pass_all_invariants(self, tiny_corpus):
         # Construction enforces the invariants; re-parsing proves the
         # serialized form does too.
@@ -275,20 +297,18 @@ class TestGeneratorsMatchReference:
     @example(seed=2, width=7, height=2, scale=20.0)    # 112x32
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_same_tiling_modes_and_stream(self, seed, width, height, scale):
-        frame = _textured_frame(np.random.default_rng(seed), width * PU_SIZE,
-                                height * PU_SIZE, scale)
+        frame = GrayFrame(_textures([np.random.default_rng(seed)], [scale], width * PU_SIZE,
+                                    height * PU_SIZE)[0])
         for generate, reference in ((_quadtree_cus, _reference_quadtree_cus),
                                     (_intra_modes, _reference_intra_modes)):
             rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-            assert generate(rng, frame) == reference(ref_rng, frame)
+            assert generate([rng], frame.pixels[None])[0] == reference(ref_rng, frame)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_synthetic_corpus_is_pinned():
-    # Pixels and every label value of a fixed corpus; any drift in the
-    # generator, the entropy labels or the anchor changes the digest.
+def _corpus_digest(items) -> str:
     h = hashlib.sha256()
-    for frame, md in synth_corpus(8, 5):
+    for frame, md in items:
         h.update(frame.pixels.tobytes())
         values = (
             [(r.x, r.y, r.w, r.h) for r in md.cus],
@@ -297,7 +317,37 @@ def test_synthetic_corpus_is_pinned():
             (md.anchor.qp0, md.anchor.r0),
         )
         h.update(repr(values).encode())
-    assert h.hexdigest()[:16] == "6cd6dfb110026c4e"
+    return h.hexdigest()[:16]
+
+
+def test_synthetic_corpus_is_pinned():
+    # Pixels and every label value of a fixed corpus; any drift in the
+    # generator, the entropy labels or the anchor changes the digest.
+    assert _corpus_digest(synth_corpus(8, 5)) == "6cd6dfb110026c4e"
+
+
+@pytest.mark.parametrize("count, seed, size, digest", [
+    (6, 9, (48, 80), "e42b6b3a6d4077e2"),      # CTUs cut short by the frame's edge
+    (20, 3, (128, 128), "83a460f6badc4be2"),   # several generator chunks
+    (70, 4, (32, 32), "5f53012f79b40aaf"),
+])
+def test_synthetic_corpus_is_pinned_at_more_shapes(count, seed, size, digest):
+    assert _corpus_digest(synth_corpus(count, seed, size)) == digest
+
+
+def test_a_pinned_corpus_spans_chunks():
+    assert 20 * 128 * 128 > _CHUNK_PIXELS
+
+
+_PER_CHUNK = _CHUNK_PIXELS // (128 * 128)
+
+
+@pytest.mark.parametrize("k", [1, _PER_CHUNK, _PER_CHUNK + 1, 2 * _PER_CHUNK + 1])
+def test_corpus_prefix_does_not_depend_on_count(k):
+    # 2 * _PER_CHUNK + 1 frames of 128x128 span three chunks; k ends on either side of an edge.
+    assert _PER_CHUNK > 1
+    n = 2 * _PER_CHUNK + 1
+    assert synth_corpus(k, 6, (128, 128)) == synth_corpus(n, 6, (128, 128))[:k]
 
 
 class TestSplitDataset:
@@ -326,6 +376,20 @@ class TestSplitDataset:
         pool = len(split.train) + len(split.validation)
         assert pool == 160
         assert len(split.validation) == round(0.1 * pool)
+
+    @pytest.mark.parametrize("test_fraction", [0.0, 0.5])
+    def test_repeated_id_refused(self, test_fraction):
+        with pytest.raises(ValueError, match="frame id 'a' appears more than once"):
+            split_dataset(["a", "a", "b"], 0, test_fraction)
+
+    @pytest.mark.parametrize("groups", [
+        (("a", "a"), (), ()),
+        (("a", "b"), ("c",), ("b",)),
+        ((), ("c", "c"), ()),
+    ], ids=["within_train", "train_and_test", "within_validation"])
+    def test_split_refuses_repeated_id(self, groups):
+        with pytest.raises(ValueError, match="frame id '[abc]' appears more than once"):
+            DatasetSplit(*groups)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -363,6 +427,13 @@ class TestCorpusOnDisk:
         with pytest.raises(MetadataError, match="16x16") as exc:
             load_corpus(manifest)
         assert str(frame_path) in str(exc.value) and str(sidecar_path) in str(exc.value)
+
+    def test_repeated_frame_id_refused_before_writing(self, tiny_corpus, tmp_path):
+        items = [tiny_corpus[0], tiny_corpus[1], tiny_corpus[0]]
+        out = tmp_path / "corpus"
+        with pytest.raises(ValueError, match="frame id 's1234f0000' appears more than once"):
+            save_corpus(items, out)
+        assert not out.exists()
 
     def test_bad_manifest_line(self, tmp_path):
         path = tmp_path / "manifest.txt"
