@@ -189,8 +189,9 @@ def cmd_curves(args) -> int:
     if args.frame_id not in by_id:
         raise ValueError(f"frame {args.frame_id!r} is not in the corpus")
     frame, md = by_id[args.frame_id]
-    predictors = {name: run.predictor() for name, (_, run) in _load_runs(args.checkpoint).items()}
-    csv_text = ev.curve_dump(frame, md, predictors)
+    params = {name: run.predictor()(frame, md)
+              for name, (_, run) in _load_runs(args.checkpoint).items()}
+    csv_text = ev.curve_dump(md, params)
     path = _out_dir(args) / "curves.csv"
     path.write_text(csv_text)
     print(f"wrote {path}")

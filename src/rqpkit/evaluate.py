@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import CHANNEL_ORDER, GrayFrame, channel_order, stack_from_coding
-from .ingest import CodingMetadata, DatasetSplit
+from .ingest import CodingMetadata, DatasetSplit, _refuse_repeated_ids
 from .model import (
     QP_MATCH_TOL,
     InversionError,
@@ -289,10 +289,8 @@ class TrainedRun:
 
 
 def corpus_index(corpus) -> dict[str, tuple[GrayFrame, CodingMetadata]]:
-    index = {md.frame_id: (frame, md) for frame, md in corpus}
-    if len(index) != len(corpus):
-        raise ValueError("corpus contains duplicate frame ids")
-    return index
+    _refuse_repeated_ids((md.frame_id for _, md in corpus), "corpus")
+    return {md.frame_id: (frame, md) for frame, md in corpus}
 
 
 def _dataset(by_id, ids, form, fastened, channels) -> tuple[np.ndarray, np.ndarray]:
@@ -345,6 +343,8 @@ def run_training(corpus, split: DatasetSplit, form: str, fastened: bool, channel
 def evaluate_run(corpus, run: TrainedRun,
                  thresholds=DEFAULT_THRESHOLDS) -> tuple[ReportRow, list[PairOutcome]]:
     """Score a trained run on those of its test frames the corpus holds."""
+    if not run.test_ids:
+        raise ValueError(f"run {run.name} holds no test frames")
     by_id = corpus_index(corpus)
     items = [by_id[i] for i in run.test_ids if i in by_id]
     if not items:
@@ -359,23 +359,22 @@ def evaluate_run(corpus, run: TrainedRun,
     )
 
 
-def curve_dump(frame: GrayFrame, md: CodingMetadata, predictors: dict) -> str:
-    """CSV of actual vs predicted rates at a frame's label QPs, one column per predictor.
+def curve_dump(md: CodingMetadata, params_by_name: dict[str, ModelParams]) -> str:
+    """CSV of actual vs predicted rates at a frame's label QPs, one column per name.
 
-    Predictors map a column name to a params_fn(frame, md); inversion
-    failures leave the cell empty.
+    `params_by_name` maps a column name to the frame's predicted model
+    coefficients; inversion failures leave the cell empty.
     """
-    if not predictors:
+    if not params_by_name:
         raise ValueError("at least one predictor is required")
     if md.labels is None:
         raise ValueError(f"frame {md.frame_id} carries no label curve")
-    params_by_name = {name: fn(frame, md) for name, fn in predictors.items()}
-    lines = ["qp,actual_bits," + ",".join(f"predicted_bits_{n}" for n in predictors)]
+    lines = ["qp,actual_bits," + ",".join(f"predicted_bits_{n}" for n in params_by_name)]
     for sample in md.labels.samples:
         cells = [f"{sample.qp:g}", f"{sample.rate:.6f}"]
-        for name in predictors:
+        for params in params_by_name.values():
             try:
-                cells.append(f"{predict_rate(params_by_name[name], sample.qp):.6f}")
+                cells.append(f"{predict_rate(params, sample.qp):.6f}")
             except InversionError:
                 cells.append("")
         lines.append(",".join(cells))

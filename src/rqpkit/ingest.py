@@ -506,9 +506,10 @@ def read_manifest(manifest_path) -> list[tuple[Path, Path]]:
 
 
 def load_corpus(manifest_path) -> list[tuple[GrayFrame, CodingMetadata]]:
-    """Load every (frame, sidecar) pair listed in a manifest."""
+    """Load every (frame, sidecar) pair listed in a manifest; a repeated frame id is refused."""
     items = [load_pair(frame_path, sidecar_path)
              for frame_path, sidecar_path in read_manifest(manifest_path)]
     if not items:
         raise ValueError(f"manifest {manifest_path} lists no frames")
+    _refuse_repeated_ids((md.frame_id for _, md in items), f"manifest {manifest_path}")
     return items

@@ -10,13 +10,11 @@ Conv2d is the network's one convolution: 3x3, stride 1, zero padding 1.
 It runs as im2col GEMMs in the Caffe layout (Chellapilla et al., 2006):
 forward copies the padded input's sliding windows into a (C·9, B·H·W)
 column matrix and multiplies the (O, C·9) weights by it.  It caches a
-reference to the input it read, with its scale, not a padded copy.
-Given a scale (the network's first stage on uint8 planes), forward writes
-its input into float64 padding and multiplies it by the scale there, in
-place.  `weight_gradients` is the one place a conv's dW and db are
-formed: it rebuilds the columns from an input the way forward built
-them.  Backward stores those and also forms every tap's input gradient
-with one more product and scatters it back (col2im).
+reference to the input it read, not a padded copy.  `weight_gradients`
+is the one place a conv's dW and db are formed: it rebuilds the columns
+from an input the way forward built them.  Backward stores those and
+also forms every tap's input gradient with one more product and
+scatters it back (col2im).
 
 AvgPool2d sums with strided slices, in a fixed order: the block's column
 phases along W, then the row phases of that result along H, then one
@@ -50,18 +48,11 @@ def _windows(x: np.ndarray) -> np.ndarray:
     )
 
 
-def padded_windows(x: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Window view of x zero-padded by one pixel: what Conv2d convolves.
-
-    With a scale, x is written into float64 padding and multiplied by it
-    there in place: the bits of padding `x.astype(float64) * scale`, without
-    that copy.
-    """
+def padded_windows(x: np.ndarray) -> np.ndarray:
+    """Window view of x zero-padded by one pixel: what Conv2d convolves."""
     b, c, h, w = x.shape
-    padded = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype if scale is None else np.float64)
+    padded = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
     padded[:, :, 1 : 1 + h, 1 : 1 + w] = x
-    if scale is not None:
-        padded *= scale
     return _windows(padded)
 
 
@@ -84,19 +75,17 @@ class Conv2d:
         self.db = np.zeros_like(self.b)
         self._cache = None
 
-    def forward(self, x: np.ndarray, scale: float | None = None) -> np.ndarray:
-        """Convolve x; with a scale, convolve x * scale in float64 (see padded_windows)."""
+    def forward(self, x: np.ndarray) -> np.ndarray:
         b, c, h, w = x.shape
-        out = self.w.reshape(self.out_channels, -1) @ _cols(padded_windows(x, scale))
+        out = self.w.reshape(self.out_channels, -1) @ _cols(padded_windows(x))
         out = out.reshape(self.out_channels, b, h, w).transpose(1, 0, 2, 3)
         out += self.b[None, :, None, None]
-        self._cache = x, scale
+        self._cache = x
         return out
 
-    def weight_gradients(self, x: np.ndarray, dout: np.ndarray,
-                         scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """dW and db, given the output gradient dout of forward(x, scale)."""
-        cols = _cols(padded_windows(x, scale))
+    def weight_gradients(self, x: np.ndarray, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """dW and db, given the output gradient dout of forward(x)."""
+        cols = _cols(padded_windows(x))
         d2 = dout.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
         # The bits of d2 @ cols.T; OpenBLAS forms this order faster at conv1's shape.
         dw = (cols @ d2.T).T
@@ -104,8 +93,8 @@ class Conv2d:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         """Store dw/db; return the input gradient."""
-        x, scale = self._cache
-        self.dw, self.db = self.weight_gradients(x, dout, scale)
+        x = self._cache
+        self.dw, self.db = self.weight_gradients(x, dout)
         b, c, h, w = x.shape
         d2 = dout.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
         dx_padded = np.zeros((b, c, h + 2, w + 2))

@@ -10,12 +10,11 @@ the network reads frames of any height and width.  The architecture is
 fixed and deliberately small so it trains on a CPU in minutes.
 
 The network reads a batch of feature stacks, (batch, C, H, W).  A uint8
-batch holds 8-bit planes, mapped onto [0, 1] as the first step of the
-first stage: conv0 writes each frame into its float64 zero padding and
-multiplies it by INPUT_SCALE there, which gives per value the bits of
-`normalize_stack` with no float64 copy of the frame or the batch.  A
-floating batch is taken as already in those network units.  Any other
-dtype, and an empty batch, is a ValueError.
+batch holds 8-bit planes; `_in_units`, the one map from planes to network
+units, passes each frame through `normalize_stack` as conv0 reads it, so
+no float64 copy of the batch is made.  A floating batch is taken as
+already in network units.  Any other dtype, and an empty batch, is a
+ValueError.
 
 `Network` runs the first stage (conv0, its rectifier and its pool) one
 frame at a time, for every batch size, and the later layers on the whole
@@ -24,11 +23,10 @@ activations 262 KB, so they stay in a core's cache, where the whole
 batch's would not.  Forward keeps a reference to its input batch, not a
 float64 copy of it.  Backward multiplies each frame's pooled gradient by
 that frame's row of the first rectifier's batch-wide `mask` and sums
-conv0's `weight_gradients` of that frame, read from the batch with the
-scale forward used, in frame order.  So the batch must not change
-between a forward and its backward.  After a forward, the first
-rectifier's `mask` covers the whole batch, so callers can read every
-frame's kinks.
+conv0's `weight_gradients` of that frame, mapped again from the batch, in
+frame order.  So the batch must not change between a forward and its
+backward.  After a forward, the first rectifier's `mask` covers the whole
+batch, so callers can read every frame's kinks.
 """
 
 from __future__ import annotations
@@ -53,9 +51,9 @@ def normalize_stack(planes: np.ndarray) -> np.ndarray:
     return units
 
 
-def _scale(x: np.ndarray) -> float | None:
-    """The factor conv0 applies to x's values: INPUT_SCALE for uint8 planes, none for units."""
-    return INPUT_SCALE if x.dtype == np.uint8 else None
+def _in_units(frame: np.ndarray) -> np.ndarray:
+    """frame in network units: uint8 planes through normalize_stack, floating values as they are."""
+    return normalize_stack(frame) if frame.dtype == np.uint8 else frame
 
 
 def check_input_dtype(x: np.ndarray) -> None:
@@ -124,9 +122,9 @@ class Network:
         check_input_dtype(x)
         conv, relu, pool = self.layers[:STAGE]
         mask = np.empty((len(x), conv.out_channels) + x.shape[2:], dtype=bool)
-        outs, self._x, scale = [], x, _scale(x)
+        outs, self._x = [], x
         for i in range(len(x)):
-            outs.append(pool.forward(relu.forward(conv.forward(x[i : i + 1], scale))))
+            outs.append(pool.forward(relu.forward(conv.forward(_in_units(x[i : i + 1])))))
             mask[i] = relu.mask[0]
         relu.mask = mask
         out = np.concatenate(outs)
@@ -143,10 +141,10 @@ class Network:
         for layer in reversed(self.layers[STAGE:]):
             dout = layer.backward(dout)
         conv, relu, pool = self.layers[:STAGE]
-        dw, db, scale = np.zeros_like(conv.w), np.zeros_like(conv.b), _scale(self._x)
+        dw, db = np.zeros_like(conv.w), np.zeros_like(conv.b)
         for i in range(len(self._x)):
             d = pool.backward(dout[i : i + 1]) * relu.mask[i : i + 1]
-            frame_dw, frame_db = conv.weight_gradients(self._x[i : i + 1], d, scale)
+            frame_dw, frame_db = conv.weight_gradients(_in_units(self._x[i : i + 1]), d)
             dw += frame_dw
             db += frame_db
         conv.dw, conv.db = dw, db

@@ -1,9 +1,7 @@
 """Training loop, scalers, loss, and the adaptive-moment optimizer.
 
-`train` takes the feature stacks as the network reads them: a uint8
-(n, C, H, W) batch of 8-bit planes, which `Network.forward` maps onto
-[0, 1] one frame at a time, so no float64 copy of the training set is
-made; a floating batch is taken as already in network units.  Target
+`train` hands the feature stacks to the network as they are, so 8-bit
+planes stay 8-bit: `Network.forward` maps them one frame at a time.  Target
 coefficients are standardized per parameter with mean/deviation taken
 from the training labels only.  One loss, `mse_loss`, the mean squared
 difference between predicted and fitted coefficients in standardized
@@ -137,13 +135,13 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
           validation=None) -> TrainResult:
     """Train on feature stacks x (n, C, H, W) and raw coefficients y (n, outputs).
 
-    x is uint8 planes or floating network units, as `Network.forward` reads,
-    and its batches reach the network as they are; any other dtype is a
-    ValueError, raised before the scaler is fitted.  The scaler is fitted on
-    y only; `validation`, an (x, y) pair, is scored each epoch with the same
-    scaler and the training loss, `mse_loss`, over the whole set.  Its
-    outputs are forwarded `cfg.batch_size` rows at a time, so it peaks at
-    the training step's memory.
+    x is what `Network.forward` reads, and its batches reach the network as
+    they are; a dtype it refuses is a ValueError, raised before the scaler
+    is fitted.  The scaler is fitted on y only; `validation`, an (x, y)
+    pair, is scored each epoch with the same scaler and the training loss,
+    `mse_loss`, over the whole set.  Its outputs are forwarded
+    `cfg.batch_size` rows at a time, so it peaks at the training step's
+    memory.
     """
     for xs, ys in [(x, y)] + ([validation] if validation is not None else []):
         check_input_dtype(xs)

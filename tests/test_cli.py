@@ -121,6 +121,19 @@ class TestFitLabels:
         assert len(lines[1].split(",")) == 3  # id + two fastened coefficients
 
 
+    def test_manifest_listing_a_frame_twice_refused(self, workdir, corpus_dir, capsys):
+        manifest = workdir / "twice" / "manifest.txt"
+        shutil.copytree(corpus_dir, manifest.parent)
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(lines + lines[:1]))
+        frame_id = load_metadata(read_manifest(manifest)[0][1]).frame_id
+        out = workdir / "labels_twice"
+        assert main(["fit-labels", "--corpus", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: frame id {frame_id!r} appears more than once in the manifest {manifest}\n")
+        assert not out.exists()
+
+
 class TestTrainPredict:
     def test_history_written(self, checkpoint):
         history = (checkpoint.parent / "history.csv").read_text().strip().splitlines()
@@ -300,6 +313,20 @@ class TestEvaluate:
                      "--checkpoint", str(checkpoint), "--out", str(workdir / "eval_x")])
         assert code == 2
         assert "test frames" in capsys.readouterr().err
+
+    def test_run_without_test_frames_says_so(self, workdir, corpus_dir, capsys):
+        manifest = str(corpus_dir / "manifest.txt")
+        run = workdir / "trained_no_test"
+        assert main(["train", "--corpus", manifest, "--test-fraction", "0", "--epochs", "1",
+                     "--features", "rec", "--out", str(run)]) == 0
+        capsys.readouterr()
+        out = workdir / "eval_no_test"
+        code = main(["evaluate", "--corpus", manifest,
+                     "--checkpoint", str(run / "checkpoint.npz"), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: run quadratic_fastened_rec holds no test frames\n")
+        assert not out.exists()
 
     def test_missing_checkpoint_leaves_no_out_dir(self, workdir, corpus_dir, capsys):
         out = workdir / "eval_missing"

@@ -386,6 +386,19 @@ class TestTrainingRuns:
         with pytest.raises(ValueError, match="test frames"):
             evaluate_run(others, run)
 
+    def test_run_without_test_frames_says_so(self, tiny_corpus):
+        split = split_dataset([md.frame_id for _, md in tiny_corpus], seed=0, test_fraction=0.0)
+        run = run_training(tiny_corpus, split, "linear", True, ("rec",),
+                           TrainConfig(epochs=1, seed=0))
+        with pytest.raises(ValueError, match="^run linear_fastened_rec holds no test frames$"):
+            evaluate_run(tiny_corpus, run)
+
+    def test_corpus_index_refuses_repeated_id(self, tiny_corpus):
+        corpus = [tiny_corpus[0], tiny_corpus[1], tiny_corpus[0]]
+        with pytest.raises(ValueError,
+                           match="^frame id 's1234f0000' appears more than once in the corpus$"):
+            corpus_index(corpus)
+
     def test_channels_canonicalized(self, tiny_corpus):
         ids = [md.frame_id for _, md in tiny_corpus]
         split = split_dataset(ids, seed=0, test_fraction=0.25)
@@ -464,13 +477,13 @@ class TestTrainingRuns:
 
 class TestCurveDump:
     def test_requires_predictors(self):
-        frame, md = on_model_metadata("f0")
+        _, md = on_model_metadata("f0")
         with pytest.raises(ValueError, match="predictor"):
-            curve_dump(frame, md, {})
+            curve_dump(md, {})
 
     def test_actual_column_is_verbatim(self):
-        frame, md = on_model_metadata("f0")
-        text = curve_dump(frame, md, {"fit": label_fit_predictor("quadratic", True)})
+        _, md = on_model_metadata("f0")
+        text = curve_dump(md, {"fit": make_labels(md, frame_spec("quadratic", True, md))})
         lines = text.strip().split("\n")
         assert lines[0] == "qp,actual_bits,predicted_bits_fit"
         assert len(lines) == 1 + len(QP_GRID)
@@ -478,8 +491,8 @@ class TestCurveDump:
             assert line.split(",")[1] == f"{sample.rate:.6f}"
 
     def test_fastened_prediction_passes_anchor(self):
-        frame, md = on_model_metadata("f0")
-        text = curve_dump(frame, md, {"fit": label_fit_predictor("quadratic", True)})
+        _, md = on_model_metadata("f0")
+        text = curve_dump(md, {"fit": make_labels(md, frame_spec("quadratic", True, md))})
         anchor_line = next(
             line for line in text.splitlines()[1:] if line.startswith("10,")
         )
@@ -488,6 +501,6 @@ class TestCurveDump:
 
     def test_inversion_failure_leaves_cell_empty(self):
         frame, md = on_model_metadata("f0")
-        lines = curve_dump(frame, md, {"up": overflowing}).splitlines()
+        lines = curve_dump(md, {"up": overflowing(frame, md)}).splitlines()
         assert lines[1] == f"10,{md.anchor.r0:.6f},{md.anchor.r0:.6f}"
         assert all(line.endswith(",") for line in lines[2:])

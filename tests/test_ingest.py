@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -434,6 +435,14 @@ class TestCorpusOnDisk:
         with pytest.raises(ValueError, match="frame id 's1234f0000' appears more than once"):
             save_corpus(items, out)
         assert not out.exists()
+
+    def test_manifest_listing_a_frame_twice_refused(self, tiny_corpus, tmp_path):
+        manifest = save_corpus(tiny_corpus[:2], tmp_path)
+        first = manifest.read_text().splitlines()[0]
+        manifest.write_text(manifest.read_text() + first + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"frame id 's1234f0000' appears more than once in the manifest {manifest}")):
+            load_corpus(manifest)
 
     def test_bad_manifest_line(self, tmp_path):
         path = tmp_path / "manifest.txt"

@@ -33,7 +33,7 @@ from rqpkit.regressor import (
     train,
 )
 from rqpkit.regressor.layers import AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU
-from rqpkit.regressor.network import INPUT_SCALE, parameter_shapes
+from rqpkit.regressor.network import parameter_shapes
 
 
 def toy_stack(rng, channels=2, size=8) -> np.ndarray:
@@ -262,18 +262,15 @@ class TestConvBackward:
     @pytest.mark.parametrize("batch", [1, 2])
     def test_parameter_only_backward(self, batch):
         # weight_gradients reads any input it is given, cached or not, and
-        # forms backward's dw/db bit for bit, for float input and for uint8
-        # planes at the network's input scale.
+        # forms backward's dw/db bit for bit.
         rng = np.random.default_rng(32)
         layer = Conv2d(3, 4, rng=np.random.default_rng(33))
         x = rng.standard_normal((batch, 3, 8, 8))
-        planes = rng.integers(0, 256, x.shape, dtype=np.uint8)
-        for inputs, scale in [(x, None), (planes, INPUT_SCALE)]:
-            dout = rng.standard_normal(layer.forward(inputs, scale).shape)
-            dw, db = layer.weight_gradients(inputs, dout, scale)
-            assert layer.backward(dout).shape == x.shape
-            assert dw.tobytes() == layer.dw.tobytes()
-            assert db.tobytes() == layer.db.tobytes()
+        dout = rng.standard_normal(layer.forward(x).shape)
+        dw, db = layer.weight_gradients(x, dout)
+        assert layer.backward(dout).shape == x.shape
+        assert dw.tobytes() == layer.dw.tobytes()
+        assert db.tobytes() == layer.db.tobytes()
 
     def test_network_gradients_match_full_backward(self):
         # Network.backward runs the first stage one frame at a time and sums
@@ -380,14 +377,16 @@ class TestFirstStagePerFrame:
         net.forward(planes)
         assert held_float64_bytes(net) < planes.size * 8
 
-    def test_conv0_keeps_the_uint8_batch(self):
-        # conv0 caches the frame it read, a view of the batch, not a float64 window.
+    def test_network_keeps_the_uint8_batch(self):
+        # The network holds the uint8 batch itself; conv0 caches only the
+        # last frame it read, mapped to network units.
         net = Network(NetworkConfig(3, 2, seed=49))
         planes = np.random.default_rng(49).integers(0, 256, (3, 3, 16, 16), dtype=np.uint8)
-        net.backward(np.ones_like(net.forward(planes)))
-        cached = net.layers[0]._cache[0]
-        assert cached.dtype == np.uint8
-        assert np.shares_memory(cached, planes)
+        net.forward(planes)
+        assert np.shares_memory(net._x, planes)
+        cached = net.layers[0]._cache
+        assert cached.shape == (1, 3, 16, 16) and cached.dtype == np.float64
+        assert cached.tobytes() == normalize_stack(planes[-1:]).tobytes()
 
 
 def held_float64_bytes(net: Network) -> int:
@@ -497,7 +496,7 @@ class TestShapeAlgebra:
         net = Network(NetworkConfig(3, 2, seed=46))
         assert net.forward(np.zeros((2, 3) + shape)).shape == (2, 2)
         convs = [layer for layer in net.layers if isinstance(layer, Conv2d)]
-        assert [conv._cache[0].shape[2:4] for conv in convs] == planes
+        assert [conv._cache.shape[2:4] for conv in convs] == planes
 
     def test_non_square_gradients(self):
         # 8x12 pools by 4 to 2x3, passes 2x3 through and averages it whole.
