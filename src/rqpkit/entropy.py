@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,10 +184,16 @@ def qstep_to_qp(qstep: float) -> float:
 
 
 def qp_to_qstep(qp: float) -> float:
-    """Quantization step size for a QP: 2 ** ((qp - 4) / 6)."""
-    if not math.isfinite(qp):
-        raise ValueError(f"qp must be finite, got {qp}")
-    return 2.0 ** ((qp - 4.0) / 6.0)
+    """Quantization step size for a QP: 2 ** ((qp - 4) / 6).
+
+    A qp whose step is not a positive normal float (below about -6128 or
+    from about 6148 on), or that is not finite, raises ValueError.
+    """
+    exponent = (qp - 4.0) / 6.0
+    # 2 ** exponent is a positive normal float exactly on this range.
+    if not sys.float_info.min_exp - 1 <= exponent < sys.float_info.max_exp:
+        raise ValueError(f"qp {qp} has no quantization step in the normal float range")
+    return 2.0 ** exponent
 
 
 def synth_curve(params: CauchyParams, qp_grid, bits_scale: float) -> RQPCurve:

@@ -1,7 +1,10 @@
 """Versioned checkpoints: network config, weights, scaler, and run metadata.
 
 Weights are stored as raw float64 arrays inside an npz archive, so a
-loaded network reproduces predictions bit for bit.
+loaded network reproduces predictions bit for bit.  The loader builds
+`Network(config)` from the stored config first (NetworkConfig bounds it
+to a few thousand parameters) and checks each stored `param_i` against
+the parameter it fills.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import Network, NetworkConfig, parameter_shapes
+from .network import Network, NetworkConfig
 from .training import TargetScaler
 
 FORMAT_VERSION = 4
@@ -69,19 +72,15 @@ def _load(path: Path) -> tuple[Network, TargetScaler, dict]:
                 f"(expected {FORMAT_VERSION})"
             )
         config = NetworkConfig(**meta["config"])
-        # Compare the stored shapes before building: a config that claims
-        # many outputs would otherwise allocate its network first.
-        shapes = parameter_shapes(config)
-        params = [archive[f"param_{i}"] for i in range(len(shapes))]
-        for i, (param, shape) in enumerate(zip(params, shapes)):
-            if param.shape != shape:
-                raise CheckpointError(
-                    f"param_{i} has shape {param.shape}; the config implies {shape}")
         network = Network(config)
-        for target, param in zip(network.parameters(), params):
+        for i, target in enumerate(network.parameters()):
+            param = archive[f"param_{i}"]
+            if param.shape != target.shape:
+                raise CheckpointError(
+                    f"param_{i} has shape {param.shape}; the config implies {target.shape}")
             target[...] = param
         scaler = TargetScaler(archive["scaler_mean"], archive["scaler_scale"])
-    if not all(np.isfinite(p).all() for p in params):
+    if not all(np.isfinite(p).all() for p in network.parameters()):
         raise CheckpointError("checkpoint weights must be finite")
     mean, scale = scaler.mean, scaler.scale
     if not (mean.shape == scale.shape == (config.outputs,) and np.isfinite(mean).all()

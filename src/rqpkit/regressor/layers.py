@@ -1,20 +1,21 @@
 """Network layers with explicit forward and backward passes.
 
 Every layer caches what its backward pass needs during forward, until the
-next forward; backward reads the cache, stores parameter gradients on the
-layer (dw/db), and returns the gradient with respect to its input.  All
-math is float64 so the analytic gradients can be checked against central
-finite differences.
+next forward; backward reads the cache and returns the gradient with
+respect to its input.  Conv2d and Dense, the layers that learn, also
+store their parameter gradients (dw/db) and list their arrays in
+`parameters()`/`gradients()`.  All math is float64 so the analytic
+gradients can be checked against central finite differences.
 
 Conv2d is the network's one convolution: 3x3, stride 1, zero padding 1.
-It runs as im2col GEMMs in the Caffe layout (Chellapilla et al., 2006):
-forward copies the padded input's sliding windows into a (C·9, B·H·W)
-column matrix and multiplies the (O, C·9) weights by it.  It caches a
-reference to the input it read, not a padded copy.  `weight_gradients`
-is the one place a conv's dW and db are formed: it rebuilds the columns
-from an input the way forward built them.  Backward stores those and
-also forms every tap's input gradient with one more product and
-scatters it back (col2im).
+It runs as im2col GEMMs in the Caffe layout (Chellapilla et al., 2006).
+`_cols` is the one im2col: it zero-pads its input and copies the sliding
+windows into a (C·9, B·H·W) column matrix.  Forward multiplies the
+(O, C·9) weights by it and caches a reference to the input it read, not
+a padded copy.  `weight_gradients` is the one place a conv's dW and db
+are formed, from `_cols` of an input.  Backward stores those and also
+forms every tap's input gradient with one more product and scatters it
+back (col2im).
 
 AvgPool2d sums with strided slices, in a fixed order: the block's column
 phases along W, then the row phases of that result along H, then one
@@ -36,30 +37,15 @@ import numpy as np
 KERNEL = 3
 
 
-def _windows(x: np.ndarray) -> np.ndarray:
-    """Sliding (batch, ch, out_h, out_w, 3, 3) stride-1 view of a padded input."""
-    b, c, h, w = x.shape
-    sb, sc, sh, sw = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        (b, c, h - KERNEL + 1, w - KERNEL + 1, KERNEL, KERNEL),
-        (sb, sc, sh, sw, sh, sw),
-        writeable=False,
-    )
-
-
-def padded_windows(x: np.ndarray) -> np.ndarray:
-    """Window view of x zero-padded by one pixel: what Conv2d convolves."""
+def _cols(x: np.ndarray) -> np.ndarray:
+    """im2col matrix (C·3·3, B·H·W) of x (B, C, H, W) zero-padded by one pixel."""
     b, c, h, w = x.shape
     padded = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
     padded[:, :, 1 : 1 + h, 1 : 1 + w] = x
-    return _windows(padded)
-
-
-def _cols(win: np.ndarray) -> np.ndarray:
-    """im2col matrix (ch·3·3, batch·out_h·out_w) of a window view."""
-    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
-    return cols.reshape(win.shape[1] * KERNEL * KERNEL, -1)
+    sb, sc, sh, sw = padded.strides
+    win = np.lib.stride_tricks.as_strided(
+        padded, (c, KERNEL, KERNEL, b, h, w), (sc, sh, sw, sb, sh, sw), writeable=False)
+    return np.ascontiguousarray(win).reshape(c * KERNEL * KERNEL, -1)
 
 
 class Conv2d:
@@ -77,7 +63,7 @@ class Conv2d:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         b, c, h, w = x.shape
-        out = self.w.reshape(self.out_channels, -1) @ _cols(padded_windows(x))
+        out = self.w.reshape(self.out_channels, -1) @ _cols(x)
         out = out.reshape(self.out_channels, b, h, w).transpose(1, 0, 2, 3)
         out += self.b[None, :, None, None]
         self._cache = x
@@ -85,7 +71,7 @@ class Conv2d:
 
     def weight_gradients(self, x: np.ndarray, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """dW and db, given the output gradient dout of forward(x)."""
-        cols = _cols(padded_windows(x))
+        cols = _cols(x)
         d2 = dout.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
         # The bits of d2 @ cols.T; OpenBLAS forms this order faster at conv1's shape.
         dw = (cols @ d2.T).T
@@ -134,12 +120,6 @@ class ReLU:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         return dout * self.mask
 
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
 
 class AvgPool2d:
     """Average pooling over k x k blocks, k the largest of window, window/2,
@@ -179,12 +159,6 @@ class AvgPool2d:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         kh, kw = self._block
         return np.repeat(np.repeat(dout / (kh * kw), kh, axis=2), kw, axis=3)
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
 
 
 class GlobalAvgPool2d(AvgPool2d):

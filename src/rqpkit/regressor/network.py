@@ -7,14 +7,17 @@ averages its whole plane (a global average pool, Lin et al., "Network in
 Network", 2014).  A hidden dense layer with a rectifier and an output
 dense layer map the 32 averages to one value per model coefficient, so
 the network reads frames of any height and width.  The architecture is
-fixed and deliberately small so it trains on a CPU in minutes.
+fixed and deliberately small so it trains on a CPU in minutes: `Network`
+states it once, and a `NetworkConfig` (1-3 input channels, 1-3 outputs)
+builds at most ~7.2 K parameters, so a checkpoint's loader builds the
+network before it reads the stored weights into it.
 
 The network reads a batch of feature stacks, (batch, C, H, W).  A uint8
 batch holds 8-bit planes; `_in_units`, the one map from planes to network
 units, passes each frame through `normalize_stack` as conv0 reads it, so
 no float64 copy of the batch is made.  A floating batch is taken as
-already in network units.  Any other dtype, and an empty batch, is a
-ValueError.
+already in network units.  Any other dtype, and a batch with no pixel
+(no frame, or a side of 0), is a ValueError.
 
 `Network` runs the first stage (conv0, its rectifier and its pool) one
 frame at a time, for every batch size, and the later layers on the whole
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..checks import check_int
-from .layers import KERNEL, AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU
+from .layers import AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU
 
 CONV_CHANNELS = (8, 16, 32)
 POOL = 4
@@ -65,7 +68,11 @@ def check_input_dtype(x: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """The three values a caller chooses; the layers follow from them."""
+    """The three values a caller chooses; the layers follow from them.
+
+    `outputs` is a coefficient count of an R-QP form, 1 to 3, so every
+    accepted config builds a network of at most ~7.2 K parameters.
+    """
 
     input_channels: int
     outputs: int
@@ -77,22 +84,15 @@ class NetworkConfig:
         check_int("seed", self.seed, 0)
         if self.input_channels not in (1, 2, 3):
             raise ValueError(f"input_channels must be 1, 2, or 3, got {self.input_channels}")
-
-
-def parameter_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
-    """Shapes of Network(config).parameters(), without building the network."""
-    shapes, in_ch = [], config.input_channels
-    for out_ch in CONV_CHANNELS:
-        shapes += [(out_ch, in_ch, KERNEL, KERNEL), (out_ch,)]
-        in_ch = out_ch
-    return shapes + [(in_ch, in_ch), (in_ch,), (config.outputs, in_ch), (config.outputs,)]
+        if self.outputs not in (1, 2, 3):
+            raise ValueError(f"outputs must be 1, 2, or 3, got {self.outputs}")
 
 
 class Network:
     """The learnable stack; parameters update in place via .parameters().
 
     `learned` names the layers that hold parameters (conv0..conv2, hidden,
-    dense), in parameters() order.
+    dense); parameters() and gradients() list their arrays in that order.
     """
 
     def __init__(self, config: NetworkConfig):
@@ -117,8 +117,8 @@ class Network:
         if x.ndim != 4 or x.shape[1] != self.config.input_channels:
             raise ValueError(f"input shape {x.shape} does not match "
                              f"(batch, {self.config.input_channels}, height, width)")
-        if len(x) == 0:
-            raise ValueError(f"input shape {x.shape} holds no frame")
+        if 0 in x.shape:
+            raise ValueError(f"input shape {x.shape} holds no pixel")
         check_input_dtype(x)
         conv, relu, pool = self.layers[:STAGE]
         mask = np.empty((len(x), conv.out_channels) + x.shape[2:], dtype=bool)
@@ -150,7 +150,7 @@ class Network:
         conv.dw, conv.db = dw, db
 
     def parameters(self) -> list[np.ndarray]:
-        return [p for layer in self.layers for p in layer.parameters()]
+        return [p for layer in self.learned.values() for p in layer.parameters()]
 
     def gradients(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.gradients()]
+        return [g for layer in self.learned.values() for g in layer.gradients()]

@@ -105,8 +105,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        lr = self.learning_rate
+        if (isinstance(lr, bool) or not isinstance(lr, (int, float, np.integer, np.floating))
+                or not (np.isfinite(lr) and lr >= 0)):
+            raise ValueError(f"learning_rate must be a finite real >= 0, got {lr!r}")
         check_int("batch_size", self.batch_size, 1)
         check_int("epochs", self.epochs, 1)
         check_int("seed", self.seed, 0)

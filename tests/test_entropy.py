@@ -252,6 +252,14 @@ class TestQpConversion:
         with pytest.raises(ValueError):
             qp_to_qstep(float("nan"))
 
+    # 6148 overflows; -6129 gives a subnormal step and -6446 a zero step.
+    @pytest.mark.parametrize("qp", [6148.0, 1e6, -6129.0, -6446.0, -1e6])
+    def test_step_beyond_normal_float_range(self, qp):
+        with pytest.raises(ValueError, match=f"qp {qp} "):
+            qp_to_qstep(qp)
+        with pytest.raises(ValueError, match=f"qp {qp} "):
+            synth_curve(CauchyParams(5.0), sorted([10.0, qp]), 1.0)
+
 
 class TestSynthCurve:
     def test_single_point(self):

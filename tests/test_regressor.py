@@ -32,8 +32,7 @@ from rqpkit.regressor import (
     save_checkpoint,
     train,
 )
-from rqpkit.regressor.layers import AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU
-from rqpkit.regressor.network import parameter_shapes
+from rqpkit.regressor.layers import AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU, _cols
 
 
 def toy_stack(rng, channels=2, size=8) -> np.ndarray:
@@ -211,6 +210,24 @@ def naive_conv_forward_and_dw(layer: Conv2d, x: np.ndarray, dout: np.ndarray):
             out += np.einsum("bchw,oc->bohw", tap, layer.w[:, :, i, j])
             dw[:, :, i, j] = np.einsum("bohw,bchw->oc", dout, tap)
     return out, dw
+
+
+def reference_cols(x: np.ndarray) -> np.ndarray:
+    """im2col of x zero-padded by one pixel, from NumPy's own sliding windows."""
+    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(2, 3))
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(x.shape[1] * 9, -1)
+
+
+class TestCols:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 7), (16, 16)])
+    @pytest.mark.parametrize("batch", [1, 3, 10])
+    @pytest.mark.parametrize("channels", [1, 3, 8, 16])
+    def test_matches_sliding_window_view(self, shape, batch, channels):
+        x = np.random.default_rng(batch * 100 + channels).standard_normal((batch, channels, *shape))
+        got, want = _cols(x), reference_cols(x)
+        assert got.shape == want.shape == (channels * 9, batch * shape[0] * shape[1])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestConvAgainstTapLoop:
@@ -458,6 +475,13 @@ class TestUint8Input:
         with pytest.raises(ValueError, match=re.escape("(0, 3, 8, 8)")):
             Network(NetworkConfig(3, 2)).forward(np.zeros((0, 3, 8, 8), dtype))
 
+    @pytest.mark.parametrize("dtype", ["uint8", "float64"])
+    @pytest.mark.parametrize("shape", [(1, 3, 0, 64), (2, 3, 64, 0), (1, 3, 0, 0)])
+    def test_zero_side_names_its_shape(self, dtype, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))) as exc:
+            Network(NetworkConfig(3, 2)).forward(np.zeros(shape, dtype))
+        assert "\n" not in str(exc.value)
+
     @pytest.mark.parametrize("bad", ["training", "validation"])
     def test_train_checks_dtype_before_fitting_the_scaler(self, bad):
         # Constant labels would fail TargetScaler.fit; the dtype is refused first.
@@ -478,7 +502,6 @@ class TestShapeAlgebra:
     @pytest.mark.parametrize("size", [7, 8, 64])
     def test_parameter_shapes_match_network(self, size):
         cfg = NetworkConfig(2, 3)
-        assert parameter_shapes(cfg) == [p.shape for p in Network(cfg).parameters()]
         assert Network(cfg).forward(np.zeros((1, 2, size, size))).shape == (1, 3)
 
     def test_parameter_count(self):
@@ -516,6 +539,12 @@ class TestShapeAlgebra:
     def test_channel_count_bounds(self):
         with pytest.raises(ValueError):
             NetworkConfig(4, 2)
+
+    @pytest.mark.parametrize("outputs", [4, 200_000])
+    def test_output_count_bounds(self, outputs):
+        # 1-3 are the coefficient counts of the R-QP forms.
+        with pytest.raises(ValueError, match=f"outputs must be 1, 2, or 3, got {outputs}"):
+            NetworkConfig(2, outputs)
 
     @pytest.mark.parametrize("name, value", [
         ("input_channels", 2.0), ("input_channels", True), ("outputs", 2.5), ("outputs", True),
@@ -699,7 +728,7 @@ class TestTraining:
         with pytest.raises(TrainingError, match="non-finite"):
             train(net, *data, TrainConfig(learning_rate=1e30, epochs=10, seed=5))
 
-    @pytest.mark.parametrize("learning_rate", [np.nan, np.inf])
+    @pytest.mark.parametrize("learning_rate", [np.nan, np.inf, True, np.True_, "1e-3", None, 1j])
     def test_learning_rate_must_be_finite(self, learning_rate):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=learning_rate)
@@ -937,15 +966,15 @@ class TestCheckpoint:
         assert "\n" not in message and str(path) in message
 
     def test_oversized_config_refused_before_building(self, tmp_path):
-        # Network would allocate an output layer of 200 000 * 32 floats
-        # (and its gradient) first.
+        # NetworkConfig refuses the outputs before Network would allocate an
+        # output layer of 200 000 * 32 floats (and its gradient).
         path = tmp_path / "big.npz"
         save_checkpoint(path, Network(NetworkConfig(2, 2, seed=20)),
                         TargetScaler(np.zeros(2), np.ones(2)))
         _edit_meta(lambda doc: {**doc, "config": {**doc["config"], "outputs": 200_000}})(path)
         tracemalloc.start()
         try:
-            with pytest.raises(CheckpointError, match="shape"):
+            with pytest.raises(CheckpointError, match="outputs"):
                 load_checkpoint(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
