@@ -53,8 +53,6 @@ from .ingest import (
     load_pair,
     parse_metadata,
     save_corpus,
-    save_frame,
-    save_metadata,
     serialize_metadata,
     split_dataset,
     synth_corpus,

@@ -177,10 +177,18 @@ def total_probability(params: CauchyParams, q: float) -> float:
     return 2.0 * float(p.sum()) + _zero_bin_mass(params.scale, q) + tail
 
 
+def _has_normal_step(qp: float) -> bool:
+    """Whether qp's step 2 ** ((qp - 4) / 6) is a positive normal float."""
+    return sys.float_info.min_exp - 1 <= (qp - 4.0) / 6.0 < sys.float_info.max_exp
+
+
 def qstep_to_qp(qstep: float) -> float:
-    """QP for a quantization step size: 6*log2(q) + 4."""
+    """QP for a quantization step size: 6*log2(q) + 4, within the qps qp_to_qstep takes."""
     _check_qstep(qstep)
-    return 6.0 * math.log2(qstep) + 4.0
+    qp = 6.0 * math.log2(qstep) + 4.0
+    if not _has_normal_step(qp):
+        raise ValueError(f"quantization step {qstep} gives qp {qp}, whose step is not a normal float")
+    return qp
 
 
 def qp_to_qstep(qp: float) -> float:
@@ -189,11 +197,9 @@ def qp_to_qstep(qp: float) -> float:
     A qp whose step is not a positive normal float (below about -6128 or
     from about 6148 on), or that is not finite, raises ValueError.
     """
-    exponent = (qp - 4.0) / 6.0
-    # 2 ** exponent is a positive normal float exactly on this range.
-    if not sys.float_info.min_exp - 1 <= exponent < sys.float_info.max_exp:
+    if not _has_normal_step(qp):
         raise ValueError(f"qp {qp} has no quantization step in the normal float range")
-    return 2.0 ** exponent
+    return 2.0 ** ((qp - 4.0) / 6.0)
 
 
 def synth_curve(params: CauchyParams, qp_grid, bits_scale: float) -> RQPCurve:

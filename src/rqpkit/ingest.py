@@ -192,10 +192,6 @@ def load_metadata(path) -> CodingMetadata:
         raise MetadataError(f"{path}: {exc}") from exc
 
 
-def save_metadata(path, md: CodingMetadata) -> None:
-    Path(path).write_text(serialize_metadata(md) + "\n")
-
-
 def load_frame(path) -> GrayFrame:
     """Read an 8-bit grayscale PGM into a GrayFrame."""
     return GrayFrame(read_pgm(path))
@@ -208,10 +204,6 @@ def load_pair(frame_path, sidecar_path) -> tuple[GrayFrame, CodingMetadata]:
         raise MetadataError(f"{frame_path} is {frame.width}x{frame.height} but its sidecar "
                             f"{sidecar_path} describes {md.width}x{md.height}")
     return frame, md
-
-
-def save_frame(path, frame: GrayFrame) -> None:
-    write_pgm(path, frame.pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +470,12 @@ def save_corpus(items, out_dir) -> Path:
     _refuse_repeated_ids((md.frame_id for _, md in items), "corpus")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pairs = []
-    for frame, md in items:
-        frame_path = out / f"{md.frame_id}.pgm"
-        sidecar_path = out / f"{md.frame_id}.rqp.json"
-        save_frame(frame_path, frame)
-        save_metadata(sidecar_path, md)
-        pairs.append((frame_path.name, sidecar_path.name))
+    names = [(f"{md.frame_id}.pgm", f"{md.frame_id}.rqp.json") for _, md in items]
+    for (frame, md), (frame_name, sidecar_name) in zip(items, names):
+        write_pgm(out / frame_name, frame.pixels)
+        (out / sidecar_name).write_text(serialize_metadata(md) + "\n")
     manifest = out / "manifest.txt"
-    manifest.write_text("".join(f"{f}\t{s}\n" for f, s in pairs))
+    manifest.write_text("".join(f"{f}\t{s}\n" for f, s in names))
     return manifest
 
 

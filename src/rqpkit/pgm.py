@@ -2,29 +2,15 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Next header token, skipping whitespace and # comments."""
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
-        pos += 1
-    if start == pos:
-        raise ValueError("truncated PGM header")
-    return data[start:pos], pos
+# One header token after any whitespace and # comments.  A comment ends at a line
+# break or at the end of the data, so backtracking cannot cut a token out of it.
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?:[\r\n]|\Z))*([^\s#]+)")
 
 
 def read_pgm(path) -> np.ndarray:
@@ -35,17 +21,19 @@ def read_pgm(path) -> np.ndarray:
     header's max value.
     """
     data = Path(path).read_bytes()
-    magic, pos = _next_token(data, 0)
-    if magic != b"P5":
-        raise ValueError(f"unsupported raster magic {magic!r}; only binary PGM (P5) is read")
-    fields = []
-    for _ in range(3):
-        tok, pos = _next_token(data, pos)
+    pos, fields = 0, []
+    while len(fields) < 4:
+        token = _TOKEN.match(data, pos)
+        if token is None:
+            raise ValueError("truncated PGM header")
+        tok, pos = token[1], token.end()
+        if not fields and tok != b"P5":
+            raise ValueError(f"unsupported raster magic {tok!r}; only binary PGM (P5) is read")
         try:
-            fields.append(int(tok))
+            fields.append(int(tok) if fields else tok)
         except ValueError:
             raise ValueError(f"bad PGM header token {tok!r}") from None
-    width, height, maxval = fields
+    _, width, height, maxval = fields
     if width < 1 or height < 1:
         raise ValueError(f"bad PGM dimensions {width}x{height}")
     if maxval > 255:

@@ -1,6 +1,7 @@
 """Quantized-coefficient entropy: bin masses, entropy sums, QP conversion, curves."""
 
 import math
+import re
 import sys
 import tracemalloc
 
@@ -240,6 +241,8 @@ class TestQpConversion:
         assert qp_to_qstep(qp) == pytest.approx(qstep, rel=1e-12)
 
     @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
+    @example(sys.float_info.min)  # the smallest step qstep_to_qp takes
+    @example(1e300)
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, qstep):
         assert qp_to_qstep(qstep_to_qp(qstep)) == pytest.approx(qstep, rel=1e-12)
@@ -251,6 +254,13 @@ class TestQpConversion:
             qstep_to_qp(-1.0)
         with pytest.raises(ValueError):
             qp_to_qstep(float("nan"))
+
+    # Below 2 ** -1022 the qp's step would be subnormal; log2 of the largest
+    # float rounds to 1024, whose step overflows.
+    @pytest.mark.parametrize("qstep", [1e-310, 5e-324, sys.float_info.max])
+    def test_step_whose_qp_has_no_normal_step(self, qstep):
+        with pytest.raises(ValueError, match=re.escape(f"quantization step {qstep} ")):
+            qstep_to_qp(qstep)
 
     # 6148 overflows; -6129 gives a subnormal step and -6446 a zero step.
     @pytest.mark.parametrize("qp", [6148.0, 1e6, -6129.0, -6446.0, -1e6])

@@ -28,12 +28,12 @@ from rqpkit.ingest import (
     parse_metadata,
     read_manifest,
     save_corpus,
-    save_frame,
     serialize_metadata,
     split_dataset,
     synth_corpus,
 )
 from rqpkit.model import OperationalPoint, RQPCurve, RQPSample
+from rqpkit.pgm import write_pgm
 
 
 def minimal_doc(**overrides):
@@ -415,16 +415,27 @@ class TestCorpusOnDisk:
         assert len(pairs) == 2
         assert all(p.exists() for pair in pairs for p in pair)
 
+    def test_written_bytes_are_pinned(self, tmp_path):
+        # The manifest's bytes, then each listed file's, in manifest order: any
+        # change to the PGM header, the sidecar text or the manifest moves it.
+        manifest = save_corpus(synth_corpus(3, 7), tmp_path)
+        h = hashlib.sha256(manifest.read_bytes())
+        for pair in read_manifest(manifest):
+            for path in pair:
+                h.update(path.read_bytes())
+        assert h.hexdigest() == (
+            "1e5e5db7db55bd94a1dc8034e08af6a8424b354f62d8e84116bab6b789110645")
+
     def test_frame_round_trip(self, tiny_corpus, tmp_path):
         frame = tiny_corpus[0][0]
         path = tmp_path / "one.pgm"
-        save_frame(path, frame)
+        write_pgm(path, frame.pixels)
         assert load_frame(path) == frame
 
     def test_frame_size_must_match_sidecar(self, tiny_corpus, tmp_path):
         manifest = save_corpus(tiny_corpus[:2], tmp_path)
         frame_path, sidecar_path = read_manifest(manifest)[1]
-        save_frame(frame_path, GrayFrame(np.zeros((16, 16), dtype=np.uint8)))
+        write_pgm(frame_path, np.zeros((16, 16), dtype=np.uint8))
         with pytest.raises(MetadataError, match="16x16") as exc:
             load_corpus(manifest)
         assert str(frame_path) in str(exc.value) and str(sidecar_path) in str(exc.value)

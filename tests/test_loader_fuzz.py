@@ -1,13 +1,16 @@
-"""Fuzz the checkpoint and sidecar loaders with truncations and byte flips.
+"""Fuzz the checkpoint, sidecar and PGM loaders with truncations and byte flips.
 
 A mutated checkpoint either loads equal to the original (the flip hit a
 byte nothing reads) or raises CheckpointError.  A sidecar has no checksum,
 so a flipped digit can make another valid document; it must either parse
-into metadata that round-trips or raise MetadataError.  Every error
-message is one line.
+into metadata that round-trips or raise MetadataError.  A PGM has no
+checksum either: it reads as a 2-d uint8 array or raises ValueError.
+Every error message is one line.
 """
 
+import tempfile
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from rqpkit.ingest import (
     serialize_metadata,
     synth_corpus,
 )
+from rqpkit.pgm import read_pgm, write_pgm
 from rqpkit.regressor import (
     CheckpointError,
     Network,
@@ -104,3 +108,34 @@ def test_mutated_sidecar_parses_or_raises(tmp_path, mutation):
         _assert_one_line(exc)
         return
     assert parse_metadata(serialize_metadata(md)) == md
+
+
+def _written_pgm() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "original.pgm"
+        write_pgm(path, np.random.default_rng(5).integers(0, 256, (7, 13), dtype=np.uint8))
+        return path.read_bytes()
+
+
+PGM = _written_pgm()
+_MAXVAL = PGM.index(b"255\n")
+
+
+@FUZZ
+@given(_mutations(len(PGM), [(0, _MAXVAL + 3)]))
+# Cut after the header; "255" flipped to "155" over samples above 155; "13" to "1\x003"
+# and to the non-ASCII "\xb13".
+@example((_MAXVAL + 4, []))
+@example((None, [(_MAXVAL, ord("2") ^ ord("1"))]))
+@example((None, [(PGM.index(b"13") + 1, ord("3"))]))
+@example((None, [(PGM.index(b"13"), 0x80)]))
+def test_mutated_pgm_reads_or_raises(tmp_path, mutation):
+    path = tmp_path / "mutated.pgm"
+    path.write_bytes(_mutate(PGM, *mutation))
+    try:
+        pixels = read_pgm(path)
+    except ValueError as exc:
+        assert type(exc) is ValueError
+        _assert_one_line(exc)
+        return
+    assert pixels.dtype == np.uint8 and pixels.ndim == 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rqpkit.pgm import read_pgm, write_pgm
 
@@ -24,6 +25,40 @@ def test_comments_and_whitespace(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5 # magic\n# a comment line\n 2\t1 # dims\n255\n" + bytes([7, 9]))
     assert np.array_equal(read_pgm(path), np.array([[7, 9]], dtype=np.uint8))
+
+
+WHITESPACE = st.sampled_from([bytes([c]) for c in b" \t\n\r\x0b\x0c"])
+COMMENT = st.builds(lambda text, end: b"#" + text + end,
+                    st.binary(max_size=6).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b"")),
+                    st.sampled_from([b"\n", b"\r", b"\r\n"]))
+SEPARATOR = st.lists(WHITESPACE | COMMENT, min_size=1, max_size=4).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_header_whitespace_and_comments(tmp_path, data):
+    # Any run of whitespace and comments may come before and between the four
+    # tokens; one whitespace byte ends the header.
+    height, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    raster = data.draw(st.binary(min_size=height * width, max_size=height * width))
+    seps = [data.draw(SEPARATOR) for _ in range(3)]
+    tokens = [b"P5", str(width).encode(), str(height).encode(), b"255"]
+    header = data.draw(st.just(b"") | SEPARATOR) + b"".join(
+        tok + sep for tok, sep in zip(tokens, seps)) + tokens[3] + data.draw(WHITESPACE)
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + raster)
+    pixels = read_pgm(path)
+    assert pixels.shape == (height, width) and pixels.tobytes() == raster
+
+
+# A comment runs to the end of the data, so no token can be read out of it.
+@pytest.mark.parametrize("data", [b"P5 #abc", b"P5\n2 2 #x"])
+def test_comment_to_end_of_data_is_truncated(tmp_path, data):
+    path = tmp_path / "cut.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="truncated PGM header"):
+        read_pgm(path)
 
 
 def test_sixteen_bit_rejected(tmp_path):
