@@ -26,7 +26,6 @@ from .evaluate import (
     evaluate_frames,
     evaluate_run,
     frame_spec,
-    label_fit_predictor,
     make_labels,
     net_predictor,
     run_training,

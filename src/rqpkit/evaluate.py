@@ -201,15 +201,6 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
     return row, details
 
 
-def label_fit_predictor(form: str, fastened: bool):
-    """Oracle predictor: the least-squares fit of each frame's own labels."""
-
-    def params_fn(frame: GrayFrame, md: CodingMetadata) -> ModelParams:
-        return make_labels(md, frame_spec(form, fastened, md))
-
-    return params_fn
-
-
 def net_predictor(network: Network, scaler, form: str, fastened: bool, channels):
     """Predictor backed by a trained network over the given feature channels."""
     channels = tuple(channels)

@@ -10,12 +10,13 @@ gradients can be checked against central finite differences.
 Conv2d is the network's one convolution: 3x3, stride 1, zero padding 1.
 It runs as im2col GEMMs in the Caffe layout (Chellapilla et al., 2006).
 `_cols` is the one im2col: it zero-pads its input and copies the sliding
-windows into a (C·9, B·H·W) column matrix.  Forward multiplies the
-(O, C·9) weights by it and caches a reference to the input it read, not
-a padded copy.  `weight_gradients` is the one place a conv's dW and db
-are formed, from `_cols` of an input.  Backward stores those and also
-forms every tap's input gradient with one more product and scatters it
-back (col2im).
+windows into a (C·9, B·H·W) column matrix, which `_convolve` multiplies
+by (O, C·9) weights.  Forward adds the bias to `_convolve` of its input
+and caches a reference to that input, not a padded copy.
+`weight_gradients` is the one place a conv's dW and db are formed, from
+`_cols` of an input.  Backward stores those and returns the input
+gradient: `_convolve` of the output gradient, one frame at a time, with
+the kernel flipped and its in/out channels swapped.
 
 AvgPool2d sums with strided slices, in a fixed order: the block's column
 phases along W, then the row phases of that result along H, then one
@@ -48,6 +49,13 @@ def _cols(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(win).reshape(c * KERNEL * KERNEL, -1)
 
 
+def _convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """3x3 convolution (B, O, H, W) of x (B, C, H, W) by weights w (O, C, 3, 3), without bias."""
+    b, _, h, width = x.shape
+    out = w.reshape(len(w), -1) @ _cols(x)
+    return out.reshape(len(w), b, h, width).transpose(1, 0, 2, 3)
+
+
 class Conv2d:
     """3x3 stride-1 convolution, zero-padded by one pixel: the output keeps the input's size."""
 
@@ -62,9 +70,7 @@ class Conv2d:
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b, c, h, w = x.shape
-        out = self.w.reshape(self.out_channels, -1) @ _cols(x)
-        out = out.reshape(self.out_channels, b, h, w).transpose(1, 0, 2, 3)
+        out = _convolve(x, self.w)
         out += self.b[None, :, None, None]
         self._cache = x
         return out
@@ -78,20 +84,14 @@ class Conv2d:
         return dw.reshape(self.w.shape), dout.sum(axis=(0, 2, 3))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        """Store dw/db; return the input gradient."""
-        x = self._cache
-        self.dw, self.db = self.weight_gradients(x, dout)
-        b, c, h, w = x.shape
-        d2 = dout.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
-        dx_padded = np.zeros((b, c, h + 2, w + 2))
-        # One GEMM gives every tap's contribution; col2im scatters each
-        # back onto the padded input grid.
-        taps = (self.w.reshape(self.out_channels, -1).T @ d2).reshape(c, KERNEL, KERNEL, b, h, w)
-        taps = taps.transpose(1, 2, 3, 0, 4, 5)
-        for i in range(KERNEL):
-            for j in range(KERNEL):
-                dx_padded[:, :, i : i + h, j : j + w] += taps[i, j]
-        return dx_padded[:, :, 1 : 1 + h, 1 : 1 + w]
+        """Store dw/db; return the input gradient, dout convolved with the flipped kernel.
+
+        One frame at a time: dout's column matrix has O·9 rows, more than
+        the input's C·9, so a batch-wide one would raise the peak memory.
+        """
+        self.dw, self.db = self.weight_gradients(self._cache, dout)
+        flipped = self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return np.concatenate([_convolve(frame[None], flipped) for frame in dout])
 
     def parameters(self):
         return [self.w, self.b]

@@ -17,7 +17,6 @@ from rqpkit.evaluate import (
     evaluate_frames,
     evaluate_run,
     frame_spec,
-    label_fit_predictor,
     make_labels,
     run_training,
 )
@@ -136,12 +135,17 @@ def scaled_linear(factor_of):
     return params_fn
 
 
+def label_fit(form: str, fastened: bool):
+    """Oracle predictor: the least-squares fit of each frame's own labels."""
+    return lambda frame, md: make_labels(md, frame_spec(form, fastened, md))
+
+
 class TestEvaluateFrames:
     def test_exact_predictor_scores_one(self):
         items = [on_model_metadata(f"f{i}") for i in range(3)]
         row, details = evaluate_frames(
             items,
-            label_fit_predictor("quadratic", True),
+            label_fit("quadratic", True),
             model="quadratic",
             fastened=True,
             features="oracle",
@@ -154,7 +158,7 @@ class TestEvaluateFrames:
         items = [on_model_metadata(f"f{i}") for i in range(2)]
         row, details = evaluate_frames(
             items,
-            label_fit_predictor("quadratic", True),
+            label_fit("quadratic", True),
             model="quadratic",
             fastened=True,
             features="oracle",
@@ -222,7 +226,7 @@ class TestEvaluateFrames:
         # rates: it owns the mean, not the median.
         items = [on_model_metadata(f"f{i}") for i in range(5)]
         absurd = on_model_metadata("absurd")
-        exact = label_fit_predictor("quadratic", True)
+        exact = label_fit("quadratic", True)
 
         def params_fn(frame, md):
             if md.frame_id == "absurd":
@@ -279,7 +283,7 @@ class TestEvaluateFrames:
         for form in ("quadratic", "linear"):
             rows[form], _ = evaluate_frames(
                 tiny_corpus,
-                label_fit_predictor(form, True),
+                label_fit(form, True),
                 model=form,
                 fastened=True,
                 features="oracle",
@@ -295,7 +299,7 @@ class TestEvaluateFrames:
         with pytest.raises(ValueError, match="no label curve"):
             evaluate_frames(
                 [(frame, bare)],
-                label_fit_predictor("quadratic", True),
+                label_fit("quadratic", True),
                 model="quadratic",
                 fastened=True,
                 features="x",

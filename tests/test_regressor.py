@@ -263,18 +263,49 @@ class TestConvAgainstTapLoop:
 
 class TestConvBackward:
     @pytest.mark.parametrize(
-        "in_ch,out_ch,shape",
-        [(3, 5, (6, 6)), (3, 5, (7, 7)), (2, 4, (8, 8)), (2, 4, (9, 9)), (1, 3, (6, 9))],
+        "batch,in_ch,out_ch,shape",
+        [
+            pytest.param(2, 3, 5, (6, 6), id="3-5-shape0"),
+            pytest.param(2, 3, 5, (7, 7), id="3-5-shape1"),
+            pytest.param(2, 2, 4, (8, 8), id="2-4-shape2"),
+            pytest.param(2, 2, 4, (9, 9), id="2-4-shape3"),
+            pytest.param(2, 1, 3, (6, 9), id="1-3-shape4"),
+            pytest.param(1, 3, 5, (6, 6), id="batch1"),
+            pytest.param(3, 2, 4, (9, 9), id="batch3"),
+            # The network's own shapes: conv1 and conv2 of a 64x64 frame at
+            # batch 10, conv2 of a 16x16 frame (a 1x1 plane) and of a 48x80 one.
+            pytest.param(10, 8, 16, (16, 16), id="conv1-64x64"),
+            pytest.param(10, 16, 32, (4, 4), id="conv2-64x64"),
+            pytest.param(3, 16, 32, (1, 1), id="conv2-16x16"),
+            pytest.param(3, 16, 32, (3, 5), id="conv2-48x80"),
+        ],
     )
-    def test_input_grad_matches_naive(self, in_ch, out_ch, shape):
+    def test_input_grad_matches_naive(self, batch, in_ch, out_ch, shape):
         rng = np.random.default_rng(30)
         layer = Conv2d(in_ch, out_ch, rng=np.random.default_rng(31))
-        x = rng.standard_normal((2, in_ch, *shape))
+        x = rng.standard_normal((batch, in_ch, *shape))
         dout = rng.standard_normal(layer.forward(x).shape)
         dx = layer.backward(dout)
         ref = naive_conv_dx(layer, dout, x.shape)
         assert dx.shape == x.shape
         assert np.max(np.abs(dx - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_backward_builds_no_batch_wide_dout_columns(self):
+        # The input gradient is formed a frame at a time: the backward pass
+        # peaks below the O·9 x B·H·W float64 column matrix of the whole dout.
+        rng = np.random.default_rng(36)
+        layer = Conv2d(8, 16, rng=np.random.default_rng(37))
+        x = rng.standard_normal((10, 8, 16, 16))
+        dout = rng.standard_normal(layer.forward(x).shape)
+        layer.backward(dout)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            layer.backward(dout)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 9 * 10 * 16 * 16 * 8
 
     @pytest.mark.parametrize("batch", [1, 2])
     def test_parameter_only_backward(self, batch):
