@@ -14,7 +14,6 @@ from .entropy import (
     entropy,
     entropy_loglog_curve,
     qp_to_qstep,
-    qstep_to_qp,
     synth_curve,
     total_probability,
 )

@@ -8,8 +8,8 @@ those coefficients well.  Every quantizer bin then has closed-form mass:
     p(0) = (2/pi) * arctan(q / (2*scale))                           deadzone
 
 so the entropy H(q) = -sum p*log2(p) can be evaluated for any step size q,
-and a scaled H makes a serviceable synthetic rate curve.  QP and step size
-convert via qp = 6*log2(q) + 4.
+and a scaled H makes a serviceable synthetic rate curve.  A QP maps to
+its step size by q = 2^((qp - 4)/6).
 
 One implementation serves entropy() and both curves: _entropies evaluates
 the heads of consecutive step sizes that share a head size as the rows of
@@ -177,27 +177,13 @@ def total_probability(params: CauchyParams, q: float) -> float:
     return 2.0 * float(p.sum()) + _zero_bin_mass(params.scale, q) + tail
 
 
-def _has_normal_step(qp: float) -> bool:
-    """Whether qp's step 2 ** ((qp - 4) / 6) is a positive normal float."""
-    return sys.float_info.min_exp - 1 <= (qp - 4.0) / 6.0 < sys.float_info.max_exp
-
-
-def qstep_to_qp(qstep: float) -> float:
-    """QP for a quantization step size: 6*log2(q) + 4, within the qps qp_to_qstep takes."""
-    _check_qstep(qstep)
-    qp = 6.0 * math.log2(qstep) + 4.0
-    if not _has_normal_step(qp):
-        raise ValueError(f"quantization step {qstep} gives qp {qp}, whose step is not a normal float")
-    return qp
-
-
 def qp_to_qstep(qp: float) -> float:
     """Quantization step size for a QP: 2 ** ((qp - 4) / 6).
 
     A qp whose step is not a positive normal float (below about -6128 or
     from about 6148 on), or that is not finite, raises ValueError.
     """
-    if not _has_normal_step(qp):
+    if not sys.float_info.min_exp - 1 <= (qp - 4.0) / 6.0 < sys.float_info.max_exp:
         raise ValueError(f"qp {qp} has no quantization step in the normal float range")
     return 2.0 ** ((qp - 4.0) / 6.0)
 

@@ -20,6 +20,7 @@ from .features import CHANNEL_ORDER, GrayFrame, channel_order, stack_from_coding
 from .ingest import CodingMetadata, DatasetSplit, _refuse_repeated_ids
 from .model import (
     QP_MATCH_TOL,
+    DegenerateFitError,
     InversionError,
     ModelParams,
     ModelSpec,
@@ -46,24 +47,21 @@ DEFAULT_THRESHOLDS = (30.0, 20.0, 10.0)
 
 def frame_spec(form: str, fastened: bool, md: CodingMetadata) -> ModelSpec:
     """ModelSpec for one frame; fastened specs pin the frame's own anchor."""
-    return ModelSpec(form, fastened, md.anchor if fastened else None)
+    return ModelSpec(form, anchor=md.anchor if fastened else None)
 
 
 def make_labels(md: CodingMetadata, spec: ModelSpec) -> ModelParams:
     """Ground-truth coefficients: least-squares fit of the frame's label curve.
 
-    Fastened specs are re-anchored to the frame's own operating point, so
-    one spec can label a whole corpus.
+    Fastened specs are re-anchored to the frame's own operating point, so one
+    spec can label a whole corpus; fit's DegenerateFitError comes out naming the frame.
     """
     if md.labels is None:
         raise ValueError(f"frame {md.frame_id} carries no label curve")
-    bound = frame_spec(spec.form, spec.fastened, md)
-    if len(md.labels) < bound.param_count:
-        raise ValueError(
-            f"frame {md.frame_id}: {bound.label()} needs {bound.param_count} label points, "
-            f"got {len(md.labels)}"
-        )
-    return fit(bound, md.labels)
+    try:
+        return fit(frame_spec(spec.form, spec.fastened, md), md.labels)
+    except DegenerateFitError as exc:
+        raise DegenerateFitError(f"frame {md.frame_id}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -240,7 +238,7 @@ class TrainedRun:
             raise ValueError(f"fastened must be true or false, got {self.fastened!r}")
         # Any anchor will do: the coefficient count depends on form and fastening only.
         anchor = OperationalPoint(0.0, 1.0) if self.fastened else None
-        spec = ModelSpec(self.form, self.fastened, anchor)  # validates the form
+        spec = ModelSpec(self.form, anchor=anchor)  # validates the form
         channels, config = self.channels, self.network.config
         if channels != channel_order(channels) or len(channels) != config.input_channels:
             raise ValueError(f"channels {channels} are not the network's {config.input_channels} "

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,19 +116,18 @@ class OperationalPoint:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which model form to use and, when fastened, the anchor it pins."""
+    """Which model form to use and, if any, the anchor that fastens it."""
 
     form: str
-    fastened: bool = False
-    anchor: OperationalPoint | None = None
+    anchor: OperationalPoint | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if self.form not in FORMS:
             raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
-        if self.fastened and self.anchor is None:
-            raise ValueError("fastened spec requires an anchor point")
-        if not self.fastened and self.anchor is not None:
-            raise ValueError("free spec must not carry an anchor")
+
+    @property
+    def fastened(self) -> bool:
+        return self.anchor is not None
 
     @property
     def param_count(self) -> int:
@@ -263,13 +262,19 @@ def predict_rate(params: ModelParams, qp: float) -> float:
 
     const = qp_ref - alpha * u_ref * u_ref - beta * u_ref
     c = const - qp
-    disc = beta * beta - 4.0 * alpha * c
+    disc, scale = beta * beta - 4.0 * alpha * c, 1.0
+    if not math.isfinite(disc) or max(abs(disc), beta * beta) < sys.float_info.min:
+        # A term overflowed, or 4*alpha*c underflowed beside a subnormal beta^2 (beside
+        # a normal one it cancels exactly): form disc / scale^2 from terms of at most 1.
+        root_ac = 2.0 * math.sqrt(abs(alpha)) * math.sqrt(abs(c))
+        scale = max(abs(beta), root_ac) or 1.0
+        disc = (beta / scale) ** 2 - math.copysign((root_ac / scale) ** 2, alpha * c)
     if disc < 0:
         raise NoRealRootError(qp, const - beta * beta / (4.0 * alpha), -beta / (2.0 * alpha))
     # Roots h/alpha and c/h never subtract nearly equal terms; h/alpha has
     # slope dqp/du = -sign(beta)*sqrt(disc) and c/h the opposite slope.
     sign = math.copysign(1.0, beta)
-    h = -0.5 * (beta + sign * math.sqrt(disc))
+    h = -0.5 * (beta + sign * math.sqrt(disc) * scale)
     falling = u_branch is None or 2.0 * alpha * u_branch + beta <= 0
     u = h / alpha if h == 0 or falling == (sign > 0) else c / h
     return _rate(u, qp)

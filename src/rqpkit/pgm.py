@@ -11,6 +11,9 @@ import numpy as np
 # One header token after any whitespace and # comments.  A comment ends at a line
 # break or at the end of the data, so backtracking cannot cut a token out of it.
 _TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?:[\r\n]|\Z))*([^\s#]+)")
+# Comments after the max value, each ending at its first CR or LF, then the
+# one whitespace byte that ends the header.
+_HEADER_END = re.compile(rb"(?:#[^\r\n]*[\r\n])*\s")
 
 
 def read_pgm(path) -> np.ndarray:
@@ -40,8 +43,10 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"unsupported bit depth: max value {maxval} exceeds 8 bits")
     if maxval < 1:
         raise ValueError(f"bad PGM max value {maxval}")
-    pos += 1  # single whitespace byte after the header
-    raster = data[pos : pos + width * height]
+    end = _HEADER_END.match(data, pos)
+    if end is None:
+        raise ValueError("PGM header does not end in one whitespace byte before the raster")
+    raster = data[end.end() : end.end() + width * height]
     if len(raster) != width * height:
         raise ValueError(
             f"PGM raster truncated: expected {width * height} bytes, got {len(raster)}"

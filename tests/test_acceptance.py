@@ -109,7 +109,7 @@ def test_criterion_2_quadratic_loglog_shape():
 def test_criterion_3_model_exactness():
     t0 = time.perf_counter()
     anchor = OperationalPoint(10.0, math.e**8)
-    spec = ModelSpec("quadratic", True, anchor)
+    spec = ModelSpec("quadratic", anchor=anchor)
     truth = ModelParams(spec, (-0.5, -3.0))
     samples = sorted(
         (RQPSample(model_qp(truth, math.exp(u)), math.exp(u)) for u in (6.0, 4.0)),

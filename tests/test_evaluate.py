@@ -23,6 +23,7 @@ from rqpkit.evaluate import (
 from rqpkit.features import CuRect, GrayFrame, PuMode
 from rqpkit.ingest import CodingMetadata, DatasetSplit, split_dataset, synth_corpus
 from rqpkit.model import (
+    DegenerateFitError,
     ModelParams,
     ModelSpec,
     OperationalPoint,
@@ -38,7 +39,7 @@ QP_GRID = (10.0, 14.0, 18.0, 22.0, 26.0, 30.0, 34.0, 38.0)
 def on_model_metadata(frame_id: str, coeffs=(-0.6, -2.5), qp0=10.0, u0=9.0) -> tuple[GrayFrame, CodingMetadata]:
     """A 16x16 frame whose labels lie exactly on a fastened quadratic."""
     anchor = OperationalPoint(qp0, math.exp(u0))
-    truth = ModelParams(ModelSpec("quadratic", True, anchor), tuple(coeffs))
+    truth = ModelParams(ModelSpec("quadratic", anchor=anchor), tuple(coeffs))
     # Walk down the falling branch from the anchor.
     rates = [math.exp(u0 - 0.35 * i) for i in range(len(QP_GRID))]
     samples = sorted(
@@ -73,7 +74,7 @@ class TestMakeLabels:
     def test_anchor_comes_from_frame(self):
         _, md = on_model_metadata("f0")
         other_anchor = OperationalPoint(20.0, 999.0)
-        params = make_labels(md, ModelSpec("quadratic", True, other_anchor))
+        params = make_labels(md, ModelSpec("quadratic", anchor=other_anchor))
         assert params.spec.anchor == md.anchor
 
     def test_too_few_points(self):
@@ -87,8 +88,21 @@ class TestMakeLabels:
             anchor=md.anchor,
             labels=RQPCurve(md.labels.samples[:2]),
         )
-        with pytest.raises(ValueError, match="label points"):
+        with pytest.raises(DegenerateFitError, match="frame f0: .*distinct rates"):
             make_labels(short, ModelSpec("quadratic"))
+
+    @pytest.mark.parametrize("form,fastened,spread,match", [
+        ("quadratic", True, [1.0] * len(QP_GRID), "quadratic-fastened needs at least 2 distinct "
+                                                  "rates, curve offers 1"),
+        ("linear", False, [1.0, 1.0 + 1e-12], "normal matrix condition"),
+    ], ids=["all_rates_equal", "ill_conditioned"])
+    def test_degenerate_labels_name_the_frame(self, form, fastened, spread, match):
+        _, md = on_model_metadata("f7")
+        labels = RQPCurve(tuple(RQPSample(qp, f * md.anchor.r0) for qp, f in zip(QP_GRID, spread)))
+        flat = CodingMetadata(frame_id=md.frame_id, width=md.width, height=md.height,
+                              cus=md.cus, pus=md.pus, anchor=md.anchor, labels=labels)
+        with pytest.raises(DegenerateFitError, match=f"^frame f7: {match}"):
+            make_labels(flat, frame_spec(form, fastened, flat))
 
     def test_missing_labels(self):
         _, md = on_model_metadata("f0")
@@ -103,15 +117,11 @@ class TestMakeLabels:
         with pytest.raises(ValueError, match="no label curve"):
             make_labels(bare, ModelSpec("quadratic"))
 
-    def test_fastened_spec_requires_anchor(self):
-        with pytest.raises(ValueError, match="anchor"):
-            ModelSpec("quadratic", fastened=True)
-
 
 def log_linear_metadata(frame_id: str) -> tuple[GrayFrame, CodingMetadata]:
     """A 16x16 frame whose six labels lie exactly on a fastened log-linear model."""
     anchor = OperationalPoint(10.0, math.exp(9.0))
-    truth = ModelParams(ModelSpec("linear", True, anchor), (-5.0,))
+    truth = ModelParams(ModelSpec("linear", anchor=anchor), (-5.0,))
     rates = [math.exp(9.0 - 0.3 * i) for i in range(6)]
     labels = RQPCurve(
         tuple(sorted((RQPSample(model_qp(truth, r), r) for r in rates), key=lambda s: s.qp))
@@ -130,7 +140,7 @@ def scaled_linear(factor_of):
 
     def params_fn(frame, md):
         scaled = OperationalPoint(md.anchor.qp0, factor_of(md) * md.anchor.r0)
-        return ModelParams(ModelSpec("linear", True, scaled), (-5.0,))
+        return ModelParams(ModelSpec("linear", anchor=scaled), (-5.0,))
 
     return params_fn
 
@@ -270,7 +280,7 @@ class TestEvaluateFrames:
         frame, md = on_model_metadata("f0")
         row, details = evaluate_frames(
             [(frame, md)],
-            lambda f, m: ModelParams(ModelSpec("linear", True, m.anchor), (0.0,)),
+            lambda f, m: ModelParams(ModelSpec("linear", anchor=m.anchor), (0.0,)),
             model="linear",
             fastened=True,
             features="rec",

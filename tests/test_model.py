@@ -24,8 +24,8 @@ from rqpkit.model import (
 )
 
 ANCHOR = OperationalPoint(qp0=10.0, r0=math.e**8)
-FASTENED_QUAD = ModelSpec("quadratic", fastened=True, anchor=ANCHOR)
-FASTENED_LIN = ModelSpec("linear", fastened=True, anchor=ANCHOR)
+FASTENED_QUAD = ModelSpec("quadratic", anchor=ANCHOR)
+FASTENED_LIN = ModelSpec("linear", anchor=ANCHOR)
 
 QP_GRID = (10.0, 14.0, 18.0, 22.0, 26.0, 30.0, 34.0, 38.0)
 
@@ -67,10 +67,6 @@ class TestTypes:
             curve.rate_at(12.0)
 
     def test_spec_anchor_rules(self):
-        with pytest.raises(ValueError):
-            ModelSpec("quadratic", fastened=True)
-        with pytest.raises(ValueError):
-            ModelSpec("linear", fastened=False, anchor=ANCHOR)
         with pytest.raises(ValueError):
             ModelSpec("cubic")
 
@@ -147,8 +143,8 @@ class TestFit:
             curve = synth_curve(CauchyParams(scale), QP_GRID, 4096.0)
             if fastened:
                 anchor = OperationalPoint(10.0, curve.rate_at(10.0))
-                quad = ModelSpec("quadratic", True, anchor)
-                lin = ModelSpec("linear", True, anchor)
+                quad = ModelSpec("quadratic", anchor=anchor)
+                lin = ModelSpec("linear", anchor=anchor)
             else:
                 quad, lin = ModelSpec("quadratic"), ModelSpec("linear")
             assert rss(fit(quad, curve), curve) <= rss(fit(lin, curve), curve) * (1 + 1e-9) + 1e-12
@@ -156,8 +152,8 @@ class TestFit:
     def test_synth_curve_max_residual_ordering(self):
         curve = synth_curve(CauchyParams(10.0), QP_GRID, 4096.0)
         anchor = OperationalPoint(10.0, curve.rate_at(10.0))
-        quad = fit(ModelSpec("quadratic", True, anchor), curve)
-        lin = fit(ModelSpec("linear", True, anchor), curve)
+        quad = fit(ModelSpec("quadratic", anchor=anchor), curve)
+        lin = fit(ModelSpec("linear", anchor=anchor), curve)
         assert np.abs(residuals(quad, curve)).max() <= np.abs(residuals(lin, curve)).max()
 
     def test_under_determined(self):
@@ -185,8 +181,8 @@ class TestFit:
             )
             anchor = OperationalPoint(10.0, jittered.rate_at(10.0))
             specs_t = specs + [
-                ModelSpec("linear", True, anchor),
-                ModelSpec("quadratic", True, anchor),
+                ModelSpec("linear", anchor=anchor),
+                ModelSpec("quadratic", anchor=anchor),
             ]
             spec = specs_t[trial % len(specs_t)]
             fitted = fit(spec, jittered)
@@ -265,13 +261,20 @@ class TestPredictRate:
 
     def test_overflowing_rate_is_an_inversion_error(self):
         # A rising slope of 0.01 puts ln rate at 8.5 + 28 / 0.01 at qp 38.
-        params = ModelParams(ModelSpec("linear", True, OperationalPoint(10, 5000)), (0.01,))
+        params = ModelParams(ModelSpec("linear", anchor=OperationalPoint(10, 5000)), (0.01,))
         with pytest.raises(InversionError, match="qp=38"):
             predict_rate(params, 38)
 
     def test_underflowing_rate_is_an_inversion_error(self):
         with pytest.raises(InversionError):
             predict_rate(ModelParams(ModelSpec("linear"), (1.0, 2000.0)), 0.0)
+
+    @pytest.mark.parametrize("coeffs,qp", [((-0.5, -3.0), -1e308), ((0.5, -30.0), 1e308)],
+                             ids=["falling_at_-1e308", "rising_at_1e308"])
+    def test_overflowing_discriminant_is_an_inversion_error(self, coeffs, qp):
+        # 4*alpha*c overflows to inf; the unscaled root collapsed to ln rate 0.
+        with pytest.raises(InversionError):
+            predict_rate(ModelParams(FASTENED_QUAD, coeffs), qp)
 
     @given(
         st.sampled_from(["linear", "quadratic"]),
@@ -286,9 +289,11 @@ class TestPredictRate:
     @example("linear", True, [-0.003349336873738672, 0.0, 0.0], 12.499391321994102, None)
     # A double root at the vertex with beta = 0 leaves no c/h to divide by.
     @example("quadratic", False, [1.0, 0.0, 20.0], 20.0, 5.0)
+    # 4*alpha*c underflowed to -0.0, so a negative discriminant read as a double root.
+    @example("quadratic", False, [5e-324, 0.0, 0.125], 0.0, None)
     @settings(max_examples=500, deadline=None)
     def test_total_over_finite_coefficients(self, form, fastened, coeffs, qp, branch_u):
-        spec = ModelSpec(form, fastened, ANCHOR if fastened else None)
+        spec = ModelSpec(form, anchor=ANCHOR if fastened else None)
         params = ModelParams(spec, tuple(coeffs[: spec.param_count]),
                              None if fastened else branch_u)
         try:

@@ -28,10 +28,20 @@ def test_comments_and_whitespace(tmp_path):
 
 
 WHITESPACE = st.sampled_from([bytes([c]) for c in b" \t\n\r\x0b\x0c"])
-COMMENT = st.builds(lambda text, end: b"#" + text + end,
-                    st.binary(max_size=6).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b"")),
-                    st.sampled_from([b"\n", b"\r", b"\r\n"]))
+
+
+def comments(ends):
+    """A # comment whose text holds no line break, ending in one of `ends`."""
+    return st.builds(lambda text, end: b"#" + text + end,
+                     st.binary(max_size=6).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b"")),
+                     st.sampled_from(ends))
+
+
+COMMENT = comments([b"\n", b"\r", b"\r\n"])
 SEPARATOR = st.lists(WHITESPACE | COMMENT, min_size=1, max_size=4).map(b"".join)
+# After the max value a comment's line break is its own: a CR LF end would leave
+# the LF as the header's last byte, so these end in one CR or one LF.
+AFTER_MAXVAL = st.lists(comments([b"\n", b"\r"]), max_size=2).map(b"".join)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
@@ -39,13 +49,14 @@ SEPARATOR = st.lists(WHITESPACE | COMMENT, min_size=1, max_size=4).map(b"".join)
 @given(st.data())
 def test_header_whitespace_and_comments(tmp_path, data):
     # Any run of whitespace and comments may come before and between the four
-    # tokens; one whitespace byte ends the header.
+    # tokens, and comments after the last; one whitespace byte ends the header.
     height, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     raster = data.draw(st.binary(min_size=height * width, max_size=height * width))
     seps = [data.draw(SEPARATOR) for _ in range(3)]
     tokens = [b"P5", str(width).encode(), str(height).encode(), b"255"]
     header = data.draw(st.just(b"") | SEPARATOR) + b"".join(
-        tok + sep for tok, sep in zip(tokens, seps)) + tokens[3] + data.draw(WHITESPACE)
+        tok + sep for tok, sep in zip(tokens, seps)) + tokens[3]
+    header += data.draw(AFTER_MAXVAL) + data.draw(WHITESPACE)
     path = tmp_path / "h.pgm"
     path.write_bytes(header + raster)
     pixels = read_pgm(path)
@@ -58,6 +69,21 @@ def test_comment_to_end_of_data_is_truncated(tmp_path, data):
     path = tmp_path / "cut.pgm"
     path.write_bytes(data)
     with pytest.raises(ValueError, match="truncated PGM header"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("header", [b"255# c\n\n", b"255#c\r\n"])
+def test_comment_after_maxval_is_not_read_as_pixels(tmp_path, header):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\n2 2\n" + header + bytes([1, 2, 3, 4]))
+    assert np.array_equal(read_pgm(path), np.array([[1, 2], [3, 4]], dtype=np.uint8))
+
+
+def test_comment_after_maxval_needs_a_whitespace_byte(tmp_path):
+    # The comment's LF ends the comment, so no whitespace byte ends the header.
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\n2 2\n255# c\n" + bytes([65, 2, 3, 4]))
+    with pytest.raises(ValueError, match="whitespace byte"):
         read_pgm(path)
 
 

@@ -39,7 +39,7 @@ def toy_stack(rng, channels=2, size=8) -> np.ndarray:
     return rng.integers(0, 256, (channels, size, size)).astype(np.uint8)
 
 
-TOY_SPEC = ModelSpec("quadratic", True, OperationalPoint(10.0, 5000.0))
+TOY_SPEC = ModelSpec("quadratic", anchor=OperationalPoint(10.0, 5000.0))
 TOY_CHANNELS = ("rec", "seg")
 
 
