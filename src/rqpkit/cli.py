@@ -37,9 +37,10 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
         values = tuple(float(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad thresholds {text!r}") from None
-    if not values or not all(np.isfinite(v) and v > 0 for v in values):
-        raise argparse.ArgumentTypeError("thresholds must be finite positive percentages")
-    return values
+    try:
+        return ev.check_thresholds(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_size(text: str) -> tuple[int, int]:

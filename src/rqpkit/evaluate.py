@@ -142,6 +142,14 @@ def details_to_csv(details_by_run: dict[str, list[PairOutcome]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_thresholds(thresholds) -> tuple[float, ...]:
+    """Report thresholds as floats; ValueError unless there is one or more, each finite and > 0."""
+    values = tuple(float(t) for t in thresholds)
+    if not values or not all(0.0 < t < np.inf for t in values):
+        raise ValueError("thresholds must be finite positive percentages")
+    return values
+
+
 def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
                     model: str, fastened: bool, features: str) -> tuple[ReportRow, list[PairOutcome]]:
     """Score a predictor over every (frame, label QP != anchor QP) pair.
@@ -150,7 +158,7 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
     inversion failures and infinite errors count toward n_pairs but meet no
     threshold.
     """
-    thresholds = tuple(float(t) for t in thresholds)
+    thresholds = check_thresholds(thresholds)
     details: list[PairOutcome] = []
     abs_deltas: list[float] = []
     n_failures = 0

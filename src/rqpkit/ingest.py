@@ -43,6 +43,16 @@ VALIDATION_FRACTION = 0.1  # of the non-test pool
 _ANCHOR_RTOL = 1e-6
 
 
+# Each sidecar object by its key in the document: the class it builds, the JSON type of
+# its values, and its (JSON key, attribute) pairs in argument order.
+_OBJECTS = {
+    "anchor": (OperationalPoint, float, (("qp0", "qp0"), ("r0_bits", "r0"))),
+    "cus": (CuRect, int, (("x", "x"), ("y", "y"), ("w", "w"), ("h", "h"))),
+    "pus": (PuMode, int, (("x", "x"), ("y", "y"), ("mode", "mode"))),
+    "labels": (RQPSample, float, (("qp", "qp"), ("bits", "rate"))),
+}
+
+
 class MetadataError(ValueError):
     """Sidecar document violates the schema or a structural invariant."""
 
@@ -104,19 +114,16 @@ def _require(doc: dict, key: str, kind, path: str):
     return value
 
 
-def _parse_items(items: list, path: str, make, keys: tuple[str, ...], kind) -> list:
-    """make(*values) per object of a JSON list; errors name the item as path[i]."""
-    parsed = []
-    for i, item in enumerate(items):
-        where = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            raise MetadataError(f"{where}: expected an object")
-        values = [_require(item, key, kind, where) for key in keys]
-        try:
-            parsed.append(make(*values))
-        except ValueError as exc:
-            raise MetadataError(f"{where}: {exc}") from exc
-    return parsed
+def _parse_object(value, name: str, where: str):
+    """The _OBJECTS[name] instance one JSON object holds; every error names it as where."""
+    cls, kind, pairs = _OBJECTS[name]
+    if not isinstance(value, dict):
+        raise MetadataError(f"{where}: expected an object")
+    args = [_require(value, key, kind, where) for key, _ in pairs]
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise MetadataError(f"{where}: {exc}") from exc
 
 
 def parse_metadata(text: str) -> CodingMetadata:
@@ -128,54 +135,35 @@ def parse_metadata(text: str) -> CodingMetadata:
     if not isinstance(doc, dict):
         raise MetadataError("sidecar root must be an object")
 
+    items = lambda name, values: tuple([
+        _parse_object(v, name, f"$.{name}[{i}]") for i, v in enumerate(values)])
     frame_id = _require(doc, "frame_id", str, "$")
     width = _require(doc, "width", int, "$")
     height = _require(doc, "height", int, "$")
-
-    anchor_doc = _require(doc, "anchor", dict, "$")
-    qp0 = _require(anchor_doc, "qp0", float, "$.anchor")
-    r0 = _require(anchor_doc, "r0_bits", float, "$.anchor")
-    try:
-        anchor = OperationalPoint(qp0, r0)
-    except ValueError as exc:
-        raise MetadataError(f"$.anchor: {exc}") from exc
-
-    cus = _parse_items(_require(doc, "cus", list, "$"), "$.cus", CuRect, ("x", "y", "w", "h"), int)
-    pus = _parse_items(_require(doc, "pus", list, "$"), "$.pus", PuMode, ("x", "y", "mode"), int)
-
-    labels = None
-    if doc.get("labels") is not None:
-        if not isinstance(doc["labels"], list):
+    anchor = _parse_object(_require(doc, "anchor", dict, "$"), "anchor", "$.anchor")
+    cus = items("cus", _require(doc, "cus", list, "$"))
+    pus = items("pus", _require(doc, "pus", list, "$"))
+    labels = doc.get("labels")
+    if labels is not None:
+        if not isinstance(labels, list):
             raise MetadataError("$.labels: expected a list")
-        samples = _parse_items(doc["labels"], "$.labels", RQPSample, ("qp", "bits"), float)
+        samples = items("labels", labels)  # outside the try: each item names its own path
         try:
-            labels = RQPCurve(tuple(samples))
+            labels = RQPCurve(samples)
         except ValueError as exc:
             raise MetadataError(f"$.labels: {exc}") from exc
-
-    return CodingMetadata(
-        frame_id=frame_id,
-        width=width,
-        height=height,
-        cus=tuple(cus),
-        pus=tuple(pus),
-        anchor=anchor,
-        labels=labels,
-    )
+    return CodingMetadata(frame_id=frame_id, width=width, height=height, cus=cus, pus=pus,
+                          anchor=anchor, labels=labels)
 
 
 def serialize_metadata(md: CodingMetadata) -> str:
     """Sidecar JSON text; parse_metadata(serialize_metadata(md)) == md."""
-    doc = {
-        "frame_id": md.frame_id,
-        "width": md.width,
-        "height": md.height,
-        "anchor": {"qp0": md.anchor.qp0, "r0_bits": md.anchor.r0},
-        "cus": [{"x": r.x, "y": r.y, "w": r.w, "h": r.h} for r in md.cus],
-        "pus": [{"x": p.x, "y": p.y, "mode": p.mode} for p in md.pus],
-    }
+    obj = lambda name, value: {key: getattr(value, attr) for key, attr in _OBJECTS[name][2]}
+    doc = {"frame_id": md.frame_id, "width": md.width, "height": md.height,
+           "anchor": obj("anchor", md.anchor), "cus": [obj("cus", r) for r in md.cus],
+           "pus": [obj("pus", p) for p in md.pus]}
     if md.labels is not None:
-        doc["labels"] = [{"qp": s.qp, "bits": s.rate} for s in md.labels.samples]
+        doc["labels"] = [obj("labels", s) for s in md.labels.samples]
     return json.dumps(doc)
 
 
@@ -438,6 +426,7 @@ def _refuse_repeated_ids(ids, where: str) -> None:
 
 def split_dataset(ids, seed: int, test_fraction: float) -> DatasetSplit:
     """Deterministic partition into test, then 90/10 train/validation."""
+    check_int("seed", seed, 0)
     ids = list(ids)
     if not ids:
         raise ValueError("cannot split an empty id list")

@@ -305,6 +305,22 @@ class TestEvaluate:
                   "--out", str(workdir / "eval_bad")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("thresholds,message", [
+        ("nan", "thresholds must be finite positive percentages"),
+        ("30,-5", "thresholds must be finite positive percentages"),
+        ("0", "thresholds must be finite positive percentages"),
+        (",", "thresholds must be finite positive percentages"),
+        ("ten", "bad thresholds 'ten'"),
+    ])
+    def test_thresholds_refused_by_the_report_check(self, tmp_path, thresholds, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--corpus", str(tmp_path / "manifest.txt"),
+                  "--checkpoint", str(tmp_path / "checkpoint.npz"), "--thresholds", thresholds,
+                  "--out", str(tmp_path / "eval")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --thresholds: {message}")
+        assert not (tmp_path / "eval").exists()
+
     def test_foreign_corpus_rejected(self, workdir, checkpoint, capsys):
         other = workdir / "other"
         assert main(["synth", "--count", "2", "--seed", "99", "--size", "32x32",

@@ -301,6 +301,16 @@ class TestEvaluateFrames:
         for q, l in zip(rows["quadratic"].proportions, rows["linear"].proportions):
             assert q >= l
 
+    @pytest.mark.parametrize("thresholds", [
+        (math.nan, -5.0, math.inf), (math.nan,), (-5.0,), (0.0,), (math.inf,), (30.0, math.nan), (),
+    ])
+    def test_thresholds_must_be_finite_and_positive(self, thresholds):
+        items = [on_model_metadata("f0")]
+        with pytest.raises(ValueError) as info:
+            evaluate_frames(items, label_fit("quadratic", True), thresholds,
+                            model="quadratic", fastened=True, features="x")
+        assert str(info.value) == "thresholds must be finite positive percentages"
+
     def test_frames_without_labels_rejected(self):
         frame, md = on_model_metadata("f0")
         bare = CodingMetadata(

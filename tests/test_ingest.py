@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rqpkit.ingest import (
     _CTU_SIZE,
     _FLAT_GRADIENT_ENERGY,
     _MIN_CU,
+    _OBJECTS,
     _SPLIT_THRESHOLDS,
     _intra_modes,
     _quadtree_cus,
@@ -47,6 +49,16 @@ def minimal_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+# Each sidecar object: the path of its first instance in a document, its keys in order,
+# and the type a wrong-typed value is reported against.
+SIDECAR_OBJECTS = {
+    "anchor": ("$.anchor", ("qp0", "r0_bits"), "a number"),
+    "cus": ("$.cus[0]", ("x", "y", "w", "h"), "int"),
+    "pus": ("$.pus[0]", ("x", "y", "mode"), "int"),
+    "labels": ("$.labels[0]", ("qp", "bits"), "a number"),
+}
 
 
 class TestParseMetadata:
@@ -166,6 +178,72 @@ class TestParseMetadata:
         assert parse_metadata(text) == md
         # Readers take any layout.
         assert parse_metadata(json.dumps(json.loads(text), indent=2)) == md
+
+
+class TestSidecarObjects:
+    """Every object and key of the sidecar table: its parse errors and its copy in the README."""
+
+    def test_table_lists_every_key(self):
+        assert {name: tuple(key for key, _ in pairs) for name, (_, _, pairs) in _OBJECTS.items()} \
+            == {name: keys for name, (_, keys, _) in SIDECAR_OBJECTS.items()}
+
+    @pytest.mark.parametrize("name,key", [
+        (name, key) for name, (_, keys, _) in SIDECAR_OBJECTS.items() for key in keys])
+    @pytest.mark.parametrize("fault", ["missing", "wrong_type"])
+    def test_bad_key_names_object_and_key(self, name, key, fault):
+        doc = minimal_doc(labels=[{"qp": 10.0, "bits": 5000.0}])
+        obj = doc[name] if name == "anchor" else doc[name][0]
+        path, _, expected = SIDECAR_OBJECTS[name]
+        if fault == "missing":
+            del obj[key]
+            message = f"{path}: missing required field {key!r}"
+        else:
+            obj[key] = "7"
+            message = f"{path}.{key}: expected {expected}, got str"
+        with pytest.raises(MetadataError) as info:
+            parse_metadata(json.dumps(doc))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"anchor": {"qp0": 10.0, "r0_bits": -1.0}},
+         "$.anchor: r0 must be positive and finite, got -1.0"),
+        ({"cus": [{"x": 0, "y": 0, "w": 0, "h": 16}]},
+         "$.cus[0]: rectangle sides must be positive, got CuRect(x=0, y=0, w=0, h=16)"),
+        ({"pus": [{"x": 0, "y": 0, "mode": 35}]}, "$.pus[0]: mode must lie in [0, 34], got 35"),
+        ({"labels": [{"qp": 10.0, "bits": 0}]},
+         "$.labels[0]: rate must be positive and finite, got 0.0"),
+        ({"labels": [{"qp": 22.0, "bits": 2000.0}, {"qp": 10.0, "bits": 5000.0}]},
+         "$.labels: qp values must be strictly increasing, got [22.0, 10.0]"),
+        ({"labels": []}, "$.labels: curve needs at least one sample"),
+        ({"cus": ["nope"]}, "$.cus[0]: expected an object"),
+        ({"labels": [{"qp": 10.0, "bits": 5000.0}, 7]}, "$.labels[1]: expected an object"),
+        ({"labels": {}}, "$.labels: expected a list"),
+        ({"anchor": []}, "$.anchor: expected dict, got list"),
+        ({"pus": {}}, "$.pus: expected list, got dict"),
+    ], ids=["anchor", "cus", "pus", "label", "label_order", "no_labels", "cus_item",
+            "label_item", "labels_type", "anchor_type", "pus_type"])
+    def test_value_errors_name_their_object(self, overrides, message):
+        with pytest.raises(MetadataError) as info:
+            parse_metadata(json.dumps(minimal_doc(**overrides)))
+        assert str(info.value) == message
+
+    def test_errors_are_found_in_document_order(self):
+        broken = {"frame_id": 5, "width": "w", "height": "h", "anchor": [], "cus": {},
+                  "pus": {}, "labels": {}}
+        for i, key in enumerate(broken):
+            doc = minimal_doc(**dict(list(broken.items())[i:]))
+            with pytest.raises(MetadataError, match=rf"^\$\.{key}: "):
+                parse_metadata(json.dumps(doc))
+
+    def test_readme_shows_the_table(self):
+        """The README's sidecar block quotes each object's keys in order, with their types."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"\*\*Sidecar\*\*.*?```\w*\n(.*?)```", readme, re.S).group(1)
+        for name, (_, kind, pairs) in _OBJECTS.items():
+            body = re.search(rf'"{name}": *\[?\{{(.*?)\}}', block).group(1)
+            shown = re.findall(r'"(\w+)": *(\w+)', body)
+            json_type = "number" if kind is float else "integer"
+            assert shown == [(key, json_type) for key, _ in pairs], name
 
 
 class TestSynthCorpus:
@@ -391,6 +469,11 @@ class TestSplitDataset:
     def test_split_refuses_repeated_id(self, groups):
         with pytest.raises(ValueError, match="frame id '[abc]' appears more than once"):
             DatasetSplit(*groups)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_checked_by_name(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+            split_dataset(["a", "b"], seed, 0.5)
 
     def test_errors(self):
         with pytest.raises(ValueError):
