@@ -12,6 +12,7 @@ off that its percentage error overflows to infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,7 +175,7 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
                 delta = relative_error(sample.rate, predicted)
             except InversionError:
                 delta = float("nan")
-            if not np.isfinite(delta):  # no finite rate, or an error too large for a float
+            if not math.isfinite(delta):  # no finite rate, or an error too large for a float
                 n_failures += 1
                 details.append(PairOutcome(md.frame_id, sample.qp, sample.rate, None, None))
                 continue
@@ -276,9 +277,16 @@ class TrainedRun:
     @classmethod
     def load(cls, path) -> "TrainedRun":
         network, scaler, extra = load_checkpoint(path)
+
+        def strings(name: str) -> tuple[str, ...]:
+            value = extra[name]
+            if type(value) is not list or any(type(v) is not str for v in value):
+                raise ValueError(f"{name} must be a list of strings")
+            return tuple(value)
+
         try:
-            return cls(extra["form"], extra["fastened"], tuple(extra["channels"]), network,
-                       scaler, tuple(extra["test_ids"]))
+            return cls(extra["form"], extra["fastened"], strings("channels"), network,
+                       scaler, strings("test_ids"))
         except KeyError as exc:
             raise CheckpointError(f"checkpoint {path} lacks metadata field {exc}") from exc
         except (TypeError, ValueError) as exc:

@@ -149,7 +149,7 @@ def build_seg(frame: GrayFrame, owner: np.ndarray) -> np.ndarray:
     """
     counts = np.bincount(owner.ravel())
     sums = np.bincount(owner.ravel(), weights=frame.pixels.ravel())
-    return ((2 * sums + counts) // (2 * counts)).astype(np.uint8)[owner]
+    return ((2 * sums + counts) // (2 * counts)).astype(np.uint8).take(owner)
 
 
 def validate_coverage(width: int, height: int, pus) -> np.ndarray:

@@ -102,22 +102,26 @@ class CodingMetadata:
 
 
 def _require(doc: dict, key: str, kind, path: str):
+    """doc[key] when its type is exactly kind; where a number is wanted, an integer that
+    fits a double also passes.  json.loads yields exact types, so true is no int."""
     if key not in doc:
         raise MetadataError(f"{path}: missing required field {key!r}")
     value = doc[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MetadataError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-        return float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
-        raise MetadataError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise MetadataError(f"{path}.{key}: integer too large for a number") from None
+    expected = "a number" if kind is float else kind.__name__
+    raise MetadataError(f"{path}.{key}: expected {expected}, got {type(value).__name__}")
 
 
 def _parse_object(value, name: str, where: str):
     """The _OBJECTS[name] instance one JSON object holds; every error names it as where."""
     cls, kind, pairs = _OBJECTS[name]
-    if not isinstance(value, dict):
+    if type(value) is not dict:
         raise MetadataError(f"{where}: expected an object")
     args = [_require(value, key, kind, where) for key, _ in pairs]
     try:
@@ -130,9 +134,9 @@ def parse_metadata(text: str) -> CodingMetadata:
     """Parse and fully validate one sidecar document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: a decode error or an overlong int
         raise MetadataError(f"sidecar is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise MetadataError("sidecar root must be an object")
 
     items = lambda name, values: tuple([
@@ -145,7 +149,7 @@ def parse_metadata(text: str) -> CodingMetadata:
     pus = items("pus", _require(doc, "pus", list, "$"))
     labels = doc.get("labels")
     if labels is not None:
-        if not isinstance(labels, list):
+        if type(labels) is not list:
             raise MetadataError("$.labels: expected a list")
         samples = items("labels", labels)  # outside the try: each item names its own path
         try:

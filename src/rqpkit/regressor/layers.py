@@ -44,8 +44,9 @@ def _cols(x: np.ndarray) -> np.ndarray:
     padded = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
     padded[:, :, 1 : 1 + h, 1 : 1 + w] = x
     sb, sc, sh, sw = padded.strides
-    win = np.lib.stride_tricks.as_strided(
-        padded, (c, KERNEL, KERNEL, b, h, w), (sc, sh, sw, sb, sh, sw), writeable=False)
+    # A writeable view aliasing padded: it is copied at once and never leaves _cols.
+    win = np.ndarray((c, KERNEL, KERNEL, b, h, w), padded.dtype, padded, 0,
+                     (sc, sh, sw, sb, sh, sw))
     return np.ascontiguousarray(win).reshape(c * KERNEL * KERNEL, -1)
 
 

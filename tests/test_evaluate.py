@@ -31,7 +31,7 @@ from rqpkit.model import (
     RQPSample,
     model_qp,
 )
-from rqpkit.regressor import CheckpointError, TrainConfig
+from rqpkit.regressor import CheckpointError, Network, NetworkConfig, TargetScaler, TrainConfig
 
 QP_GRID = (10.0, 14.0, 18.0, 22.0, 26.0, 30.0, 34.0, 38.0)
 
@@ -497,6 +497,25 @@ class TestTrainingRuns:
             TrainedRun.load(path)
         message = str(info.value)
         assert "\n" not in message and str(path) in message
+
+    @pytest.mark.parametrize("field", ["test_ids", "channels"])
+    @pytest.mark.parametrize("value", ["s1f0001", [7], None], ids=["string", "int_list", "null"])
+    def test_load_refuses_ids_and_channels_that_are_not_lists_of_strings(self, tmp_path, field,
+                                                                         value):
+        run = TrainedRun("quadratic", True, ("rec",), Network(NetworkConfig(1, 2)),
+                         TargetScaler(np.zeros(2), np.ones(2)), ("s1f0001",))
+        path = tmp_path / "run.npz"
+        run.save(path)
+        assert TrainedRun.load(path).test_ids == ("s1f0001",)
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        meta = json.loads(bytes(arrays["meta"]))
+        meta["extra"][field] = value
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError) as info:
+            TrainedRun.load(path)
+        assert str(info.value) == f"checkpoint {path}: {field} must be a list of strings"
 
 
 class TestCurveDump:

@@ -189,7 +189,7 @@ class TestSidecarObjects:
 
     @pytest.mark.parametrize("name,key", [
         (name, key) for name, (_, keys, _) in SIDECAR_OBJECTS.items() for key in keys])
-    @pytest.mark.parametrize("fault", ["missing", "wrong_type"])
+    @pytest.mark.parametrize("fault", ["missing", "wrong_type", "bool"])
     def test_bad_key_names_object_and_key(self, name, key, fault):
         doc = minimal_doc(labels=[{"qp": 10.0, "bits": 5000.0}])
         obj = doc[name] if name == "anchor" else doc[name][0]
@@ -197,9 +197,12 @@ class TestSidecarObjects:
         if fault == "missing":
             del obj[key]
             message = f"{path}: missing required field {key!r}"
-        else:
+        elif fault == "wrong_type":
             obj[key] = "7"
             message = f"{path}.{key}: expected {expected}, got str"
+        else:
+            obj[key] = True
+            message = f"{path}.{key}: expected {expected}, got bool"
         with pytest.raises(MetadataError) as info:
             parse_metadata(json.dumps(doc))
         assert str(info.value) == message
@@ -226,6 +229,34 @@ class TestSidecarObjects:
         with pytest.raises(MetadataError) as info:
             parse_metadata(json.dumps(minimal_doc(**overrides)))
         assert str(info.value) == message
+
+    # Sidecars that once escaped as a bare OverflowError, ValueError or RecursionError, and
+    # how the message each now raises begins; json.loads words the rest of the last two.
+    ESCAPES = {
+        "long_int_number": (json.dumps(minimal_doc()).replace("5000.0", "1" + "0" * 400),
+                            "$.anchor.r0_bits: integer too large for a number"),
+        "int_past_digit_limit": (json.dumps(minimal_doc()).replace("5000.0", "1" + "0" * 4999),
+                                 "sidecar is not valid JSON: Exceeds the limit (4300 digits) "),
+        "deep_nesting": ("[" * 100_000,
+                         "sidecar is not valid JSON: maximum recursion depth exceeded "),
+    }
+
+    @pytest.mark.parametrize("name", ESCAPES)
+    def test_malformed_sidecar_raises_metadata_error(self, tmp_path, name):
+        text, message = self.ESCAPES[name]
+        if message.startswith("sidecar"):
+            with pytest.raises((ValueError, RecursionError)) as raw:
+                json.loads(text)
+            assert f"sidecar is not valid JSON: {raw.value}".startswith(message)
+            message = f"sidecar is not valid JSON: {raw.value}"
+        with pytest.raises(MetadataError) as info:
+            parse_metadata(text)
+        assert str(info.value) == message
+        path = tmp_path / "frame0.rqp.json"
+        path.write_text(text)
+        with pytest.raises(MetadataError) as info:
+            load_metadata(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_errors_are_found_in_document_order(self):
         broken = {"frame_id": 5, "width": "w", "height": "h", "anchor": [], "cus": {},
