@@ -108,7 +108,7 @@ def cmd_fit_labels(args) -> int:
     corpus = ingest.load_corpus(args.corpus)
     lines = ["frame_id,coefficients"]
     for _, md in corpus:
-        params = ev.make_labels(md, ev.frame_spec(args.spec, args.fasten, md))
+        params = ev.make_labels(md, args.spec, args.fasten)
         lines.append(md.frame_id + "," + ",".join(f"{c:.12g}" for c in params.coeffs))
     path = _out_dir(args) / "labels.csv"
     path.write_text("\n".join(lines) + "\n")

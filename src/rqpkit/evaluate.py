@@ -51,16 +51,16 @@ def frame_spec(form: str, fastened: bool, md: CodingMetadata) -> ModelSpec:
     return ModelSpec(form, anchor=md.anchor if fastened else None)
 
 
-def make_labels(md: CodingMetadata, spec: ModelSpec) -> ModelParams:
+def make_labels(md: CodingMetadata, form: str, fastened: bool) -> ModelParams:
     """Ground-truth coefficients: least-squares fit of the frame's label curve.
 
-    Fastened specs are re-anchored to the frame's own operating point, so one
-    spec can label a whole corpus; fit's DegenerateFitError comes out naming the frame.
+    The fit is of `frame_spec(form, fastened, md)`, so a fastened form holds
+    the frame's own anchor; fit's DegenerateFitError comes out naming the frame.
     """
     if md.labels is None:
         raise ValueError(f"frame {md.frame_id} carries no label curve")
     try:
-        return fit(frame_spec(spec.form, spec.fastened, md), md.labels)
+        return fit(frame_spec(form, fastened, md), md.labels)
     except DegenerateFitError as exc:
         raise DegenerateFitError(f"frame {md.frame_id}: {exc}") from None
 
@@ -161,8 +161,6 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
     """
     thresholds = check_thresholds(thresholds)
     details: list[PairOutcome] = []
-    abs_deltas: list[float] = []
-    n_failures = 0
     for frame, md in items:
         if md.labels is None:
             raise ValueError(f"frame {md.frame_id} carries no label curve to score against")
@@ -176,14 +174,12 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
             except InversionError:
                 delta = float("nan")
             if not math.isfinite(delta):  # no finite rate, or an error too large for a float
-                n_failures += 1
-                details.append(PairOutcome(md.frame_id, sample.qp, sample.rate, None, None))
-                continue
-            abs_deltas.append(abs(delta))
+                predicted = delta = None
             details.append(PairOutcome(md.frame_id, sample.qp, sample.rate, predicted, delta))
     n_pairs = len(details)
     if n_pairs == 0:
         raise ValueError("no scoreable (frame, qp) pairs")
+    abs_deltas = [abs(d.delta) for d in details if d.delta is not None]
     proportions = tuple(
         sum(1 for d in abs_deltas if d <= t) / n_pairs for t in thresholds
     )
@@ -199,7 +195,7 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
         fastened=fastened,
         features=features,
         n_pairs=n_pairs,
-        n_failures=n_failures,
+        n_failures=n_pairs - len(abs_deltas),
         mean_abs_delta=mean_abs,
         median_abs_delta=median_abs,
         p90_abs_delta=p90_abs,
@@ -245,6 +241,7 @@ class TrainedRun:
     def __post_init__(self):
         if not isinstance(self.fastened, bool):
             raise ValueError(f"fastened must be true or false, got {self.fastened!r}")
+        _refuse_repeated_ids(self.test_ids, "test ids")
         # Any anchor will do: the coefficient count depends on form and fastening only.
         anchor = OperationalPoint(0.0, 1.0) if self.fastened else None
         spec = ModelSpec(self.form, anchor=anchor)  # validates the form
@@ -298,13 +295,17 @@ def corpus_index(corpus) -> dict[str, tuple[GrayFrame, CodingMetadata]]:
     return {md.frame_id: (frame, md) for frame, md in corpus}
 
 
-def _dataset(by_id, ids, form, fastened, channels) -> tuple[np.ndarray, np.ndarray]:
+def _dataset(by_id, ids, part, form, fastened, channels) -> tuple[np.ndarray, np.ndarray]:
     """uint8 feature stacks (n, C, H, W) and fitted label coefficients (n, outputs).
 
     The stacks stay 8-bit planes: `Network.forward` maps each frame onto
-    [0, 1] as it reads it.
+    [0, 1] as it reads it.  An id the corpus lacks is a ValueError naming
+    it and its `part` of the split.
     """
-    pairs = [by_id[frame_id] for frame_id in ids]
+    try:
+        pairs = [by_id[frame_id] for frame_id in ids]
+    except KeyError as exc:
+        raise ValueError(f"{part} frame {exc} is not in the corpus") from None
     stacks = [stack_from_coding(frame, md, channels) for frame, md in pairs]
     for (_, md), stack in zip(pairs, stacks):
         if stack.shape != stacks[0].shape:
@@ -312,7 +313,7 @@ def _dataset(by_id, ids, form, fastened, channels) -> tuple[np.ndarray, np.ndarr
             raise ValueError(f"frame {md.frame_id} is {w}x{h}, expected {w0}x{h0} "
                              f"like {pairs[0][1].frame_id}")
     x = np.stack(stacks)
-    y = np.array([make_labels(md, frame_spec(form, fastened, md)).coeffs for _, md in pairs])
+    y = np.array([make_labels(md, form, fastened).coeffs for _, md in pairs])
     return x, y
 
 
@@ -323,11 +324,11 @@ def run_training(corpus, split: DatasetSplit, form: str, fastened: bool, channel
     if not split.train:
         raise ValueError("split has no training frames")
     by_id = corpus_index(corpus)
-    x, y = _dataset(by_id, split.train, form, fastened, channels)
+    x, y = _dataset(by_id, split.train, "training", form, fastened, channels)
     network = Network(NetworkConfig(len(channels), y.shape[1], train_cfg.seed))
     validation = None
     if split.validation:
-        validation = _dataset(by_id, split.validation, form, fastened, channels)
+        validation = _dataset(by_id, split.validation, "validation", form, fastened, channels)
     result = train(network, x, y, train_cfg, validation)
     baseline = None
     if validation:

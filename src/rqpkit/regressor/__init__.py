@@ -7,7 +7,7 @@ an adaptive-moment optimizer on a mean-squared parameter loss.
 """
 
 from .layers import AvgPool2d, Conv2d, Dense, ReLU
-from .network import Network, NetworkConfig, normalize_stack
+from .network import Network, NetworkConfig
 from .training import (
     Adam,
     DegenerateLabelsError,
@@ -36,7 +36,6 @@ __all__ = [
     "TrainingError",
     "load_checkpoint",
     "mse_loss",
-    "normalize_stack",
     "save_checkpoint",
     "train",
 ]

@@ -14,7 +14,7 @@ network before it reads the stored weights into it.
 
 The network reads a batch of feature stacks, (batch, C, H, W).  A uint8
 batch holds 8-bit planes; `_in_units`, the one map from planes to network
-units, passes each frame through `normalize_stack` as conv0 reads it, so
+units, multiplies each frame by 1/255 into float64 as conv0 reads it, so
 no float64 copy of the batch is made.  A floating batch is taken as
 already in network units.  Any other dtype, and a batch with no pixel
 (no frame, or a side of 0), is a ValueError.
@@ -44,19 +44,11 @@ from .layers import AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU
 CONV_CHANNELS = (8, 16, 32)
 POOL = 4
 STAGE = 3  # layers per conv stage: the conv, its rectifier, its pool
-INPUT_SCALE = 1.0 / 255.0
-
-
-def normalize_stack(planes: np.ndarray) -> np.ndarray:
-    """Affine map of 8-bit planes onto [0, 1] as float64, shape unchanged."""
-    units = planes.astype(np.float64)
-    units *= INPUT_SCALE
-    return units
 
 
 def _in_units(frame: np.ndarray) -> np.ndarray:
-    """frame in network units: uint8 planes through normalize_stack, floating values as they are."""
-    return normalize_stack(frame) if frame.dtype == np.uint8 else frame
+    """frame in network units: uint8 planes onto [0, 1] as float64, floating values as they are."""
+    return frame * (1.0 / 255.0) if frame.dtype == np.uint8 else frame
 
 
 def check_input_dtype(x: np.ndarray) -> None:

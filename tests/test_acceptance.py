@@ -44,9 +44,9 @@ from rqpkit.model import (
     predict_rate,
     residuals,
 )
-from rqpkit.regressor import Network, NetworkConfig, TrainConfig, mse_loss, normalize_stack, train
+from rqpkit.regressor import Network, NetworkConfig, TrainConfig, mse_loss, train
 from rqpkit.regressor.layers import AvgPool2d, Conv2d, Dense, ReLU
-from rqpkit.evaluate import make_labels, frame_spec
+from rqpkit.evaluate import make_labels
 
 ACCEPT_SEED = 20260811
 
@@ -200,9 +200,9 @@ def test_criterion_6_trainability():
     t0 = time.perf_counter()
     frame, md = synth_corpus(1, seed=ACCEPT_SEED + 6, size=(64, 64))[0]
     stack = stack_from_coding(frame, md)
-    label = make_labels(md, frame_spec("quadratic", True, md))
+    label = make_labels(md, "quadratic", True)
     net = Network(NetworkConfig(3, 2, seed=ACCEPT_SEED))
-    result = train(net, normalize_stack(stack)[None], np.array([label.coeffs]),
+    result = train(net, stack[None], np.array([label.coeffs]),
                    TrainConfig(epochs=200, seed=ACCEPT_SEED))
     ratio = result.train_loss[-1] / result.train_loss[0]
     _report(6, ratio < 1e-3,

@@ -67,15 +67,21 @@ def overflowing(frame, md):
 class TestMakeLabels:
     def test_recovers_generating_coefficients(self):
         _, md = on_model_metadata("f0", coeffs=(-0.6, -2.5))
-        params = make_labels(md, frame_spec("quadratic", True, md))
+        params = make_labels(md, "quadratic", True)
         assert params.coeffs[0] == pytest.approx(-0.6, abs=1e-9)
         assert params.coeffs[1] == pytest.approx(-2.5, abs=1e-9)
 
     def test_anchor_comes_from_frame(self):
         _, md = on_model_metadata("f0")
-        other_anchor = OperationalPoint(20.0, 999.0)
-        params = make_labels(md, ModelSpec("quadratic", anchor=other_anchor))
-        assert params.spec.anchor == md.anchor
+        mean_u = float(np.mean(np.log(md.labels.rates())))
+        for form, fastened in [("linear", False), ("linear", True),
+                               ("quadratic", False), ("quadratic", True)]:
+            params = make_labels(md, form, fastened)
+            assert len(params.coeffs) == {"linear": 2, "quadratic": 3}[form] - fastened
+            if fastened:
+                assert (params.spec.anchor, params.branch_u) == (md.anchor, None)
+            else:
+                assert (params.spec.anchor, params.branch_u) == (None, mean_u)
 
     def test_too_few_points(self):
         _, md = on_model_metadata("f0")
@@ -89,7 +95,7 @@ class TestMakeLabels:
             labels=RQPCurve(md.labels.samples[:2]),
         )
         with pytest.raises(DegenerateFitError, match="frame f0: .*distinct rates"):
-            make_labels(short, ModelSpec("quadratic"))
+            make_labels(short, "quadratic", False)
 
     @pytest.mark.parametrize("form,fastened,spread,match", [
         ("quadratic", True, [1.0] * len(QP_GRID), "quadratic-fastened needs at least 2 distinct "
@@ -102,7 +108,7 @@ class TestMakeLabels:
         flat = CodingMetadata(frame_id=md.frame_id, width=md.width, height=md.height,
                               cus=md.cus, pus=md.pus, anchor=md.anchor, labels=labels)
         with pytest.raises(DegenerateFitError, match=f"^frame f7: {match}"):
-            make_labels(flat, frame_spec(form, fastened, flat))
+            make_labels(flat, form, fastened)
 
     def test_missing_labels(self):
         _, md = on_model_metadata("f0")
@@ -115,7 +121,7 @@ class TestMakeLabels:
             anchor=md.anchor,
         )
         with pytest.raises(ValueError, match="no label curve"):
-            make_labels(bare, ModelSpec("quadratic"))
+            make_labels(bare, "quadratic", False)
 
 
 def log_linear_metadata(frame_id: str) -> tuple[GrayFrame, CodingMetadata]:
@@ -147,7 +153,7 @@ def scaled_linear(factor_of):
 
 def label_fit(form: str, fastened: bool):
     """Oracle predictor: the least-squares fit of each frame's own labels."""
-    return lambda frame, md: make_labels(md, frame_spec(form, fastened, md))
+    return lambda frame, md: make_labels(md, form, fastened)
 
 
 class TestEvaluateFrames:
@@ -192,7 +198,7 @@ class TestEvaluateFrames:
         items = [on_model_metadata(f"f{i}") for i in range(2)]
 
         def noisy(frame, md):
-            fitted = make_labels(md, frame_spec("quadratic", True, md))
+            fitted = make_labels(md, "quadratic", True)
             rng = np.random.default_rng(hash(md.frame_id) % 2**32)
             coeffs = tuple(c * (1 + rng.uniform(-0.2, 0.2)) for c in fitted.coeffs)
             return ModelParams(fitted.spec, coeffs, fitted.branch_u)
@@ -369,6 +375,16 @@ class TestReportFormats:
         assert lines[1] == "quadratic_fastened_rec,f0,14,100.000000,90.000000,10.000000"
 
 
+def rewrite_extra(path, field, value) -> None:
+    """Set one field of a checkpoint's stored run metadata in place."""
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    meta = json.loads(bytes(arrays["meta"]))
+    meta["extra"][field] = value
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
 class TestTrainingRuns:
     def test_run_and_evaluate(self, tiny_corpus):
         ids = [md.frame_id for _, md in tiny_corpus]
@@ -416,6 +432,29 @@ class TestTrainingRuns:
                            TrainConfig(epochs=1, seed=0))
         with pytest.raises(ValueError, match="^run linear_fastened_rec holds no test frames$"):
             evaluate_run(tiny_corpus, run)
+
+    @pytest.mark.parametrize("part", ["training", "validation"])
+    def test_split_frame_missing_from_corpus_is_named(self, tiny_corpus, part):
+        ids = tuple(md.frame_id for _, md in tiny_corpus)
+        parts = {"training": ids[:8], "validation": ids[8:11]}
+        parts[part] += ("s9f0000",)
+        split = DatasetSplit(parts["training"], parts["validation"], ids[11:])
+        with pytest.raises(ValueError, match=f"^{part} frame 's9f0000' is not in the corpus$"):
+            run_training(tiny_corpus, split, "quadratic", True, ("rec",),
+                         TrainConfig(epochs=1, seed=0))
+
+    def test_repeated_test_ids_refused(self, tmp_path):
+        # Scored twice, a repeated frame would count its pairs twice in the report.
+        net, scaler = Network(NetworkConfig(1, 2)), TargetScaler(np.zeros(2), np.ones(2))
+        message = "frame id 's1f0001' appears more than once in the test ids"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainedRun("quadratic", True, ("rec",), net, scaler, ("s1f0001", "s1f0001"))
+        path = tmp_path / "run.npz"
+        TrainedRun("quadratic", True, ("rec",), net, scaler, ("s1f0001",)).save(path)
+        rewrite_extra(path, "test_ids", ["s1f0001", "s1f0001"])
+        with pytest.raises(CheckpointError) as info:
+            TrainedRun.load(path)
+        assert str(info.value) == f"checkpoint {path}: {message}"
 
     def test_corpus_index_refuses_repeated_id(self, tiny_corpus):
         corpus = [tiny_corpus[0], tiny_corpus[1], tiny_corpus[0]]
@@ -487,12 +526,7 @@ class TestTrainingRuns:
                            TrainConfig(epochs=1, seed=0))
         path = tmp_path / "run.npz"
         run.save(path)
-        with np.load(path) as archive:
-            arrays = {k: archive[k] for k in archive.files}
-        meta = json.loads(bytes(arrays["meta"]))
-        meta["extra"][field] = value
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        rewrite_extra(path, field, value)
         with pytest.raises(CheckpointError) as info:
             TrainedRun.load(path)
         message = str(info.value)
@@ -507,12 +541,7 @@ class TestTrainingRuns:
         path = tmp_path / "run.npz"
         run.save(path)
         assert TrainedRun.load(path).test_ids == ("s1f0001",)
-        with np.load(path) as archive:
-            arrays = {k: archive[k] for k in archive.files}
-        meta = json.loads(bytes(arrays["meta"]))
-        meta["extra"][field] = value
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        rewrite_extra(path, field, value)
         with pytest.raises(CheckpointError) as info:
             TrainedRun.load(path)
         assert str(info.value) == f"checkpoint {path}: {field} must be a list of strings"
@@ -526,7 +555,7 @@ class TestCurveDump:
 
     def test_actual_column_is_verbatim(self):
         _, md = on_model_metadata("f0")
-        text = curve_dump(md, {"fit": make_labels(md, frame_spec("quadratic", True, md))})
+        text = curve_dump(md, {"fit": make_labels(md, "quadratic", True)})
         lines = text.strip().split("\n")
         assert lines[0] == "qp,actual_bits,predicted_bits_fit"
         assert len(lines) == 1 + len(QP_GRID)
@@ -535,7 +564,7 @@ class TestCurveDump:
 
     def test_fastened_prediction_passes_anchor(self):
         _, md = on_model_metadata("f0")
-        text = curve_dump(md, {"fit": make_labels(md, frame_spec("quadratic", True, md))})
+        text = curve_dump(md, {"fit": make_labels(md, "quadratic", True)})
         anchor_line = next(
             line for line in text.splitlines()[1:] if line.startswith("10,")
         )

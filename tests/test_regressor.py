@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import rqpkit.regressor
 from gradcheck import check_layer, check_network
-from rqpkit.evaluate import frame_spec, make_labels, net_predictor, run_training
+from rqpkit.evaluate import make_labels, net_predictor, run_training
 from rqpkit.features import CuRect, GrayFrame, PuMode, stack_from_coding
 from rqpkit.ingest import CodingMetadata, DatasetSplit
 from rqpkit.model import ModelSpec, OperationalPoint
@@ -28,11 +28,15 @@ from rqpkit.regressor import (
     TrainingError,
     load_checkpoint,
     mse_loss,
-    normalize_stack,
     save_checkpoint,
     train,
 )
 from rqpkit.regressor.layers import AvgPool2d, Conv2d, Dense, GlobalAvgPool2d, ReLU, _cols
+
+
+def in_units(planes: np.ndarray) -> np.ndarray:
+    """Reference map of uint8 planes onto [0, 1] as float64, shape unchanged."""
+    return planes.astype(np.float64) * (1.0 / 255.0)
 
 
 def toy_stack(rng, channels=2, size=8) -> np.ndarray:
@@ -56,7 +60,7 @@ def toy_dataset(rng, n, channels=2, size=8, outputs=2):
     x, y = [], []
     for _ in range(n):
         y.append(rng.normal(0.0, 2.0, outputs))
-        x.append(normalize_stack(toy_stack(rng, channels, size)))
+        x.append(in_units(toy_stack(rng, channels, size)))
     return np.stack(x), np.array(y)
 
 
@@ -434,7 +438,7 @@ class TestFirstStagePerFrame:
         assert np.shares_memory(net._x, planes)
         cached = net.layers[0]._cache
         assert cached.shape == (1, 3, 16, 16) and cached.dtype == np.float64
-        assert cached.tobytes() == normalize_stack(planes[-1:]).tobytes()
+        assert cached.tobytes() == in_units(planes[-1:]).tobytes()
 
 
 def held_float64_bytes(net: Network) -> int:
@@ -451,7 +455,7 @@ def held_float64_bytes(net: Network) -> int:
 
 
 class TestUint8Input:
-    """uint8 planes are mapped onto [0, 1] inside forward, with the bits normalize_stack gives."""
+    """uint8 planes are mapped onto [0, 1] inside forward, with the bits in_units gives."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -466,7 +470,7 @@ class TestUint8Input:
         cfg = NetworkConfig(channels, 2, seed=seed)
         net, twin = Network(cfg), Network(cfg)
         out = net.forward(x)
-        assert out.tobytes() == twin.forward(normalize_stack(x)).tobytes()
+        assert out.tobytes() == twin.forward(in_units(x)).tobytes()
         assert np.array_equal(net.layers[1].mask, twin.layers[1].mask)
         dout = rng.standard_normal(out.shape)
         net.backward(dout)
@@ -482,12 +486,19 @@ class TestUint8Input:
         y, val_y = rng.normal(0.0, 2.0, (7, 2)), rng.normal(0.0, 2.0, (4, 2))
         cfg = TrainConfig(learning_rate=1e-3, batch_size=3, epochs=3, seed=51)
         runs = []
-        for xs, val_xs in [(x, val_x), (normalize_stack(x), normalize_stack(val_x))]:
+        for xs, val_xs in [(x, val_x), (in_units(x), in_units(val_x))]:
             net = Network(NetworkConfig(3, 2, seed=52))
             result = train(net, xs, y, cfg, (val_xs, val_y))
             runs.append((repr(result.train_loss), repr(result.val_loss),
                          b"".join(p.tobytes() for p in net.parameters())))
         assert runs[0] == runs[1]
+
+    def test_conv0_reads_bytes_0_and_255_as_0_and_1(self):
+        net = Network(NetworkConfig(1, 2))
+        net.forward(np.array([[[[0, 255], [128, 7]]]], dtype=np.uint8))
+        cached = net.layers[0]._cache
+        assert cached.dtype == np.float64
+        assert cached[0, 0, 0, 0] == 0.0 and cached[0, 0, 0, 1] == 1.0
 
     def test_full_scale_planes_are_ones(self):
         net = Network(NetworkConfig(3, 2))
@@ -665,11 +676,6 @@ class TestTargetScaler:
         assert np.array_equal(scaler.scale, [1.0, 1.0])
         assert np.allclose(scaler.transform([[3.0, -1.0]]), 0.0)
 
-    def test_normalize_stack_range(self):
-        x = normalize_stack(np.array([[[0, 255], [128, 7]]], dtype=np.uint8))
-        assert x.dtype == np.float64
-        assert x.min() == 0.0 and x.max() == 1.0
-
 
 class TestAdam:
     def test_minimizes_quadratic(self):
@@ -820,7 +826,7 @@ class TestTraining:
         run = run_training(tiny_corpus, split, "quadratic", True, ("rec",),
                            TrainConfig(epochs=1, seed=10))
         by_id = {md.frame_id: md for _, md in tiny_corpus}
-        val_y = [make_labels(md, frame_spec("quadratic", True, md)).coeffs
+        val_y = [make_labels(md, "quadratic", True).coeffs
                  for md in (by_id[i] for i in split.validation)]
         z = run.scaler.transform(np.array(val_y))
         assert run.baseline_val_mse == float(np.mean(z * z))
@@ -854,7 +860,7 @@ class TestPredictParams:
         net, scaler = self.make_trained()
         frame, md = toy_frame(np.random.default_rng(16))
         params = net_predictor(net, scaler, "quadratic", True, TOY_CHANNELS)(frame, md)
-        x = normalize_stack(stack_from_coding(frame, md, TOY_CHANNELS))
+        x = in_units(stack_from_coding(frame, md, TOY_CHANNELS))
         assert np.array_equal(params.coeffs, scaler.inverse(net.forward(x[None])[0]))
         assert params.spec == TOY_SPEC
 
