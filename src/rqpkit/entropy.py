@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_finite, check_positive
 from .model import RQPCurve, RQPSample
 
 # Bins whose mass underflows below this are treated as empty (0*log 0 == 0).
@@ -44,7 +45,7 @@ class CauchyParams:
     """Zero-mean Cauchy coefficient model with a symmetric uniform quantizer.
 
     scale: Cauchy scale parameter; larger means heavier tails, i.e. more
-        high-frequency content surviving the transform.
+        high-frequency content surviving the transform; ValueError unless > 0.
 
     Sums cover the whole distribution, deadzone bin included: a head of
     max(1024, 64*scale/q) side-bin pairs summed outright plus the
@@ -55,13 +56,7 @@ class CauchyParams:
     scale: float
 
     def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
-
-
-def _check_qstep(q: float) -> None:
-    if not (q > 0 and math.isfinite(q)):
-        raise ValueError(f"quantization step must be positive and finite, got {q}")
+        check_positive("scale", self.scale)
 
 
 def _side_bin_mass(scale: float, q: float, n):
@@ -79,9 +74,9 @@ def bin_probability(params: CauchyParams, q: float, n) -> float | np.ndarray:
     """Probability mass of quantizer bin `n` at step size `q`.
 
     Symmetric in n.  Accepts a scalar or an integer array; n = 0 addresses
-    the deadzone bin.
+    the deadzone bin.  ValueError unless q > 0.
     """
-    _check_qstep(q)
+    check_positive("quantization step", q)
     n_arr = np.asarray(n)
     p = _side_bin_mass(params.scale, q, n_arr)
     if np.any(n_arr == 0):
@@ -97,7 +92,7 @@ def _plogp(p):
 
 def _head_size(scale: float, q: float) -> int:
     """Side bins summed outright at step q: max(1024, 64*scale/q), at most _MAX_BINS."""
-    _check_qstep(q)
+    check_positive("quantization step", q)
     a = scale / q
     if a > _MAX_A:
         raise ValueError(f"scale/q = {a:.3g} exceeds {_MAX_A:g}: the head would pass 4M bins")
@@ -158,7 +153,7 @@ def _entropies(scale: float, qs) -> list[float]:
 def entropy(params: CauchyParams, q: float) -> float:
     """Entropy in bits of the quantized coefficient distribution at step q.
 
-    scale/q above 65536 raises ValueError.
+    ValueError unless q > 0 and scale/q is at most 65536.
     """
     return _entropies(params.scale, [q])[0]
 
@@ -169,7 +164,7 @@ def total_probability(params: CauchyParams, q: float) -> float:
     The head's bins and the deadzone are summed explicitly and the exact
     Cauchy mass beyond the head's last bin edge is added, since summing
     heavy Cauchy tails bin by bin to 1e-6 accuracy would take ~1e9 terms
-    at large scale/small step.
+    at large scale/small step.  q is checked as in entropy().
     """
     n = _head_size(params.scale, q)
     p = _side_bin_mass(params.scale, q, np.arange(1, n + 1))
@@ -180,9 +175,10 @@ def total_probability(params: CauchyParams, q: float) -> float:
 def qp_to_qstep(qp: float) -> float:
     """Quantization step size for a QP: 2 ** ((qp - 4) / 6).
 
-    A qp whose step is not a positive normal float (below about -6128 or
-    from about 6148 on), or that is not finite, raises ValueError.
+    A qp that is not finite, or whose step is not a positive normal float
+    (below about -6128 or from about 6148 on), raises ValueError.
     """
+    qp = check_finite("qp", qp)
     if not sys.float_info.min_exp - 1 <= (qp - 4.0) / 6.0 < sys.float_info.max_exp:
         raise ValueError(f"qp {qp} has no quantization step in the normal float range")
     return 2.0 ** ((qp - 4.0) / 6.0)
@@ -191,14 +187,13 @@ def qp_to_qstep(qp: float) -> float:
 def synth_curve(params: CauchyParams, qp_grid, bits_scale: float) -> RQPCurve:
     """Synthetic rate curve: rate = bits_scale * H(qstep(qp)) per grid point.
 
-    The grid must be nonempty and strictly increasing; rates come out
-    strictly positive and nonincreasing in QP.
+    ValueError unless bits_scale > 0 and the grid is nonempty, finite and
+    strictly increasing; rates come out positive and nonincreasing in QP.
     """
-    if not (bits_scale > 0 and math.isfinite(bits_scale)):
-        raise ValueError(f"bits_scale must be positive and finite, got {bits_scale}")
-    qps = [float(v) for v in qp_grid]
-    bits = _entropies(params.scale, (qp_to_qstep(qp) for qp in qps))
-    samples = tuple(RQPSample(qp, bits_scale * h) for qp, h in zip(qps, bits))
+    check_positive("bits_scale", bits_scale)
+    qps = list(qp_grid)
+    bits = _entropies(params.scale, (qp_to_qstep(qp) for qp in qps))  # checks each qp in turn
+    samples = tuple(RQPSample(float(qp), bits_scale * h) for qp, h in zip(qps, bits))
     return RQPCurve(samples)  # rejects an empty or non-increasing grid
 
 

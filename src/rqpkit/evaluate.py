@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_positive
 from .features import CHANNEL_ORDER, GrayFrame, channel_order, stack_from_coding
 from .ingest import CodingMetadata, DatasetSplit, _refuse_repeated_ids
 from .model import (
@@ -145,8 +146,11 @@ def details_to_csv(details_by_run: dict[str, list[PairOutcome]]) -> str:
 
 def check_thresholds(thresholds) -> tuple[float, ...]:
     """Report thresholds as floats; ValueError unless there is one or more, each finite and > 0."""
-    values = tuple(float(t) for t in thresholds)
-    if not values or not all(0.0 < t < np.inf for t in values):
+    try:
+        values = tuple(check_positive("threshold", t) for t in thresholds)
+    except ValueError:
+        values = ()  # every refusal gives the one message below
+    if not values:
         raise ValueError("thresholds must be finite positive percentages")
     return values
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import check_int
+from .checks import check_finite, check_int
 from .entropy import CauchyParams, synth_curve
 from .features import CuRect, GrayFrame, PuMode, PU_SIZE, validate_coverage, validate_tiling
 from .model import OperationalPoint, RQPCurve, RQPSample
@@ -429,13 +429,14 @@ def _refuse_repeated_ids(ids, where: str) -> None:
 
 
 def split_dataset(ids, seed: int, test_fraction: float) -> DatasetSplit:
-    """Deterministic partition into test, then 90/10 train/validation."""
+    """Deterministic partition into test, then 90/10 train/validation; ValueError
+    unless ids are distinct and nonempty and test_fraction lies in [0, 1)."""
     check_int("seed", seed, 0)
     ids = list(ids)
     if not ids:
         raise ValueError("cannot split an empty id list")
     _refuse_repeated_ids(ids, "id list")
-    if not 0.0 <= test_fraction < 1.0:
+    if not 0.0 <= check_finite("test_fraction", test_fraction) < 1.0:
         raise ValueError(f"test_fraction must lie in [0, 1), got {test_fraction}")
     order = np.random.default_rng(seed).permutation(len(ids))
     shuffled = [ids[i] for i in order]

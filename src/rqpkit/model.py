@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_finite, check_positive
+
 FORMS = ("linear", "quadratic")
 
 # Two QPs this close address the same label sample.
@@ -59,16 +61,14 @@ class NoRealRootError(InversionError):
 
 @dataclass(frozen=True)
 class RQPSample:
-    """One measured (qp, rate-in-bits) point of a frame."""
+    """One measured (qp, rate-in-bits) point; ValueError unless qp is finite and rate > 0."""
 
     qp: float
     rate: float
 
     def __post_init__(self):
-        if not math.isfinite(self.qp):
-            raise ValueError(f"qp must be finite, got {self.qp}")
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        check_finite("qp", self.qp)
+        check_positive("rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -102,16 +102,14 @@ class RQPCurve:
 
 @dataclass(frozen=True)
 class OperationalPoint:
-    """(qp0, r0) recorded from the one-pass encode."""
+    """(qp0, r0) from the one-pass encode; ValueError unless qp0 is finite and r0 > 0."""
 
     qp0: float
     r0: float
 
     def __post_init__(self):
-        if not math.isfinite(self.qp0):
-            raise ValueError(f"qp0 must be finite, got {self.qp0}")
-        if not (self.r0 > 0 and math.isfinite(self.r0)):
-            raise ValueError(f"r0 must be positive and finite, got {self.r0}")
+        check_finite("qp0", self.qp0)
+        check_positive("r0", self.r0)
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ class ModelParams:
     branch_u marks the log-rate around which the data lived when the
     coefficients were fitted; quadratic inversion uses it to pick the
     physically meaningful root.  Fastened specs take it from the anchor
-    instead.
+    instead.  ValueError unless it holds spec.param_count finite coefficients.
     """
 
     spec: ModelSpec
@@ -158,8 +156,8 @@ class ModelParams:
                 f"{self.spec.label()} takes {self.spec.param_count} coefficients, "
                 f"got {len(self.coeffs)}"
             )
-        if not all(math.isfinite(c) for c in self.coeffs):
-            raise ValueError(f"coefficients must be finite, got {self.coeffs}")
+        for c in self.coeffs:
+            check_finite("coefficients", c)
 
 
 def _centred(spec: ModelSpec, coeffs: tuple, branch_u: float | None = None):
@@ -182,9 +180,8 @@ def _centred(spec: ModelSpec, coeffs: tuple, branch_u: float | None = None):
 
 
 def model_qp(params: ModelParams, rate: float) -> float:
-    """QP the model assigns to a frame coded at `rate` bits."""
-    if not (rate > 0 and math.isfinite(rate)):
-        raise ValueError(f"rate must be positive and finite, got {rate}")
+    """QP the model assigns to a frame coded at `rate` bits; ValueError unless rate > 0."""
+    check_positive("rate", rate)
     u = math.log(rate)
     alpha, beta, u_ref, qp_ref, _ = _centred(params.spec, params.coeffs)
     # Centred evaluation keeps a fastened model exact at its anchor.
@@ -251,8 +248,9 @@ def predict_rate(params: ModelParams, qp: float) -> float:
     anchor (or the fitted data for free specs; the falling branch when a
     free spec records none); a negative discriminant raises NoRealRootError
     carrying the vertex QP.  A constant model, or a rate that overflows or
-    underflows, raises InversionError.
+    underflows, raises InversionError; a qp that is not finite, ValueError.
     """
+    check_finite("qp", qp)
     alpha, beta, u_ref, qp_ref, u_branch = _centred(params.spec, params.coeffs, params.branch_u)
     if alpha == 0:
         if beta == 0:
@@ -281,7 +279,6 @@ def predict_rate(params: ModelParams, qp: float) -> float:
 
 
 def relative_error(actual: float, predicted: float) -> float:
-    """Signed rate estimation error in percent: (R - Rhat) / R * 100."""
-    if not (actual > 0 and math.isfinite(actual)):
-        raise ValueError(f"actual rate must be positive and finite, got {actual}")
+    """Signed rate error in percent, (R - Rhat) / R * 100; ValueError unless actual R > 0."""
+    check_positive("actual rate", actual)
     return (actual - predicted) / actual * 100.0

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..checks import check_int
+
 KERNEL = 3
 
 
@@ -61,6 +63,8 @@ class Conv2d:
     """3x3 stride-1 convolution, zero-padded by one pixel: the output keeps the input's size."""
 
     def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
+        check_int("in_channels", in_channels, 1)
+        check_int("out_channels", out_channels, 1)
         self.in_channels = in_channels
         self.out_channels = out_channels
         scale = 1.0 / np.sqrt(in_channels * KERNEL * KERNEL)
@@ -136,8 +140,7 @@ class AvgPool2d:
     """
 
     def __init__(self, window: int):
-        if window < 2:
-            raise ValueError(f"pooling window must be >= 2, got {window}")
+        check_int("pooling window", window, 2)
         self.window = window
         self._block = None
 
@@ -176,6 +179,8 @@ class Dense:
     """Fully connected layer over the flattened input: y = x.reshape(batch, -1) @ w.T + b."""
 
     def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator):
+        check_int("in_features", in_features, 1)
+        check_int("out_features", out_features, 1)
         scale = 1.0 / np.sqrt(in_features)
         self.w = rng.uniform(-scale, scale, (out_features, in_features))
         self.b = np.zeros(out_features)

@@ -15,7 +15,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ..checks import check_int
+from ..checks import check_finite, check_int
 from .network import Network, check_input_dtype
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
@@ -99,6 +99,8 @@ class Adam:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer step and schedule; ValueError unless learning_rate is finite and >= 0."""
+
     learning_rate: float = 1e-4
     batch_size: int = 10
     epochs: int = 100
@@ -106,8 +108,7 @@ class TrainConfig:
 
     def __post_init__(self):
         lr = self.learning_rate
-        if (isinstance(lr, bool) or not isinstance(lr, (int, float, np.integer, np.floating))
-                or not (np.isfinite(lr) and lr >= 0)):
+        if check_finite("learning_rate", lr) < 0:
             raise ValueError(f"learning_rate must be a finite real >= 0, got {lr!r}")
         check_int("batch_size", self.batch_size, 1)
         check_int("epochs", self.epochs, 1)

@@ -92,6 +92,23 @@ class TestLayerGradients:
         with pytest.raises(ValueError, match="window"):
             AvgPool2d(1)
 
+    @pytest.mark.parametrize("layer, args, message", [
+        (Conv2d, (0, 8), "in_channels must be an integer >= 1, got 0"),
+        (Conv2d, (3, 0), "out_channels must be an integer >= 1, got 0"),
+        (Conv2d, (3.0, 8), "in_channels must be an integer >= 1, got 3.0"),
+        (Dense, (0, 2), "in_features must be an integer >= 1, got 0"),
+        (Dense, (4, -1), "out_features must be an integer >= 1, got -1"),
+        (Dense, (True, 2), "in_features must be an integer >= 1, got True"),
+        (AvgPool2d, (2.5,), "pooling window must be an integer >= 2, got 2.5"),
+        (AvgPool2d, (np.True_,), "pooling window must be an integer >= 2, got np.True_"),
+    ], ids=["conv-in-0", "conv-out-0", "conv-in-float", "dense-in-0", "dense-out-negative",
+            "dense-in-bool", "pool-float", "pool-numpy-bool"])
+    def test_layer_sizes_are_checked_integers(self, layer, args, message):
+        kwargs = {} if layer is AvgPool2d else {"rng": np.random.default_rng(0)}
+        with pytest.raises(ValueError) as info:
+            layer(*args, **kwargs)
+        assert str(info.value) == message
+
     def test_relu_propagates_nan(self):
         out = ReLU().forward(np.array([np.nan, -1.0, 2.0]))
         assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == 2.0
