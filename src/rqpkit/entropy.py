@@ -4,12 +4,12 @@ The residual bits of an intra-coded frame track the entropy of its
 quantized DCT coefficients, and a zero-mean Cauchy distribution describes
 those coefficients well.  Every quantizer bin then has closed-form mass:
 
-    p(n) = arctan(scale*q / (scale^2 + (n^2 - 0.25) q^2)) / pi      |n| >= 1
-    p(0) = (2/pi) * arctan(q / (2*scale))                           deadzone
+    p(n) = arctan(a / (a^2 + n^2 - 0.25)) / pi      |n| >= 1,  a = scale/q
+    p(0) = (2/pi) * atan2(0.5, a)                    deadzone
 
-so the entropy H(q) = -sum p*log2(p) can be evaluated for any step size q,
-and a scaled H makes a serviceable synthetic rate curve.  A QP maps to
-its step size by q = 2^((qp - 4)/6).
+so the entropy H = -sum p*log2(p) depends on scale and q only through a,
+can be evaluated for any step size q, and a scaled H makes a serviceable
+synthetic rate curve.  A QP maps to its step size by q = 2^((qp - 4)/6).
 
 One implementation serves entropy() and both curves: _entropies evaluates
 the heads of consecutive step sizes that share a head size as the rows of
@@ -47,10 +47,11 @@ class CauchyParams:
     scale: Cauchy scale parameter; larger means heavier tails, i.e. more
         high-frequency content surviving the transform; ValueError unless > 0.
 
-    Sums cover the whole distribution, deadzone bin included: a head of
-    max(1024, 64*scale/q) side-bin pairs summed outright plus the
-    closed-form integral of the tail's asymptote, accurate to 3e-10
-    relative (scale/q up to 65536).
+    At step q every bin mass, and so the entropy, is a function of the
+    ratio a = scale/q alone.  Sums cover the whole distribution, deadzone
+    bin included: a head of max(1024, 64*a) side-bin pairs summed outright
+    plus the closed-form integral of the tail's asymptote, accurate to
+    3e-10 relative (a up to 65536).
     """
 
     scale: float
@@ -59,28 +60,24 @@ class CauchyParams:
         check_positive("scale", self.scale)
 
 
-def _side_bin_mass(scale: float, q: float, n):
-    n2 = np.square(np.asarray(n, dtype=float))
-    # An overflowing denominator is fine: the ratio underflows to 0 mass.
-    with np.errstate(over="ignore", divide="ignore"):
-        return np.arctan(scale * q / (scale * scale + (n2 - 0.25) * q * q)) / math.pi
+def _side_bin_mass(a: float, n):
+    return np.arctan(a / (a * a + (np.square(np.asarray(n, dtype=float)) - 0.25))) / math.pi
 
 
-def _zero_bin_mass(scale: float, q: float) -> float:
-    return 2.0 / math.pi * math.atan(q / (2.0 * scale))
+def _zero_bin_mass(a: float) -> float:
+    return 2.0 / math.pi * math.atan2(0.5, a)
 
 
 def bin_probability(params: CauchyParams, q: float, n) -> float | np.ndarray:
     """Probability mass of quantizer bin `n` at step size `q`.
 
     Symmetric in n.  Accepts a scalar or an integer array; n = 0 addresses
-    the deadzone bin.  ValueError unless q > 0.
+    the deadzone bin.  q is checked as in entropy().
     """
-    check_positive("quantization step", q)
+    _, a, _ = _step(params.scale, q)
     n_arr = np.asarray(n)
-    p = _side_bin_mass(params.scale, q, n_arr)
-    if np.any(n_arr == 0):
-        p = np.where(n_arr == 0, _zero_bin_mass(params.scale, q), p)
+    # Side masses are taken at n = 1 in the deadzone's place: at n = 0, a = 1/2 divides by 0.
+    p = np.where(n_arr == 0, _zero_bin_mass(a), _side_bin_mass(a, np.where(n_arr == 0, 1, n_arr)))
     return float(p) if np.isscalar(n) or n_arr.ndim == 0 else p
 
 
@@ -90,20 +87,23 @@ def _plogp(p):
         return np.where(p >= _P_FLOOR, -p * np.log2(p), 0.0)
 
 
-def _head_size(scale: float, q: float) -> int:
-    """Side bins summed outright at step q: max(1024, 64*scale/q), at most _MAX_BINS."""
-    check_positive("quantization step", q)
+def _step(scale: float, q: float) -> tuple[int, float, float]:
+    """Check step q and return (head size, a, ln a) for a = scale/q, at most _MAX_A.
+
+    ln a comes from the logs of scale and q, so it stays finite when a underflows to 0.
+    """
+    q = check_positive("quantization step", q)
     a = scale / q
     if a > _MAX_A:
         raise ValueError(f"scale/q = {a:.3g} exceeds {_MAX_A:g}: the head would pass 4M bins")
-    return max(1024, math.ceil(64.0 * a))
+    return max(1024, math.ceil(64.0 * a)), a, math.log(scale) - math.log(q)
 
 
-def _tail_bits(scale: float, q: float, n_bins: int) -> float:
+def _tail_bits(a: float, ln_a: float, n_bins: int) -> float:
     """-sum p*log2(p) over the side bins n > n_bins of one side.
 
-    For n >> a = scale/q a side bin has mass p ~ c n^-2 (1 - b n^-2) with
-    c = a/pi and b = a^2 - 1/4.  The integral of -p ln p of that from
+    For n >> a a side bin has mass p ~ c n^-2 (1 - b n^-2) with c = a/pi
+    and b = a^2 - 1/4.  The integral of -p ln p of that from
     x = n_bins + 1/2 to infinity, plus the midpoint rule's correction
     f'(x)/24 for f = -p ln p, is to O(x^-5)
 
@@ -113,21 +113,19 @@ def _tail_bits(scale: float, q: float, n_bins: int) -> float:
     The first neglected term is ~(a/x)^4 times the leading one, so a head
     of 64*a bins leaves an error below 3e-10 of H.
     """
-    a = scale / q
     c, b, x = a / math.pi, a * a - 0.25, n_bins + 0.5
-    # ln c from the logs of its factors stays finite when a underflows to 0.
-    ln_c, ln_x = math.log(scale) - math.log(q) - math.log(math.pi), math.log(x)
+    ln_c, ln_x = ln_a - math.log(math.pi), math.log(x)
     lead = c / x * (2.0 * ln_x + 2.0 - ln_c)
     nxt = c / x**3 * (b * (1.0 + 3.0 * ln_c - 6.0 * ln_x) / 9.0 + (1.0 + ln_c - 2.0 * ln_x) / 12.0)
     return (lead + nxt) / math.log(2.0)
 
 
-def _head_bits(scale: float, q: np.ndarray, n: int) -> list[float]:
-    """-sum p*log2(p) over side bins 1..n at each step of the column q, one row each.
+def _head_bits(a: np.ndarray, n: int) -> list[float]:
+    """-sum p*log2(p) over side bins 1..n at each ratio of the column a, one row each.
 
     A pass's arrays are freed on return, before the next pass builds its own.
     """
-    return _plogp(_side_bin_mass(scale, q, np.arange(1, n + 1))).sum(axis=1).tolist()
+    return _plogp(_side_bin_mass(a, np.arange(1, n + 1))).sum(axis=1).tolist()
 
 
 def _entropies(scale: float, qs) -> list[float]:
@@ -138,16 +136,16 @@ def _entropies(scale: float, qs) -> list[float]:
     _MAX_BINS bins, and each row is summed on its own, so every H keeps the
     pairwise summation, and the bits, of a one-step evaluation.
     """
-    steps = [(q, _head_size(scale, q)) for q in qs]
+    steps = [_step(scale, q) for q in qs]
     sides: list[float] = []
-    for n, run in itertools.groupby(steps, key=lambda step: step[1]):
-        q = np.array([step for step, _ in run], dtype=float)[:, None]
+    for n, run in itertools.groupby(steps, key=lambda step: step[0]):
+        a = np.array([step[1] for step in run])[:, None]
         rows = _MAX_BINS // n
-        for i in range(0, len(q), rows):
-            sides += _head_bits(scale, q[i : i + rows], n)
-    zero = _plogp(np.array([_zero_bin_mass(scale, q) for q, _ in steps])).tolist()
-    return [2.0 * (side + _tail_bits(scale, q, n)) + z
-            for side, (q, n), z in zip(sides, steps, zero)]
+        for i in range(0, len(a), rows):
+            sides += _head_bits(a[i : i + rows], n)
+    zero = _plogp(np.array([_zero_bin_mass(a) for _, a, _ in steps])).tolist()
+    return [2.0 * (side + _tail_bits(a, ln_a, n)) + z
+            for side, (n, a, ln_a), z in zip(sides, steps, zero)]
 
 
 def entropy(params: CauchyParams, q: float) -> float:
@@ -166,10 +164,9 @@ def total_probability(params: CauchyParams, q: float) -> float:
     heavy Cauchy tails bin by bin to 1e-6 accuracy would take ~1e9 terms
     at large scale/small step.  q is checked as in entropy().
     """
-    n = _head_size(params.scale, q)
-    p = _side_bin_mass(params.scale, q, np.arange(1, n + 1))
-    tail = 2.0 / math.pi * math.atan(params.scale / ((n + 0.5) * q))
-    return 2.0 * float(p.sum()) + _zero_bin_mass(params.scale, q) + tail
+    n, a, _ = _step(params.scale, q)
+    p = _side_bin_mass(a, np.arange(1, n + 1))
+    return 2.0 * float(p.sum()) + _zero_bin_mass(a) + 2.0 / math.pi * math.atan(a / (n + 0.5))
 
 
 def qp_to_qstep(qp: float) -> float:
@@ -191,7 +188,10 @@ def synth_curve(params: CauchyParams, qp_grid, bits_scale: float) -> RQPCurve:
     strictly increasing; rates come out positive and nonincreasing in QP.
     """
     check_positive("bits_scale", bits_scale)
-    qps = list(qp_grid)
+    try:
+        qps = list(qp_grid)
+    except TypeError:
+        raise ValueError(f"qp_grid must be iterable, got {type(qp_grid).__name__}") from None
     bits = _entropies(params.scale, (qp_to_qstep(qp) for qp in qps))  # checks each qp in turn
     samples = tuple(RQPSample(float(qp), bits_scale * h) for qp, h in zip(qps, bits))
     return RQPCurve(samples)  # rejects an empty or non-increasing grid

@@ -148,7 +148,7 @@ def check_thresholds(thresholds) -> tuple[float, ...]:
     """Report thresholds as floats; ValueError unless there is one or more, each finite and > 0."""
     try:
         values = tuple(check_positive("threshold", t) for t in thresholds)
-    except ValueError:
+    except (TypeError, ValueError):  # a TypeError: thresholds is not iterable
         values = ()  # every refusal gives the one message below
     if not values:
         raise ValueError("thresholds must be finite positive percentages")

@@ -109,6 +109,23 @@ def test_accepted_values_give_the_float_results(entry):
         assert call(value) == call(float(value))
 
 
+# name -> (call with the value in place of the whole iterable, the name its ValueError gives).
+# Kept apart from ENTRY_POINTS: its property draws lists as refused values, valid here.
+ITERABLE_ARGUMENTS = {
+    "check_thresholds.thresholds": (check_thresholds, "thresholds"),
+    "synth_curve.qp_grid": (lambda v: synth_curve(PARAMS, v, 1.0), "qp_grid"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ITERABLE_ARGUMENTS))
+@pytest.mark.parametrize("value", [5, 22.0, np.float64(22.0), None, True, 10**5000],
+                         ids=["5", "22.0", "np22.0", "None", "True", "10**5000"])
+def test_non_iterables_name_the_argument(entry, value):
+    call, name = ITERABLE_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=name):
+        call(value)
+
+
 class TestMessages:
     @pytest.mark.parametrize("check, what", [(check_finite, "finite"),
                                              (check_positive, "positive and finite")])

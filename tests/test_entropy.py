@@ -54,6 +54,11 @@ class TestBinProbability:
         params = CauchyParams(1.0)
         assert bin_probability(params, 1.0, 0) == pytest.approx(P0_G1_Q1, abs=1e-12)
 
+    def test_zero_bin_at_half_ratio(self):
+        # At scale/q = 1/2 the side formula's denominator is 0 at n = 0; the deadzone's is not.
+        p = bin_probability(CauchyParams(1.0), 2.0, np.array([0, 1, -1]))
+        assert p[0] == pytest.approx(0.5, abs=1e-15) and p[1] == p[2] > 0.0
+
     def test_vectorized_matches_scalar(self):
         params = CauchyParams(3.0)
         n = np.array([-2, 0, 1, 5])
@@ -123,8 +128,13 @@ class TestEntropy:
             )
 
     def test_all_terms_underflow_gives_zero(self):
-        assert strict_entropy(1.0, 1e308, 3, False) == 0.0
-        # Every head bin underflows; only the tail integral's subnormal remains.
+        # scale/q underflows to 0, and with it every bin's mass.
+        assert strict_entropy(1e-300, 1e300, 3, False) == 0.0
+        # At scale/q = 1e-308 the three bins' masses are subnormal but not 0;
+        # frozen with a 50-digit evaluation.
+        assert strict_entropy(1.0, 1e308, 3, False) == pytest.approx(1.1186185589566655e-305,
+                                                                     rel=1e-14, abs=0.0)
+        # Every head bin falls below the floor; only the tail integral's subnormal remains.
         assert 0.0 <= entropy(CauchyParams(1.0), 1e308) < 1e-300
 
     def test_coarser_quantization_less_entropy(self):
@@ -232,6 +242,42 @@ class TestTotalProbability:
 
 
 
+class TestRatioAlone:
+    """Every mass, and so H, depends on scale and q only through a = scale/q."""
+
+    # a from 2^-3 to 2^16, scale and q both times k from 1e-100 to 1e150; k*scale/(k*q)
+    # is a to within 2 ulps.  (Below a ~ 2^-4, H is mostly the deadzone's -p0 log2 p0
+    # with p0 near 1, and one ulp of p0 moves H by up to ~12 ulps.)
+    @given(
+        scale=st.floats(0.5, 100.0),
+        log2_a=st.floats(-3.0, 16.0),
+        log10_k=st.floats(-100.0, 150.0),
+    )
+    @example(scale=2e4, log2_a=math.log2(2e4), log10_k=150.0)
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_scale_and_step_together_keeps_h(self, scale, log2_a, log10_k):
+        q, k = scale / 2.0**log2_a, 10.0**log10_k
+        assert entropy(CauchyParams(k * scale), k * q) == pytest.approx(
+            entropy(CauchyParams(scale), q), rel=1e-15, abs=0.0)
+
+    def test_products_past_the_float_range(self):
+        # scale*q and scale^2 overflow here, though scale/q = 2e4 is in range.
+        assert entropy(CauchyParams(2e154), 1e150) == pytest.approx(
+            entropy(CauchyParams(2e4), 1.0), rel=1e-15, abs=0.0)
+        assert total_probability(CauchyParams(2e154), 1e150) == pytest.approx(1.0, abs=1e-6)
+
+    def test_largest_steps_stay_finite(self):
+        # q^2 overflows; the suite turns any RuntimeWarning into a failure.
+        assert 0.0 <= entropy(CauchyParams(2.0), 1e308) < 1e-300
+        rate = synth_curve(CauchyParams(2.0), [6147.0], 1.0).samples[0].rate
+        assert 0.0 < rate < 1e-300
+
+    def test_ratio_underflowing_to_zero(self):
+        assert bin_probability(CauchyParams(1e-300), 1e300, 0) == 1.0
+        assert bin_probability(CauchyParams(1e-300), 1e300, 1) == 0.0
+        assert entropy(CauchyParams(1e-300), 1e300) == 0.0
+
+
 class TestQpConversion:
     @pytest.mark.parametrize("qstep,qp", [(1.0, 4.0), (2.0, 10.0), (4.0, 16.0)])
     def test_known_points(self, qstep, qp):
@@ -326,9 +372,10 @@ def per_step_entropy(scale: float, q: float) -> float:
     a = scale / q
     if a > 65_536.0:
         raise ValueError(f"scale/q = {a:.3g} exceeds 65536: the head would pass 4M bins")
-    p = entropy_module._side_bin_mass(scale, q, np.arange(1, max(1024, math.ceil(64.0 * a)) + 1))
-    side = float(entropy_module._plogp(p).sum()) + entropy_module._tail_bits(scale, q, p.size)
-    return 2.0 * side + float(entropy_module._plogp(entropy_module._zero_bin_mass(scale, q)))
+    p = entropy_module._side_bin_mass(a, np.arange(1, max(1024, math.ceil(64.0 * a)) + 1))
+    tail = entropy_module._tail_bits(a, math.log(scale) - math.log(q), p.size)
+    side = float(entropy_module._plogp(p).sum()) + tail
+    return 2.0 * side + float(entropy_module._plogp(entropy_module._zero_bin_mass(a)))
 
 
 def per_step_curve(scale: float, qp_grid, bits_scale: float) -> RQPCurve:
