@@ -26,7 +26,6 @@ from .evaluate import (
     evaluate_run,
     frame_spec,
     make_labels,
-    net_predictor,
     run_training,
 )
 from .features import (
@@ -76,8 +75,6 @@ from .regressor import (
     NetworkConfig,
     TargetScaler,
     TrainConfig,
-    load_checkpoint,
-    save_checkpoint,
     train,
 )
 

@@ -156,7 +156,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     run = ev.TrainedRun.load(args.checkpoint)
     frame, md = ingest.load_pair(args.frame, args.sidecar)
-    rate = predict_rate(run.predictor()(frame, md), args.qp)
+    rate = predict_rate(run.params(frame, md), args.qp)
     print(f"{rate:.6f}")
     return 0
 
@@ -190,7 +190,7 @@ def cmd_curves(args) -> int:
     if args.frame_id not in by_id:
         raise ValueError(f"frame {args.frame_id!r} is not in the corpus")
     frame, md = by_id[args.frame_id]
-    params = {name: run.predictor()(frame, md)
+    params = {name: run.params(frame, md)
               for name, (_, run) in _load_runs(args.checkpoint).items()}
     csv_text = ev.curve_dump(md, params)
     path = _out_dir(args) / "curves.csv"

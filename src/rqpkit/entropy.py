@@ -71,11 +71,13 @@ def _zero_bin_mass(a: float) -> float:
 def bin_probability(params: CauchyParams, q: float, n) -> float | np.ndarray:
     """Probability mass of quantizer bin `n` at step size `q`.
 
-    Symmetric in n.  Accepts a scalar or an integer array; n = 0 addresses
-    the deadzone bin.  q is checked as in entropy().
+    Symmetric in n.  n is an integer or an integer array, bools excluded;
+    n = 0 addresses the deadzone bin.  q is checked as in entropy().
     """
     _, a, _ = _step(params.scale, q)
     n_arr = np.asarray(n)
+    if n_arr.dtype.kind not in "iu":  # a bool, a float, or an int past 64 bits (object)
+        raise ValueError(f"bin index n must be an integer or integer array, got dtype {n_arr.dtype}")
     # Side masses are taken at n = 1 in the deadzone's place: at n = 0, a = 1/2 divides by 0.
     p = np.where(n_arr == 0, _zero_bin_mass(a), _side_bin_mass(a, np.where(n_arr == 0, 1, n_arr)))
     return float(p) if np.isscalar(n) or n_arr.ndim == 0 else p

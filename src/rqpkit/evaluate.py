@@ -208,18 +208,6 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
     return row, details
 
 
-def net_predictor(network: Network, scaler, form: str, fastened: bool, channels):
-    """Predictor backed by a trained network over the given feature channels."""
-    channels = tuple(channels)
-
-    def params_fn(frame: GrayFrame, md: CodingMetadata) -> ModelParams:
-        x = stack_from_coding(frame, md, channels)
-        coeffs = scaler.inverse(network.forward(x[None])[0])
-        return ModelParams(frame_spec(form, fastened, md), tuple(float(c) for c in coeffs))
-
-    return params_fn
-
-
 # ---------------------------------------------------------------------------
 # Training runs and their checkpoints
 # ---------------------------------------------------------------------------
@@ -228,9 +216,10 @@ def net_predictor(network: Network, scaler, form: str, fastened: bool, channels)
 @dataclass
 class TrainedRun:
     """A trained predictor: network, target scaler, model form, feature channels
-    and the frames held out to test it.
+    and the frames held out to test it; `params(frame, md)` predicts a frame.
 
     `result` and `baseline_val_mse` are None on a run loaded from a checkpoint.
+    Loading checks every stored array against the array it fills, naming any it refuses.
     """
 
     form: str
@@ -262,8 +251,11 @@ class TrainedRun:
         """Form, fastening and channels, e.g. quadratic_fastened_rec_seg_intra."""
         return f"{self.form}_{'fastened' if self.fastened else 'free'}_" + "_".join(self.channels)
 
-    def predictor(self):
-        return net_predictor(self.network, self.scaler, self.form, self.fastened, self.channels)
+    def params(self, frame: GrayFrame, md: CodingMetadata) -> ModelParams:
+        """Model coefficients of a frame: its feature stack, one forward pass, inverse scaling."""
+        x = stack_from_coding(frame, md, self.channels)
+        coeffs = self.scaler.inverse(self.network.forward(x[None])[0])
+        return ModelParams(frame_spec(self.form, self.fastened, md), tuple(float(c) for c in coeffs))
 
     def save(self, path, **provenance) -> None:
         """Write a checkpoint; `provenance` adds JSON-serializable metadata."""
@@ -292,6 +284,12 @@ class TrainedRun:
             raise CheckpointError(f"checkpoint {path} lacks metadata field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint {path}: {exc}") from exc
+
+
+def net_predictor(network: Network, scaler, form: str, fastened: bool, channels):
+    """`TrainedRun(...).params`, for callers holding an unsaved network; the library
+    API is `TrainedRun.params`."""
+    return TrainedRun(form, fastened, tuple(channels), network, scaler, ()).params
 
 
 def corpus_index(corpus) -> dict[str, tuple[GrayFrame, CodingMetadata]]:
@@ -361,7 +359,7 @@ def evaluate_run(corpus, run: TrainedRun,
         raise ValueError("none of the run's test frames appear in the corpus")
     return evaluate_frames(
         items,
-        run.predictor(),
+        run.params,
         thresholds,
         model=run.form,
         fastened=run.fastened,

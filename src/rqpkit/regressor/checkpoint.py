@@ -1,10 +1,10 @@
 """Versioned checkpoints: network config, weights, scaler, and run metadata.
 
-Weights are stored as raw float64 arrays inside an npz archive, so a
-loaded network reproduces predictions bit for bit.  The loader builds
-`Network(config)` from the stored config first (NetworkConfig bounds it
-to a few thousand parameters) and checks each stored `param_i` against
-the parameter it fills.
+Weights and scaler are raw float64 arrays in an npz archive, so a loaded
+network reproduces predictions bit for bit; `_arrays` is the one table of
+them.  The loader builds `Network(config)` (NetworkConfig bounds it to a few
+thousand parameters) and a scaler first, then checks every stored array
+against the array it fills and names any it refuses.
 """
 
 from __future__ import annotations
@@ -25,6 +25,12 @@ class CheckpointError(ValueError):
     """A checkpoint file that cannot be read back as the predictor it describes."""
 
 
+def _arrays(network: Network, scaler: TargetScaler) -> dict[str, np.ndarray]:
+    """Every array a checkpoint stores, by member name, in file order."""
+    params = {f"param_{i}": p for i, p in enumerate(network.parameters())}
+    return {"scaler_mean": scaler.mean, "scaler_scale": scaler.scale, **params}
+
+
 def save_checkpoint(path, network: Network, scaler: TargetScaler,
                     extra: dict | None = None) -> None:
     """Write a checkpoint; `extra` must be JSON-serializable run metadata."""
@@ -33,14 +39,8 @@ def save_checkpoint(path, network: Network, scaler: TargetScaler,
         "config": asdict(network.config),
         "extra": extra or {},
     }
-    arrays = {f"param_{i}": p for i, p in enumerate(network.parameters())}
-    np.savez(
-        Path(path),
-        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        scaler_mean=scaler.mean,
-        scaler_scale=scaler.scale,
-        **arrays,
-    )
+    np.savez(Path(path), meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+             **_arrays(network, scaler))
 
 
 def load_checkpoint(path) -> tuple[Network, TargetScaler, dict]:
@@ -73,19 +73,15 @@ def _load(path: Path) -> tuple[Network, TargetScaler, dict]:
             )
         config = NetworkConfig(**meta["config"])
         network = Network(config)
-        for i, target in enumerate(network.parameters()):
-            param = archive[f"param_{i}"]
-            if param.shape != target.shape:
+        scaler = TargetScaler(np.empty(config.outputs), np.empty(config.outputs))
+        for name, target in _arrays(network, scaler).items():
+            stored = archive[name]
+            if stored.shape != target.shape:
                 raise CheckpointError(
-                    f"param_{i} has shape {param.shape}; the config implies {target.shape}")
-            target[...] = param
-        scaler = TargetScaler(archive["scaler_mean"], archive["scaler_scale"])
-    if not all(np.isfinite(p).all() for p in network.parameters()):
-        raise CheckpointError("checkpoint weights must be finite")
-    mean, scale = scaler.mean, scaler.scale
-    if not (mean.shape == scale.shape == (config.outputs,) and np.isfinite(mean).all()
-            and np.isfinite(scale).all() and (scale > 0).all()):
-        raise CheckpointError(
-            f"checkpoint scaler must hold {config.outputs} finite means and positive "
-            f"finite scales; got shapes {mean.shape} and {scale.shape}")
+                    f"checkpoint {name} has shape {stored.shape}; the config implies {target.shape}")
+            if not np.isfinite(stored).all():
+                raise CheckpointError(f"checkpoint {name} must be finite")
+            target[...] = stored
+    if not (scaler.scale > 0).all():
+        raise CheckpointError("checkpoint scaler_scale must be positive")
     return network, scaler, meta["extra"]

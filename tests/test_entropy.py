@@ -74,6 +74,14 @@ class TestBinProbability:
             p = bin_probability(params, float(rng.uniform(0.01, 100.0)), int(rng.integers(1, 100)))
             assert 0.0 < p < 1.0
 
+    @pytest.mark.parametrize("n", [10**200, 10**400, 1.5, True],
+                             ids=["10**200", "10**400", "float", "bool"])
+    def test_bin_index_must_be_an_integer(self, n):
+        # 10**200 would overflow n*n, 10**400 would not convert to a float,
+        # and 1.5 and True would address bins that do not exist.
+        with pytest.raises(ValueError, match="bin index n must be an integer"):
+            bin_probability(CauchyParams(1.0), 1.0, n)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             CauchyParams(0.0)

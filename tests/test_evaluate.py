@@ -412,7 +412,7 @@ class TestTrainingRuns:
         by_id = corpus_index(tiny_corpus)
         for frame_id in run.test_ids:
             frame, md = by_id[frame_id]
-            assert loaded.predictor()(frame, md).coeffs == run.predictor()(frame, md).coeffs
+            assert loaded.params(frame, md).coeffs == run.params(frame, md).coeffs
 
     def test_evaluate_run_scores_test_frames_in_corpus(self, tiny_corpus):
         ids = [md.frame_id for _, md in tiny_corpus]

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -864,7 +865,8 @@ class TestTraining:
 
 
 class TestPredictParams:
-    """evaluate.net_predictor: a frame's stack, one forward pass, inverse standardization."""
+    """TrainedRun.params, through evaluate.net_predictor: a frame's stack, one forward
+    pass, inverse standardization."""
 
     def make_trained(self, outputs=2):
         rng = np.random.default_rng(13)
@@ -894,9 +896,8 @@ class TestPredictParams:
 
     def test_spec_width_mismatch(self):
         net, scaler = self.make_trained(outputs=2)
-        predict = net_predictor(net, scaler, "quadratic", False, TOY_CHANNELS)
-        with pytest.raises(ValueError, match="takes 3 coefficients, got 2"):
-            predict(*toy_frame(np.random.default_rng(15)))
+        with pytest.raises(ValueError, match="takes 3 coefficients but the network emits 2"):
+            net_predictor(net, scaler, "quadratic", False, TOY_CHANNELS)
 
     def test_nan_weights_are_not_hidden(self):
         # The rectifier must let NaN through, or all-NaN conv0 weights
@@ -965,7 +966,28 @@ MALFORMED_CHECKPOINTS = {
 }
 
 
+STORED_ARRAYS = ["scaler_mean", "scaler_scale"] + [f"param_{i}" for i in range(10)]
+
+
 class TestCheckpoint:
+    def test_member_list_is_pinned(self, tmp_path):
+        path = tmp_path / "c.npz"
+        save_checkpoint(path, Network(NetworkConfig(3, 2)), TargetScaler(np.zeros(2), np.ones(2)))
+        with zipfile.ZipFile(path) as archive:
+            assert archive.namelist() == [f"{name}.npy" for name in ["meta"] + STORED_ARRAYS]
+
+    @pytest.mark.parametrize("name", STORED_ARRAYS)
+    @pytest.mark.parametrize("fault", ["nan", "cut"])
+    def test_every_stored_array_is_checked(self, tmp_path, name, fault):
+        path = tmp_path / "c.npz"
+        save_checkpoint(path, Network(NetworkConfig(3, 2)), TargetScaler(np.zeros(2), np.ones(2)))
+        spoil = {"nan": lambda a: np.full_like(a, np.nan), "cut": lambda a: a.ravel()[:1]}[fault]
+        _rewrite(path, lambda arrays: arrays.update({name: spoil(arrays[name])}))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        message = str(info.value)
+        assert "\n" not in message and str(path) in message and f"checkpoint {name} " in message
+
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
         data = toy_dataset(rng, 5)
