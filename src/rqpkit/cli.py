@@ -106,12 +106,12 @@ def cmd_extract(args) -> int:
 
 def cmd_fit_labels(args) -> int:
     corpus = ingest.load_corpus(args.corpus)
-    lines = ["frame_id,coefficients"]
-    for _, md in corpus:
-        params = ev.make_labels(md, args.spec, args.fasten)
-        lines.append(md.frame_id + "," + ",".join(f"{c:.12g}" for c in params.coeffs))
+    rows = [[md.frame_id, *(f"{c:.12g}" for c in ev.make_labels(md, args.spec, args.fasten).coeffs)]
+            for _, md in corpus]
+    # Coefficient columns are lettered as in qp = a ln(R)^2 + b ln(R) + c; fastening drops c.
+    letters = "abc" if args.spec == "quadratic" else "bc"
     path = _out_dir(args) / "labels.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(ev.csv_text(["frame_id", *(letters[:-1] if args.fasten else letters)], rows))
     print(f"wrote {path}")
     return 0
 
@@ -131,20 +131,18 @@ def cmd_train(args) -> int:
         numpy=np.__version__,
         corpus_sha256=_corpus_sha256(args.corpus),
     )
-    history = ["epoch,train_loss,val_loss"]
-    for i, tl in enumerate(run.result.train_loss):
-        vl = f"{run.result.val_loss[i]:.10g}" if run.result.val_loss else ""
-        history.append(f"{i},{tl:.10g},{vl}")
-    (out / "history.csv").write_text("\n".join(history) + "\n")
+    val_loss = run.result.val_loss
+    history = [[str(i), f"{tl:.10g}", f"{val_loss[i]:.10g}" if val_loss else ""]
+               for i, tl in enumerate(run.result.train_loss)]
+    (out / "history.csv").write_text(ev.csv_text(["epoch", "train_loss", "val_loss"], history))
     # One gradient-norm and one update-ratio column per parameter array, in
     # Network.parameters() order.
     arrays = [f"{name}_{p}" for name in run.network.learned for p in "wb"]
-    telemetry = [",".join(["epoch", "epoch_s"] + [f"grad_norm_{a}" for a in arrays]
-                          + [f"update_ratio_{a}" for a in arrays])]
-    for i, (secs, norms, ratios) in enumerate(
-            zip(run.result.epoch_s, run.result.grad_norms, run.result.update_ratios)):
-        telemetry.append(f"{i},{secs:.6g}," + ",".join(f"{v:.10g}" for v in norms + ratios))
-    (out / "telemetry.csv").write_text("\n".join(telemetry) + "\n")
+    stats = [f"{k}_{a}" for k in ("grad_norm", "update_ratio") for a in arrays]
+    telemetry = [[str(i), f"{secs:.6g}"] + [f"{v:.10g}" for v in norms + ratios]
+                 for i, (secs, norms, ratios) in enumerate(
+                     zip(run.result.epoch_s, run.result.grad_norms, run.result.update_ratios))]
+    (out / "telemetry.csv").write_text(ev.csv_text(["epoch", "epoch_s", *stats], telemetry))
     final = run.result.train_loss[-1]
     print(f"wrote {checkpoint_path} (final training loss {final:.6g})")
     if run.baseline_val_mse is not None:
@@ -192,9 +190,8 @@ def cmd_curves(args) -> int:
     frame, md = by_id[args.frame_id]
     params = {name: run.params(frame, md)
               for name, (_, run) in _load_runs(args.checkpoint).items()}
-    csv_text = ev.curve_dump(md, params)
     path = _out_dir(args) / "curves.csv"
-    path.write_text(csv_text)
+    path.write_text(ev.curve_dump(md, params))
     print(f"wrote {path}")
     return 0
 

@@ -12,6 +12,8 @@ off that its percentage error overflows to infinity.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -105,14 +107,12 @@ class ErrorReport:
     metadata: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
+        """One row per run, written through `csv_text`; statistics to six decimals."""
         header = ["model", "fastened", "features", "n_pairs", "n_failures",
                   "mean_abs_delta_pct", "median_abs_delta_pct", "p90_abs_delta_pct"]
         header += [f"prop_le_{t:g}pct" for t in self.thresholds]
-        lines = [",".join(header)]
-        for r in self.rows:
-            cells = r._cells("yes", "no") + [f"{v:.6f}" for v in r._abs_deltas() + r.proportions]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        stats = lambda r: [f"{v:.6f}" for v in r._abs_deltas() + r.proportions]
+        return csv_text(header, [r._cells("yes", "no") + stats(r) for r in self.rows])
 
     def to_table(self) -> str:
         """Aligned text table with percentage cells, two decimals."""
@@ -133,15 +133,20 @@ class ErrorReport:
         return "\n".join(lines) + "\n"
 
 
+def csv_text(header: list[str], rows) -> str:
+    """Header and rows of string cells as LF-ended CSV; a cell with a comma or quote is quoted."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    return text.getvalue()
+
+
 def details_to_csv(details_by_run: dict[str, list[PairOutcome]]) -> str:
-    """Per-pair outcomes with signed deltas, for diagnostics; one block per run name."""
-    lines = ["run,frame_id,qp,actual_bits,predicted_bits,delta_pct"]
-    for run, details in details_by_run.items():
-        for d in details:
-            predicted = "" if d.predicted is None else f"{d.predicted:.6f}"
-            delta = "" if d.delta is None else f"{d.delta:.6f}"
-            lines.append(f"{run},{d.frame_id},{d.qp:g},{d.actual:.6f},{predicted},{delta}")
-    return "\n".join(lines) + "\n"
+    """Per-pair outcomes with signed deltas, one block per run name, through `csv_text`."""
+    blank = lambda v: "" if v is None else f"{v:.6f}"
+    return csv_text(["run", "frame_id", "qp", "actual_bits", "predicted_bits", "delta_pct"], [
+        [run, d.frame_id, f"{d.qp:g}", f"{d.actual:.6f}", blank(d.predicted), blank(d.delta)]
+        for run, details in details_by_run.items() for d in details
+    ])
 
 
 def check_thresholds(thresholds) -> tuple[float, ...]:
@@ -371,13 +376,13 @@ def curve_dump(md: CodingMetadata, params_by_name: dict[str, ModelParams]) -> st
     """CSV of actual vs predicted rates at a frame's label QPs, one column per name.
 
     `params_by_name` maps a column name to the frame's predicted model
-    coefficients; inversion failures leave the cell empty.
+    coefficients; inversion failures leave the cell empty.  Written through `csv_text`.
     """
     if not params_by_name:
         raise ValueError("at least one predictor is required")
     if md.labels is None:
         raise ValueError(f"frame {md.frame_id} carries no label curve")
-    lines = ["qp,actual_bits," + ",".join(f"predicted_bits_{n}" for n in params_by_name)]
+    rows = []
     for sample in md.labels.samples:
         cells = [f"{sample.qp:g}", f"{sample.rate:.6f}"]
         for params in params_by_name.values():
@@ -385,5 +390,5 @@ def curve_dump(md: CodingMetadata, params_by_name: dict[str, ModelParams]) -> st
                 cells.append(f"{predict_rate(params, sample.qp):.6f}")
             except InversionError:
                 cells.append("")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        rows.append(cells)
+    return csv_text(["qp", "actual_bits"] + [f"predicted_bits_{n}" for n in params_by_name], rows)

@@ -185,8 +185,11 @@ def load_metadata(path) -> CodingMetadata:
 
 
 def load_frame(path) -> GrayFrame:
-    """Read an 8-bit grayscale PGM into a GrayFrame."""
-    return GrayFrame(read_pgm(path))
+    """Read an 8-bit grayscale PGM into a GrayFrame; every ValueError names the file."""
+    try:
+        return GrayFrame(read_pgm(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_pair(frame_path, sidecar_path) -> tuple[GrayFrame, CodingMetadata]:

@@ -76,6 +76,9 @@ def _load(path: Path) -> tuple[Network, TargetScaler, dict]:
         scaler = TargetScaler(np.empty(config.outputs), np.empty(config.outputs))
         for name, target in _arrays(network, scaler).items():
             stored = archive[name]
+            if stored.dtype != np.float64:
+                raise CheckpointError(
+                    f"checkpoint {name} has dtype {stored.dtype}; expected float64")
             if stored.shape != target.shape:
                 raise CheckpointError(
                     f"checkpoint {name} has shape {stored.shape}; the config implies {target.shape}")

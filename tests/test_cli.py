@@ -1,5 +1,6 @@
 """Command-line interface, run in-process against a temporary corpus."""
 
+import csv
 import hashlib
 import json
 import shutil
@@ -9,7 +10,7 @@ import pytest
 
 from rqpkit.cli import build_parser, main
 from rqpkit.features import CHANNEL_ORDER, stack_from_coding
-from rqpkit.ingest import load_frame, load_metadata, read_manifest
+from rqpkit.ingest import load_frame, load_metadata, read_manifest, split_dataset
 from rqpkit.pgm import read_pgm, write_pgm
 from rqpkit.regressor import load_checkpoint, save_checkpoint
 
@@ -111,14 +112,21 @@ class TestExtract:
 
 
 class TestFitLabels:
-    def test_writes_row_per_frame(self, workdir, corpus_dir):
-        out = workdir / "labels"
+    # One column per coefficient, lettered as in qp = a ln(R)^2 + b ln(R) + c.
+    @pytest.mark.parametrize("spec,fasten,header", [
+        ("quadratic", "--fasten", "frame_id,a,b"),
+        ("quadratic", "--no-fasten", "frame_id,a,b,c"),
+        ("linear", "--no-fasten", "frame_id,b,c"),
+        ("linear", "--fasten", "frame_id,b"),
+    ], ids=["quadratic_fastened", "quadratic_free", "linear_free", "linear_fastened"])
+    def test_writes_row_per_frame(self, workdir, corpus_dir, spec, fasten, header):
+        out = workdir / f"labels_{spec}{fasten}"
         assert main(["fit-labels", "--corpus", str(corpus_dir / "manifest.txt"),
-                     "--out", str(out)]) == 0
+                     "--spec", spec, fasten, "--out", str(out)]) == 0
         lines = (out / "labels.csv").read_text().strip().splitlines()
         assert len(lines) == 11
-        assert lines[0] == "frame_id,coefficients"
-        assert len(lines[1].split(",")) == 3  # id + two fastened coefficients
+        assert lines[0] == header
+        assert all(len(line.split(",")) == len(header.split(",")) for line in lines[1:])
 
 
     def test_manifest_listing_a_frame_twice_refused(self, workdir, corpus_dir, capsys):
@@ -132,6 +140,31 @@ class TestFitLabels:
         assert capsys.readouterr().err == (
             f"error: frame id {frame_id!r} appears more than once in the manifest {manifest}\n")
         assert not out.exists()
+
+
+def test_frame_id_with_a_comma_and_a_quote_round_trips(workdir, corpus_dir):
+    odd = 's0,f"3'
+    root = workdir / "odd"
+    shutil.copytree(corpus_dir, root)
+    manifest = root / "manifest.txt"
+    pairs = read_manifest(manifest)
+    ids = [load_metadata(sidecar).frame_id for _, sidecar in pairs]
+    # split_dataset permutes positions, not ids: the renamed frame stays a test frame.
+    sidecar = pairs[ids.index(split_dataset(ids, 7, 0.2).test[0])][1]
+    doc = json.loads(sidecar.read_text())
+    doc["frame_id"] = odd
+    sidecar.write_text(json.dumps(doc))
+    assert main(["fit-labels", "--corpus", str(manifest), "--out", str(root / "labels")]) == 0
+    assert main(["train", "--corpus", str(manifest), "--seed", "7", "--test-fraction", "0.2",
+                 "--epochs", "1", "--out", str(root / "run")]) == 0
+    assert main(["evaluate", "--corpus", str(manifest), "--checkpoint",
+                 str(root / "run" / "checkpoint.npz"), "--out", str(root / "eval")]) == 0
+    for path, column in [(root / "labels" / "labels.csv", 0),
+                         (root / "eval" / "report_detail.csv", 1)]:
+        with open(path, newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert odd in [row[column] for row in rows]
 
 
 class TestTrainPredict:

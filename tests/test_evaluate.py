@@ -12,6 +12,7 @@ from rqpkit.evaluate import (
     ReportRow,
     TrainedRun,
     corpus_index,
+    csv_text,
     curve_dump,
     details_to_csv,
     evaluate_frames,
@@ -373,6 +374,10 @@ class TestReportFormats:
         lines = details_to_csv({"quadratic_fastened_rec": details}).splitlines()
         assert lines[0] == "run,frame_id,qp,actual_bits,predicted_bits,delta_pct"
         assert lines[1] == "quadratic_fastened_rec,f0,14,100.000000,90.000000,10.000000"
+
+    def test_csv_text_quotes_only_a_comma_or_a_quote(self):
+        text = csv_text(["frame_id", "a", "b"], [["s0f0", "-1.5", ""], ['s0,f"3', "2", "x y"]])
+        assert text == 'frame_id,a,b\ns0f0,-1.5,\n"s0,f""3",2,x y\n'
 
 
 def rewrite_extra(path, field, value) -> None:

@@ -554,6 +554,14 @@ class TestCorpusOnDisk:
             load_corpus(manifest)
         assert str(frame_path) in str(exc.value) and str(sidecar_path) in str(exc.value)
 
+    def test_malformed_frame_names_its_file(self, tiny_corpus, tmp_path):
+        manifest = save_corpus(tiny_corpus[:3], tmp_path)
+        frame_path = read_manifest(manifest)[1][0]
+        frame_path.write_bytes(frame_path.read_bytes()[:-32 * 32])  # the header alone
+        with pytest.raises(ValueError, match="PGM raster truncated") as exc:
+            load_corpus(manifest)
+        assert str(exc.value).startswith(f"{frame_path}: ")
+
     def test_repeated_frame_id_refused_before_writing(self, tiny_corpus, tmp_path):
         items = [tiny_corpus[0], tiny_corpus[1], tiny_corpus[0]]
         out = tmp_path / "corpus"

@@ -988,6 +988,19 @@ class TestCheckpoint:
         message = str(info.value)
         assert "\n" not in message and str(path) in message and f"checkpoint {name} " in message
 
+    @pytest.mark.parametrize("name,spoil,dtype", [
+        ("scaler_mean", lambda a: a + 2j, "complex128"),
+        ("param_3", lambda a: np.full(a.shape, "w"), "<U1"),
+    ], ids=["complex_scaler_mean", "string_param_3"])
+    def test_stored_array_dtype_is_checked(self, tmp_path, name, spoil, dtype):
+        path = tmp_path / "c.npz"
+        save_checkpoint(path, Network(NetworkConfig(3, 2)), TargetScaler(np.zeros(2), np.ones(2)))
+        _rewrite(path, lambda arrays: arrays.update({name: spoil(arrays[name])}))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (
+            f"{path}: checkpoint {name} has dtype {dtype}; expected float64")
+
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
         data = toy_dataset(rng, 5)
