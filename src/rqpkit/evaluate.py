@@ -150,13 +150,19 @@ def details_to_csv(details_by_run: dict[str, list[PairOutcome]]) -> str:
 
 
 def check_thresholds(thresholds) -> tuple[float, ...]:
-    """Report thresholds as floats; ValueError unless there is one or more, each finite and > 0."""
+    """Report thresholds as floats; ValueError unless there is one or more, each finite and > 0,
+    and no two share a report column (named by `f"{t:g}"`)."""
     try:
         values = tuple(check_positive("threshold", t) for t in thresholds)
     except (TypeError, ValueError):  # a TypeError: thresholds is not iterable
         values = ()  # every refusal gives the one message below
     if not values:
         raise ValueError("thresholds must be finite positive percentages")
+    seen = set()
+    for name in (f"{t:g}" for t in values):
+        if name in seen:
+            raise ValueError(f"thresholds must be distinct, got {name} twice")
+        seen.add(name)
     return values
 
 
@@ -263,14 +269,18 @@ class TrainedRun:
         return ModelParams(frame_spec(self.form, self.fastened, md), tuple(float(c) for c in coeffs))
 
     def save(self, path, **provenance) -> None:
-        """Write a checkpoint; `provenance` adds JSON-serializable metadata."""
-        save_checkpoint(path, self.network, self.scaler, extra={
+        """Write a checkpoint; `provenance` adds JSON-serializable metadata, but may not
+        set the run's own fields."""
+        extra = {
             "form": self.form,
             "fastened": self.fastened,
             "channels": list(self.channels),
             "test_ids": list(self.test_ids),
-            **provenance,
-        })
+        }
+        clash = [key for key in extra if key in provenance]
+        if clash:
+            raise ValueError(f"provenance may not set the run's own {', '.join(clash)}")
+        save_checkpoint(path, self.network, self.scaler, extra={**extra, **provenance})
 
     @classmethod
     def load(cls, path) -> "TrainedRun":

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,18 @@ from rqpkit.features import CHANNEL_ORDER, stack_from_coding
 from rqpkit.ingest import load_frame, load_metadata, read_manifest, split_dataset
 from rqpkit.pgm import read_pgm, write_pgm
 from rqpkit.regressor import load_checkpoint, save_checkpoint
+
+
+def refused(capsys, argv) -> str:
+    """Run a command that must be refused: it exits 2, prints one `error:` line and
+    leaves no --out path. Returns the message after `error: `."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+    if "--out" in argv:
+        assert not Path(argv[argv.index("--out") + 1]).exists()
+    return err[len("error: "):-1]
 
 
 @pytest.fixture(scope="module")
@@ -69,16 +82,12 @@ class TestSynth:
         assert md.anchor.qp0 == 10.0
 
     def test_bad_size_is_reported(self, workdir, capsys):
-        code = main(["synth", "--count", "1", "--size", "30x30",
-                     "--out", str(workdir / "bad")])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        refused(capsys, ["synth", "--count", "1", "--size", "30x30", "--out", str(workdir / "bad")])
 
     def test_negative_seed_names_its_argument(self, workdir, capsys):
-        code = main(["synth", "--count", "1", "--seed", "-1", "--out", str(workdir / "neg")])
-        assert code == 2
-        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
-        assert not (workdir / "neg").exists()
+        assert refused(capsys, ["synth", "--count", "1", "--seed", "-1",
+                                "--out", str(workdir / "neg")]) == (
+            "seed must be an integer >= 0, got -1")
 
 
 class TestExtract:
@@ -104,10 +113,9 @@ class TestExtract:
         sidecar = root / "bad.rqp.json"
         sidecar.parent.mkdir()
         sidecar.write_text(json.dumps(doc))
-        code = main(["extract", "--frame", str(frame_path), "--sidecar", str(sidecar),
-                     "--out", str(root / "deep" / "a" / "out")])
-        assert code == 2
-        assert "'../../escaped'" in capsys.readouterr().err
+        assert "'../../escaped'" in refused(capsys, [
+            "extract", "--frame", str(frame_path), "--sidecar", str(sidecar),
+            "--out", str(root / "deep" / "a" / "out")])
         assert sorted(p.name for p in root.rglob("*")) == ["bad.rqp.json"]
 
 
@@ -135,11 +143,9 @@ class TestFitLabels:
         lines = manifest.read_text().splitlines(keepends=True)
         manifest.write_text("".join(lines + lines[:1]))
         frame_id = load_metadata(read_manifest(manifest)[0][1]).frame_id
-        out = workdir / "labels_twice"
-        assert main(["fit-labels", "--corpus", str(manifest), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: frame id {frame_id!r} appears more than once in the manifest {manifest}\n")
-        assert not out.exists()
+        assert refused(capsys, ["fit-labels", "--corpus", str(manifest),
+                                "--out", str(workdir / "labels_twice")]) == (
+            f"frame id {frame_id!r} appears more than once in the manifest {manifest}")
 
 
 def test_frame_id_with_a_comma_and_a_quote_round_trips(workdir, corpus_dir):
@@ -233,36 +239,29 @@ class TestTrainPredict:
         stripped = workdir / "no_channels.npz"
         save_checkpoint(stripped, network, scaler, extra=extra)
         frame_path, sidecar_path = read_manifest(corpus_dir / "manifest.txt")[0]
-        code = main(["predict", "--checkpoint", str(stripped),
-                     "--frame", str(frame_path), "--sidecar", str(sidecar_path), "--qp", "26"])
-        assert code == 2
-        assert "'channels'" in capsys.readouterr().err
+        assert "'channels'" in refused(capsys, [
+            "predict", "--checkpoint", str(stripped),
+            "--frame", str(frame_path), "--sidecar", str(sidecar_path), "--qp", "26"])
 
     def test_frame_and_sidecar_sizes_must_agree(self, workdir, corpus_dir, checkpoint, capsys):
         small = workdir / "small.pgm"
         write_pgm(small, np.zeros((16, 16), dtype=np.uint8))
         sidecar = read_manifest(corpus_dir / "manifest.txt")[0][1]
-        code = main(["predict", "--checkpoint", str(checkpoint),
-                     "--frame", str(small), "--sidecar", str(sidecar), "--qp", "26"])
-        assert code == 2
-        err = capsys.readouterr().err
+        err = refused(capsys, ["predict", "--checkpoint", str(checkpoint),
+                               "--frame", str(small), "--sidecar", str(sidecar), "--qp", "26"])
         assert str(small) in err and str(sidecar) in err
 
     def test_missing_file_is_reported(self, checkpoint, capsys):
-        code = main(["predict", "--checkpoint", str(checkpoint),
-                     "--frame", "nope.pgm", "--sidecar", "nope.json", "--qp", "10"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert "nope.pgm" in refused(capsys, ["predict", "--checkpoint", str(checkpoint),
+                                              "--frame", "nope.pgm", "--sidecar", "nope.json",
+                                              "--qp", "10"])
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--epochs", "0"),
                                              ("--batch-size", "-3")])
     def test_bad_train_config_names_its_field(self, workdir, corpus_dir, capsys, flag, value):
-        out = workdir / "bad_config"
-        code = main(["train", "--corpus", str(corpus_dir / "manifest.txt"), flag, value,
-                     "--out", str(out)])
-        assert code == 2
-        assert f"error: {flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
-        assert not out.exists()
+        err = refused(capsys, ["train", "--corpus", str(corpus_dir / "manifest.txt"), flag, value,
+                               "--out", str(workdir / "bad_config")])
+        assert err.startswith(f"{flag[2:].replace('-', '_')} must be")
 
 
 class TestEvaluate:
@@ -300,16 +299,11 @@ class TestEvaluate:
             ["quadratic_fastened_rec"] * 14 + ["quadratic_fastened_rec_seg_intra"] * 14)
 
     def test_repeated_run_is_reported(self, workdir, corpus_dir, checkpoint, capsys):
-        out = workdir / "eval_twice"
-        code = main(["evaluate", "--corpus", str(corpus_dir / "manifest.txt"),
-                     "--checkpoint", str(checkpoint), "--checkpoint", str(checkpoint),
-                     "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
+        err = refused(capsys, ["evaluate", "--corpus", str(corpus_dir / "manifest.txt"),
+                               "--checkpoint", str(checkpoint), "--checkpoint", str(checkpoint),
+                               "--out", str(workdir / "eval_twice")])
         assert err.count(str(checkpoint)) == 2
         assert "quadratic_fastened_rec_seg_intra" in err
-        assert not out.exists()
 
     def test_different_test_frames_rejected(self, workdir, corpus_dir, checkpoint, capsys):
         other = workdir / "trained_seed8"
@@ -318,17 +312,12 @@ class TestEvaluate:
         other_checkpoint = other / "checkpoint.npz"
         test_ids = [load_checkpoint(path)[2]["test_ids"] for path in (checkpoint, other_checkpoint)]
         assert test_ids[0] != test_ids[1]
-        capsys.readouterr()
-        out = workdir / "eval_mixed_splits"
-        code = main(["evaluate", "--corpus", str(corpus_dir / "manifest.txt"),
-                     "--checkpoint", str(checkpoint), "--checkpoint", str(other_checkpoint),
-                     "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
+        err = refused(capsys, ["evaluate", "--corpus", str(corpus_dir / "manifest.txt"),
+                               "--checkpoint", str(checkpoint),
+                               "--checkpoint", str(other_checkpoint),
+                               "--out", str(workdir / "eval_mixed_splits")])
         assert str(checkpoint) in err and str(other_checkpoint) in err
         assert "test frames" in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("thresholds", ["nan", "inf", "10,nan"])
     def test_non_finite_thresholds_rejected(self, workdir, corpus_dir, checkpoint, thresholds):
@@ -344,6 +333,8 @@ class TestEvaluate:
         ("0", "thresholds must be finite positive percentages"),
         (",", "thresholds must be finite positive percentages"),
         ("ten", "bad thresholds 'ten'"),
+        ("10,10", "thresholds must be distinct, got 10 twice"),
+        ("10,10.0000001", "thresholds must be distinct, got 10 twice"),
     ])
     def test_thresholds_refused_by_the_report_check(self, tmp_path, thresholds, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -358,32 +349,24 @@ class TestEvaluate:
         other = workdir / "other"
         assert main(["synth", "--count", "2", "--seed", "99", "--size", "32x32",
                      "--out", str(other)]) == 0
-        code = main(["evaluate", "--corpus", str(other / "manifest.txt"),
-                     "--checkpoint", str(checkpoint), "--out", str(workdir / "eval_x")])
-        assert code == 2
-        assert "test frames" in capsys.readouterr().err
+        assert "test frames" in refused(capsys, [
+            "evaluate", "--corpus", str(other / "manifest.txt"),
+            "--checkpoint", str(checkpoint), "--out", str(workdir / "eval_x")])
 
     def test_run_without_test_frames_says_so(self, workdir, corpus_dir, capsys):
         manifest = str(corpus_dir / "manifest.txt")
         run = workdir / "trained_no_test"
         assert main(["train", "--corpus", manifest, "--test-fraction", "0", "--epochs", "1",
                      "--features", "rec", "--out", str(run)]) == 0
-        capsys.readouterr()
-        out = workdir / "eval_no_test"
-        code = main(["evaluate", "--corpus", manifest,
-                     "--checkpoint", str(run / "checkpoint.npz"), "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: run quadratic_fastened_rec holds no test frames\n")
-        assert not out.exists()
+        assert refused(capsys, ["evaluate", "--corpus", manifest,
+                                "--checkpoint", str(run / "checkpoint.npz"),
+                                "--out", str(workdir / "eval_no_test")]) == (
+            "run quadratic_fastened_rec holds no test frames")
 
     def test_missing_checkpoint_leaves_no_out_dir(self, workdir, corpus_dir, capsys):
-        out = workdir / "eval_missing"
-        code = main(["evaluate", "--corpus", str(corpus_dir / "manifest.txt"),
-                     "--checkpoint", str(workdir / "missing.npz"), "--out", str(out)])
-        assert code == 2
-        assert "missing.npz" in capsys.readouterr().err
-        assert not out.exists()
+        assert "missing.npz" in refused(capsys, [
+            "evaluate", "--corpus", str(corpus_dir / "manifest.txt"),
+            "--checkpoint", str(workdir / "missing.npz"), "--out", str(workdir / "eval_missing")])
 
 
 class TestCurves:
@@ -406,20 +389,15 @@ class TestCurves:
 
     def test_repeated_column_is_reported(self, workdir, corpus_dir, checkpoint, capsys):
         md = load_metadata(read_manifest(corpus_dir / "manifest.txt")[0][1])
-        out = workdir / "curves_twice"
-        code = main(["curves", "--corpus", str(corpus_dir / "manifest.txt"),
-                     "--frame-id", md.frame_id,
-                     "--checkpoint", str(checkpoint), "--checkpoint", str(checkpoint),
-                     "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
+        err = refused(capsys, ["curves", "--corpus", str(corpus_dir / "manifest.txt"),
+                               "--frame-id", md.frame_id,
+                               "--checkpoint", str(checkpoint), "--checkpoint", str(checkpoint),
+                               "--out", str(workdir / "curves_twice")])
         assert err.count(str(checkpoint)) == 2
         assert "quadratic_fastened_rec_seg_intra" in err
-        assert not out.exists()
 
     def test_unknown_frame(self, corpus_dir, workdir, capsys):
-        code = main(["curves", "--corpus", str(corpus_dir / "manifest.txt"),
-                     "--frame-id", "ghost", "--checkpoint", "x.npz",
-                     "--out", str(workdir / "c2")])
-        assert code == 2
+        err = refused(capsys, ["curves", "--corpus", str(corpus_dir / "manifest.txt"),
+                               "--frame-id", "ghost", "--checkpoint", "x.npz",
+                               "--out", str(workdir / "c2")])
+        assert err == "frame 'ghost' is not in the corpus"

@@ -318,6 +318,15 @@ class TestEvaluateFrames:
                             model="quadratic", fastened=True, features="x")
         assert str(info.value) == "thresholds must be finite positive percentages"
 
+    @pytest.mark.parametrize("thresholds", [(10.0, 10.0), (30.0, 10.0, 10.0000001)])
+    def test_thresholds_must_name_distinct_columns(self, thresholds):
+        # Two thresholds that format alike would write one report column twice.
+        items = [on_model_metadata("f0")]
+        with pytest.raises(ValueError) as info:
+            evaluate_frames(items, label_fit("quadratic", True), thresholds,
+                            model="quadratic", fastened=True, features="x")
+        assert str(info.value) == "thresholds must be distinct, got 10 twice"
+
     def test_frames_without_labels_rejected(self):
         frame, md = on_model_metadata("f0")
         bare = CodingMetadata(
@@ -460,6 +469,16 @@ class TestTrainingRuns:
         with pytest.raises(CheckpointError) as info:
             TrainedRun.load(path)
         assert str(info.value) == f"checkpoint {path}: {message}"
+
+    def test_provenance_cannot_set_the_runs_own_fields(self, tmp_path):
+        # Saved over, form and test ids would load as another predictor with the same weights.
+        net, scaler = Network(NetworkConfig(1, 2)), TargetScaler(np.zeros(2), np.ones(2))
+        run = TrainedRun("quadratic", True, ("rec",), net, scaler, ("s1f0001",))
+        path = tmp_path / "run.npz"
+        with pytest.raises(ValueError,
+                           match="^provenance may not set the run's own form, fastened, test_ids$"):
+            run.save(path, seed=0, form="linear", fastened=False, test_ids=["nope"])
+        assert not path.exists()
 
     def test_corpus_index_refuses_repeated_id(self, tiny_corpus):
         corpus = [tiny_corpus[0], tiny_corpus[1], tiny_corpus[0]]
