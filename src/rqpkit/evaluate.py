@@ -29,6 +29,8 @@ from .model import (
     ModelParams,
     ModelSpec,
     OperationalPoint,
+    RQPCurve,
+    RQPSample,
     fit,
     predict_rate,
     relative_error,
@@ -60,23 +62,40 @@ def make_labels(md: CodingMetadata, form: str, fastened: bool) -> ModelParams:
     The fit is of `frame_spec(form, fastened, md)`, so a fastened form holds
     the frame's own anchor; fit's DegenerateFitError comes out naming the frame.
     """
-    if md.labels is None:
-        raise ValueError(f"frame {md.frame_id} carries no label curve")
     try:
-        return fit(frame_spec(form, fastened, md), md.labels)
+        return fit(frame_spec(form, fastened, md), _label_curve(md))
     except DegenerateFitError as exc:
         raise DegenerateFitError(f"frame {md.frame_id}: {exc}") from None
 
 
+def _label_curve(md: CodingMetadata) -> RQPCurve:
+    """The frame's label curve; ValueError naming the frame when it carries none."""
+    if md.labels is None:
+        raise ValueError(f"frame {md.frame_id} carries no label curve")
+    return md.labels
+
+
 @dataclass(frozen=True)
 class PairOutcome:
-    """One scored (frame, label QP) pair; predicted/delta are None on inversion failure."""
+    """One scored (frame, label QP) pair; predicted/delta are None on a miss."""
 
     frame_id: str
     qp: float
     actual: float
     predicted: float | None
     delta: float | None
+
+
+def _score(params: ModelParams, frame_id: str, sample: RQPSample) -> PairOutcome:
+    """One pair's outcome; a miss when no finite rate solves the model or its % error overflows."""
+    try:
+        predicted = predict_rate(params, sample.qp)
+        delta = relative_error(sample.rate, predicted)
+    except InversionError:
+        delta = float("nan")
+    if not math.isfinite(delta):
+        predicted = delta = None
+    return PairOutcome(frame_id, sample.qp, sample.rate, predicted, delta)
 
 
 @dataclass(frozen=True)
@@ -140,11 +159,14 @@ def csv_text(header: list[str], rows) -> str:
     return text.getvalue()
 
 
+def _cell(value: float | None) -> str:
+    return "" if value is None else f"{value:.6f}"
+
+
 def details_to_csv(details_by_run: dict[str, list[PairOutcome]]) -> str:
     """Per-pair outcomes with signed deltas, one block per run name, through `csv_text`."""
-    blank = lambda v: "" if v is None else f"{v:.6f}"
     return csv_text(["run", "frame_id", "qp", "actual_bits", "predicted_bits", "delta_pct"], [
-        [run, d.frame_id, f"{d.qp:g}", f"{d.actual:.6f}", blank(d.predicted), blank(d.delta)]
+        [run, d.frame_id, f"{d.qp:g}", f"{d.actual:.6f}", _cell(d.predicted), _cell(d.delta)]
         for run, details in details_by_run.items() for d in details
     ])
 
@@ -177,20 +199,9 @@ def evaluate_frames(items, params_fn, thresholds=DEFAULT_THRESHOLDS, *,
     thresholds = check_thresholds(thresholds)
     details: list[PairOutcome] = []
     for frame, md in items:
-        if md.labels is None:
-            raise ValueError(f"frame {md.frame_id} carries no label curve to score against")
         params = params_fn(frame, md)
-        for sample in md.labels.samples:
-            if abs(sample.qp - md.anchor.qp0) <= QP_MATCH_TOL:
-                continue  # the one-pass point is measured, never predicted
-            try:
-                predicted = predict_rate(params, sample.qp)
-                delta = relative_error(sample.rate, predicted)
-            except InversionError:
-                delta = float("nan")
-            if not math.isfinite(delta):  # no finite rate, or an error too large for a float
-                predicted = delta = None
-            details.append(PairOutcome(md.frame_id, sample.qp, sample.rate, predicted, delta))
+        details += [_score(params, md.frame_id, s) for s in _label_curve(md).samples
+                    if abs(s.qp - md.anchor.qp0) > QP_MATCH_TOL]  # the anchor is measured
     n_pairs = len(details)
     if n_pairs == 0:
         raise ValueError("no scoreable (frame, qp) pairs")
@@ -386,19 +397,11 @@ def curve_dump(md: CodingMetadata, params_by_name: dict[str, ModelParams]) -> st
     """CSV of actual vs predicted rates at a frame's label QPs, one column per name.
 
     `params_by_name` maps a column name to the frame's predicted model
-    coefficients; inversion failures leave the cell empty.  Written through `csv_text`.
+    coefficients; a miss leaves its cell empty, as in `details_to_csv`.  Via `csv_text`.
     """
     if not params_by_name:
         raise ValueError("at least one predictor is required")
-    if md.labels is None:
-        raise ValueError(f"frame {md.frame_id} carries no label curve")
-    rows = []
-    for sample in md.labels.samples:
-        cells = [f"{sample.qp:g}", f"{sample.rate:.6f}"]
-        for params in params_by_name.values():
-            try:
-                cells.append(f"{predict_rate(params, sample.qp):.6f}")
-            except InversionError:
-                cells.append("")
-        rows.append(cells)
+    rows = [[f"{s.qp:g}", f"{s.rate:.6f}"]
+            + [_cell(_score(p, md.frame_id, s).predicted) for p in params_by_name.values()]
+            for s in _label_curve(md).samples]
     return csv_text(["qp", "actual_bits"] + [f"predicted_bits_{n}" for n in params_by_name], rows)

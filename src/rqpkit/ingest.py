@@ -480,12 +480,17 @@ def read_manifest(manifest_path) -> list[tuple[Path, Path]]:
     """(frame path, sidecar path) pairs, resolved relative to the manifest."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
+    try:
+        text = manifest_path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{manifest_path}: manifest is not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     pairs = []
-    for lineno, line in enumerate(manifest_path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(parts):
             raise ValueError(f"{manifest_path}:{lineno}: expected 'frame<TAB>sidecar'")
         pairs.append((base / parts[0], base / parts[1]))
     return pairs

@@ -1,5 +1,7 @@
 """Pipeline evaluation: label fitting, error reports, training runs, curve dumps."""
 
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -65,6 +67,27 @@ def overflowing(frame, md):
     return ModelParams(frame_spec("linear", True, md), (0.005,))
 
 
+def error_overflow_metadata() -> tuple[GrayFrame, CodingMetadata]:
+    """A two-label frame that `error_overflowing` predicts at a finite 6.75e306 bits at
+    QP 14, against 1.5 measured: the rate is a float, its % error overflows to -inf."""
+    anchor = OperationalPoint(10.0, 2.0)
+    labels = RQPCurve((RQPSample(10.0, 2.0), RQPSample(14.0, 1.5)))
+    md = CodingMetadata("f0", 16, 16, (CuRect(0, 0, 16, 16),), (PuMode(0, 0, 3),),
+                        anchor, labels)
+    return GrayFrame(np.full((16, 16), 100, dtype=np.uint8)), md
+
+
+def error_overflowing(frame, md):
+    return ModelParams(frame_spec("linear", True, md), (4.0 / (706.5 - math.log(2.0)),))
+
+
+def bare_metadata() -> CodingMetadata:
+    """`on_model_metadata("f0")`'s frame with no label curve."""
+    _, md = on_model_metadata("f0")
+    return CodingMetadata(frame_id=md.frame_id, width=md.width, height=md.height,
+                          cus=md.cus, pus=md.pus, anchor=md.anchor)
+
+
 class TestMakeLabels:
     def test_recovers_generating_coefficients(self):
         _, md = on_model_metadata("f0", coeffs=(-0.6, -2.5))
@@ -112,17 +135,8 @@ class TestMakeLabels:
             make_labels(flat, form, fastened)
 
     def test_missing_labels(self):
-        _, md = on_model_metadata("f0")
-        bare = CodingMetadata(
-            frame_id=md.frame_id,
-            width=md.width,
-            height=md.height,
-            cus=md.cus,
-            pus=md.pus,
-            anchor=md.anchor,
-        )
         with pytest.raises(ValueError, match="no label curve"):
-            make_labels(bare, "quadratic", False)
+            make_labels(bare_metadata(), "quadratic", False)
 
 
 def log_linear_metadata(frame_id: str) -> tuple[GrayFrame, CodingMetadata]:
@@ -267,15 +281,8 @@ class TestEvaluateFrames:
         assert all(d.predicted is None for d in details)
 
     def test_infinite_errors_scored_as_misses(self):
-        # A finite 6.75e306 bits at QP 14 against 1.5 measured: the % error overflows to -inf.
-        anchor = OperationalPoint(10.0, 2.0)
-        labels = RQPCurve((RQPSample(10.0, 2.0), RQPSample(14.0, 1.5)))
-        md = CodingMetadata("f0", 16, 16, (CuRect(0, 0, 16, 16),), (PuMode(0, 0, 3),),
-                            anchor, labels)
-        frame = GrayFrame(np.full((16, 16), 100, dtype=np.uint8))
-        slope = 4.0 / (706.5 - math.log(2.0))
         row, details = evaluate_frames(
-            [(frame, md)], lambda f, m: ModelParams(frame_spec("linear", True, m), (slope,)),
+            [error_overflow_metadata()], error_overflowing,
             model="linear", fastened=True, features="x",
         )
         assert row.n_failures == row.n_pairs == 1
@@ -328,13 +335,10 @@ class TestEvaluateFrames:
         assert str(info.value) == "thresholds must be distinct, got 10 twice"
 
     def test_frames_without_labels_rejected(self):
-        frame, md = on_model_metadata("f0")
-        bare = CodingMetadata(
-            frame_id="f0", width=16, height=16, cus=md.cus, pus=md.pus, anchor=md.anchor
-        )
+        frame, _ = on_model_metadata("f0")
         with pytest.raises(ValueError, match="no label curve"):
             evaluate_frames(
-                [(frame, bare)],
+                [(frame, bare_metadata())],
                 label_fit("quadratic", True),
                 model="quadratic",
                 fastened=True,
@@ -600,3 +604,38 @@ class TestCurveDump:
         lines = curve_dump(md, {"up": overflowing(frame, md)}).splitlines()
         assert lines[1] == f"10,{md.anchor.r0:.6f},{md.anchor.r0:.6f}"
         assert all(line.endswith(",") for line in lines[2:])
+
+    def test_overflowing_error_leaves_cell_empty(self):
+        # The rate at QP 14 is a finite 6.75e306 bits; its % error is not.
+        frame, md = error_overflow_metadata()
+        lines = curve_dump(md, {"up": error_overflowing(frame, md)}).splitlines()
+        assert lines[1:] == ["10,2.000000,2.000000", "14,1.500000,"]
+
+    def test_unlabeled_frame_refused(self):
+        _, md = on_model_metadata("f0")
+        with pytest.raises(ValueError, match="^frame f0 carries no label curve$"):
+            curve_dump(bare_metadata(), {"fit": make_labels(md, "quadratic", True)})
+
+    def test_cells_match_report_detail(self, tiny_corpus):
+        # Each curves.csv cell is the report_detail.csv predicted_bits cell of its pair,
+        # so one is empty exactly when the other is.
+        ids = [md.frame_id for _, md in tiny_corpus]
+        run = run_training(tiny_corpus, split_dataset(ids, seed=0, test_fraction=0.25),
+                           "linear", True, ("rec",), TrainConfig(epochs=1, seed=0))
+        by_id = corpus_index(tiny_corpus)
+        cases = [(error_overflow_metadata(), error_overflowing)]
+        cases += [(by_id[i], run.params) for i in run.test_ids]
+        cases += [(item, overflowing) for item in tiny_corpus[:2]]
+        seen = {True: 0, False: 0}
+        for (frame, md), params_fn in cases:
+            _, details = evaluate_frames([(frame, md)], params_fn, model="linear",
+                                         fastened=True, features="x")
+            detail_rows = list(csv.DictReader(io.StringIO(details_to_csv({"r": details}))))
+            detail = {row["qp"]: row["predicted_bits"] for row in detail_rows}
+            curves = csv.DictReader(io.StringIO(curve_dump(md, {"p": params_fn(frame, md)})))
+            cells = {row["qp"]: row["predicted_bits_p"] for row in curves}
+            assert detail.keys() == cells.keys() - {f"{md.anchor.qp0:g}"}
+            for qp, cell in detail.items():
+                assert cells[qp] == cell
+                seen[cell == ""] += 1
+        assert seen[True] > 0 and seen[False] > 0

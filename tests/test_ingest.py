@@ -582,3 +582,20 @@ class TestCorpusOnDisk:
         path.write_text("only_one_column\n")
         with pytest.raises(ValueError, match="frame<TAB>sidecar"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("line", ["s0f0000.pgm\t", "\ts0f0000.rqp.json"],
+                             ids=["no_sidecar", "no_frame"])
+    def test_manifest_line_with_an_empty_field_refused(self, tmp_path, line):
+        # An empty field would resolve to the manifest's own directory.
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"{line}\n")
+        with pytest.raises(ValueError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path}:1: expected 'frame<TAB>sidecar'"
+
+    def test_manifest_not_utf8_names_the_manifest(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_bytes(b"\xffs0f0000.pgm\ts0f0000.rqp.json\n")
+        with pytest.raises(ValueError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path}: manifest is not UTF-8 (invalid start byte at byte 0)"

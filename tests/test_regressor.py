@@ -205,33 +205,21 @@ class TestPoolForward:
             assert np.array_equal(out, blocks.mean(axis=(3, 5)))
 
 
-def naive_conv_dx(layer: Conv2d, dout: np.ndarray, x_shape) -> np.ndarray:
-    """Input gradient of a 3x3 stride-1 conv layer, one output position at a time."""
-    b, c, h, w = x_shape
-    dx = np.zeros((b, c, h + 2, w + 2))
-    for n in range(b):
-        for o in range(layer.out_channels):
-            for y in range(dout.shape[2]):
-                for x in range(dout.shape[3]):
-                    for ci in range(c):
-                        for i in range(3):
-                            for j in range(3):
-                                dx[n, ci, y + i, x + j] += dout[n, o, y, x] * layer.w[o, ci, i, j]
-    return dx[:, :, 1 : 1 + h, 1 : 1 + w]
-
-
-def naive_conv_forward_and_dw(layer: Conv2d, x: np.ndarray, dout: np.ndarray):
-    """Output and weight gradient of a 3x3 stride-1 conv layer, one kernel tap at a time."""
+def naive_conv(layer: Conv2d, x: np.ndarray, dout: np.ndarray):
+    """Output, weight gradient and input gradient of a 3x3 stride-1 conv layer, one
+    kernel tap at a time: tap (i, j) reads, and sends dx to, x shifted by (i - 1, j - 1)."""
     h, w = x.shape[2:]
     padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     out = np.zeros((len(x), layer.out_channels, h, w)) + layer.b[None, :, None, None]
     dw = np.zeros_like(layer.w)
+    dx = np.zeros_like(padded)
     for i in range(3):
         for j in range(3):
             tap = padded[:, :, i : i + h, j : j + w]
             out += np.einsum("bchw,oc->bohw", tap, layer.w[:, :, i, j])
             dw[:, :, i, j] = np.einsum("bohw,bchw->oc", dout, tap)
-    return out, dw
+            dx[:, :, i : i + h, j : j + w] += np.einsum("bohw,oc->bchw", dout, layer.w[:, :, i, j])
+    return out, dw, dx[:, :, 1 : 1 + h, 1 : 1 + w]
 
 
 def reference_cols(x: np.ndarray) -> np.ndarray:
@@ -266,7 +254,7 @@ class TestConvAgainstTapLoop:
         out = layer.forward(x)
         dout = rng.standard_normal(out.shape)
         layer.backward(dout)
-        ref_out, ref_dw = naive_conv_forward_and_dw(layer, x, dout)
+        ref_out, ref_dw, _ = naive_conv(layer, x, dout)
         assert out.shape == ref_out.shape
         assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
         assert np.max(np.abs(layer.dw - ref_dw)) <= 1e-12 * np.max(np.abs(ref_dw))
@@ -308,7 +296,7 @@ class TestConvBackward:
         x = rng.standard_normal((batch, in_ch, *shape))
         dout = rng.standard_normal(layer.forward(x).shape)
         dx = layer.backward(dout)
-        ref = naive_conv_dx(layer, dout, x.shape)
+        _, _, ref = naive_conv(layer, x, dout)
         assert dx.shape == x.shape
         assert np.max(np.abs(dx - ref)) <= 1e-12 * np.max(np.abs(ref))
 
