@@ -9,7 +9,6 @@ prediction modes.
 
 from .entropy import (
     CauchyParams,
-    bin_probability,
     default_qstep_grid,
     entropy,
     entropy_loglog_curve,

@@ -11,7 +11,9 @@ so the entropy H = -sum p*log2(p) depends on scale and q only through a,
 can be evaluated for any step size q, and a scaled H makes a serviceable
 synthetic rate curve.  A QP maps to its step size by q = 2^((qp - 4)/6).
 
-One implementation serves entropy() and both curves: _entropies evaluates
+_side_bin_mass and _zero_bin_mass are the one mass rule: entropy(), both
+curves and total_probability() read every mass from them.  One
+implementation serves entropy() and both curves: _entropies evaluates
 the heads of consecutive step sizes that share a head size as the rows of
 one array pass, no larger than the largest single head, and sums each row
 on its own.  A curve costs a few array passes instead of one set of NumPy
@@ -61,26 +63,13 @@ class CauchyParams:
 
 
 def _side_bin_mass(a: float, n):
+    """Mass of side bin n, |n| >= 1, at a = scale/q; symmetric in n."""
     return np.arctan(a / (a * a + (np.square(np.asarray(n, dtype=float)) - 0.25))) / math.pi
 
 
 def _zero_bin_mass(a: float) -> float:
+    """Mass of the deadzone bin n = 0 at a = scale/q."""
     return 2.0 / math.pi * math.atan2(0.5, a)
-
-
-def bin_probability(params: CauchyParams, q: float, n) -> float | np.ndarray:
-    """Probability mass of quantizer bin `n` at step size `q`.
-
-    Symmetric in n.  n is an integer or an integer array, bools excluded;
-    n = 0 addresses the deadzone bin.  q is checked as in entropy().
-    """
-    _, a, _ = _step(params.scale, q)
-    n_arr = np.asarray(n)
-    if n_arr.dtype.kind not in "iu":  # a bool, a float, or an int past 64 bits (object)
-        raise ValueError(f"bin index n must be an integer or integer array, got dtype {n_arr.dtype}")
-    # Side masses are taken at n = 1 in the deadzone's place: at n = 0, a = 1/2 divides by 0.
-    p = np.where(n_arr == 0, _zero_bin_mass(a), _side_bin_mass(a, np.where(n_arr == 0, 1, n_arr)))
-    return float(p) if np.isscalar(n) or n_arr.ndim == 0 else p
 
 
 def _plogp(p):

@@ -33,7 +33,8 @@ class TrainingError(RuntimeError):
 class TargetScaler:
     """Per-coefficient standardizer: values map to (values - mean) / scale.
 
-    `fit` builds one from training labels.  A coefficient with zero
+    `fit` builds one from training labels.  A NaN or infinite label is a
+    ValueError naming its coefficients.  A coefficient with zero
     deviation is an error when there are several samples (it cannot be
     standardized); with a single sample the scale falls back to 1 and only
     the mean is removed, which is what the usual standard-scaler
@@ -49,6 +50,9 @@ class TargetScaler:
         labels = np.asarray(labels, dtype=float)
         if labels.ndim != 2 or labels.shape[0] < 1:
             raise ValueError(f"labels must be (samples, coefficients), got {labels.shape}")
+        bad = np.flatnonzero(~np.isfinite(labels).all(axis=0)).tolist()
+        if bad:
+            raise ValueError(f"coefficients {bad} hold NaN or infinite training labels")
         std = labels.std(axis=0)
         if labels.shape[0] > 1 and np.any(std == 0):
             flat = [i for i, s in enumerate(std) if s == 0]

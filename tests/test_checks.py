@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from rqpkit.checks import check_finite, check_positive
 from rqpkit.entropy import (
     CauchyParams,
-    bin_probability,
     entropy,
     qp_to_qstep,
     synth_curve,
@@ -40,8 +39,6 @@ FRACTIONS = (0, 0.5, np.int64(0), np.float64(0.25))  # test_fraction must lie in
 ENTRY_POINTS = {
     "CauchyParams.scale": (CauchyParams, "scale", True, ACCEPTED),
     "entropy.q": (lambda v: entropy(PARAMS, v), "quantization step", True, ACCEPTED),
-    "bin_probability.q": (lambda v: bin_probability(PARAMS, v, 1), "quantization step", True,
-                          ACCEPTED),
     "total_probability.q": (lambda v: total_probability(PARAMS, v), "quantization step", True,
                             ACCEPTED),
     "synth_curve.bits_scale": (lambda v: synth_curve(PARAMS, [22.0], v), "bits_scale", True,

@@ -118,6 +118,15 @@ class TestExtract:
             "--out", str(root / "deep" / "a" / "out")])
         assert sorted(p.name for p in root.rglob("*")) == ["bad.rqp.json"]
 
+    def test_frame_and_sidecar_sizes_must_match(self, workdir, corpus_dir, capsys):
+        frame_path = read_manifest(corpus_dir / "manifest.txt")[0][0]
+        other = workdir / "corpus_64"
+        assert main(["synth", "--count", "1", "--size", "64x64", "--out", str(other)]) == 0
+        sidecar_path = read_manifest(other / "manifest.txt")[0][1]
+        assert refused(capsys, ["extract", "--frame", str(frame_path), "--sidecar",
+                                str(sidecar_path), "--out", str(workdir / "mismatch")]) == (
+            f"{frame_path} is 32x32 but its sidecar {sidecar_path} describes 64x64")
+
 
 class TestFitLabels:
     # One column per coefficient, lettered as in qp = a ln(R)^2 + b ln(R) + c.

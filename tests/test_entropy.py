@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from rqpkit.entropy import (
     CauchyParams,
-    bin_probability,
+    _side_bin_mass,
+    _step,
+    _zero_bin_mass,
     default_qstep_grid,
     entropy,
     entropy_loglog_curve,
@@ -29,68 +31,59 @@ H_TWO_TERM = 0.8583987977431008
 P0_G1_Q1 = 0.2951672353008665
 
 
+def ratio(scale: float, q: float) -> float:
+    """a = scale/q as the library takes it from _step, q checked as in entropy()."""
+    return _step(scale, q)[1]
+
+
 class TestBinProbability:
+    """Bin masses from the one mass rule, _side_bin_mass and _zero_bin_mass."""
+
     def test_frozen_single_bin(self):
-        params = CauchyParams(1.0)
-        assert bin_probability(params, 1.0, 1) == pytest.approx(P_G1_Q1_N1, abs=1e-12)
+        assert _side_bin_mass(ratio(1.0, 1.0), 1) == pytest.approx(P_G1_Q1_N1, abs=1e-12)
 
     def test_symmetric_in_n(self):
-        params = CauchyParams(1.0)
-        assert bin_probability(params, 1.0, -1) == bin_probability(params, 1.0, 1)
+        a = ratio(1.0, 1.0)
+        assert _side_bin_mass(a, -1) == _side_bin_mass(a, 1)
 
     def test_symmetry_random_params(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            params = CauchyParams(float(rng.uniform(0.1, 200.0)))
-            q = float(rng.uniform(0.01, 500.0))
+            a = ratio(float(rng.uniform(0.1, 200.0)), float(rng.uniform(0.01, 500.0)))
             n = int(rng.integers(1, 10_000))
-            assert bin_probability(params, q, n) == bin_probability(params, q, -n)
+            assert _side_bin_mass(a, n) == _side_bin_mass(a, -n)
 
     def test_huge_step_tends_to_zero(self):
-        params = CauchyParams(1.0)
-        assert bin_probability(params, 1e12, 1) < 1e-12
+        assert _side_bin_mass(ratio(1.0, 1e12), 1) < 1e-12
 
     def test_zero_bin_mass(self):
-        params = CauchyParams(1.0)
-        assert bin_probability(params, 1.0, 0) == pytest.approx(P0_G1_Q1, abs=1e-12)
+        assert _zero_bin_mass(ratio(1.0, 1.0)) == pytest.approx(P0_G1_Q1, abs=1e-12)
 
     def test_zero_bin_at_half_ratio(self):
         # At scale/q = 1/2 the side formula's denominator is 0 at n = 0; the deadzone's is not.
-        p = bin_probability(CauchyParams(1.0), 2.0, np.array([0, 1, -1]))
-        assert p[0] == pytest.approx(0.5, abs=1e-15) and p[1] == p[2] > 0.0
+        a = ratio(1.0, 2.0)
+        p = _side_bin_mass(a, np.array([1, -1]))
+        assert _zero_bin_mass(a) == pytest.approx(0.5, abs=1e-15) and p[0] == p[1] > 0.0
 
     def test_vectorized_matches_scalar(self):
-        params = CauchyParams(3.0)
-        n = np.array([-2, 0, 1, 5])
-        vec = bin_probability(params, 2.0, n)
+        a = ratio(3.0, 2.0)
+        n = np.array([-2, -1, 1, 5])
+        vec = _side_bin_mass(a, n)
         assert vec.shape == (4,)
         for i, ni in enumerate(n):
-            assert vec[i] == bin_probability(params, 2.0, int(ni))
+            assert vec[i] == _side_bin_mass(a, int(ni))
 
     def test_in_open_unit_interval(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            params = CauchyParams(float(rng.uniform(0.1, 100.0)))
-            p = bin_probability(params, float(rng.uniform(0.01, 100.0)), int(rng.integers(1, 100)))
-            assert 0.0 < p < 1.0
-
-    @pytest.mark.parametrize("n", [10**200, 10**400, 1.5, True],
-                             ids=["10**200", "10**400", "float", "bool"])
-    def test_bin_index_must_be_an_integer(self, n):
-        # 10**200 would overflow n*n, 10**400 would not convert to a float,
-        # and 1.5 and True would address bins that do not exist.
-        with pytest.raises(ValueError, match="bin index n must be an integer"):
-            bin_probability(CauchyParams(1.0), 1.0, n)
+            a = ratio(float(rng.uniform(0.1, 100.0)), float(rng.uniform(0.01, 100.0)))
+            assert 0.0 < _side_bin_mass(a, int(rng.integers(1, 100))) < 1.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             CauchyParams(0.0)
         with pytest.raises(ValueError):
             CauchyParams(-1.0)
-        with pytest.raises(ValueError):
-            bin_probability(CauchyParams(1.0), 0.0, 1)
-        with pytest.raises(ValueError):
-            bin_probability(CauchyParams(1.0), -2.0, 1)
 
 
 def brute_entropy(scale: float, q: float, limit: int, zero_bin: bool) -> float:
@@ -110,12 +103,12 @@ def brute_entropy(scale: float, q: float, limit: int, zero_bin: bool) -> float:
 def strict_entropy(scale: float, q: float, limit: int, zero_bin: bool) -> float:
     """Entropy of side bins +-1..limit (plus the deadzone if zero_bin), no tail,
     from the library's own bin masses."""
-    params = CauchyParams(scale)
-    p = bin_probability(params, q, np.arange(1, limit + 1))
+    a = ratio(scale, q)
+    p = _side_bin_mass(a, np.arange(1, limit + 1))
     p = p[p > 0]
     total = 2.0 * float(np.sum(-p * np.log2(p)))
     if zero_bin:
-        p0 = bin_probability(params, q, 0)
+        p0 = _zero_bin_mass(a)
         total += -p0 * math.log2(p0) if p0 > 0 else 0.0
     return total
 
@@ -231,9 +224,8 @@ class TestTotalProbability:
         # outright: enough explicit bins for the remainder to dip below 1e-9.
         scale, q = 0.5, 256.0
         limit = math.ceil(2.0 * scale / (math.pi * q * 1e-9))
-        params = CauchyParams(scale)
-        side = bin_probability(params, q, np.arange(1, limit + 1))
-        total = 2.0 * float(side.sum()) + bin_probability(params, q, 0)
+        a = ratio(scale, q)
+        total = 2.0 * float(_side_bin_mass(a, np.arange(1, limit + 1)).sum()) + _zero_bin_mass(a)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 10.0, 100.0])
@@ -243,9 +235,7 @@ class TestTotalProbability:
             assert total_probability(params, q) == pytest.approx(1.0, abs=1e-6)
 
     def test_without_zero_bin_misses_its_mass(self):
-        scale, q = 1.0, 1.0
-        params = CauchyParams(scale)
-        side = total_probability(params, q) - bin_probability(params, q, 0)
+        side = total_probability(CauchyParams(1.0), 1.0) - _zero_bin_mass(ratio(1.0, 1.0))
         assert side == pytest.approx(1.0 - P0_G1_Q1, abs=1e-6)
 
 
@@ -281,8 +271,9 @@ class TestRatioAlone:
         assert 0.0 < rate < 1e-300
 
     def test_ratio_underflowing_to_zero(self):
-        assert bin_probability(CauchyParams(1e-300), 1e300, 0) == 1.0
-        assert bin_probability(CauchyParams(1e-300), 1e300, 1) == 0.0
+        a = ratio(1e-300, 1e300)
+        assert _zero_bin_mass(a) == 1.0
+        assert _side_bin_mass(a, 1) == 0.0
         assert entropy(CauchyParams(1e-300), 1e300) == 0.0
 
 

@@ -27,6 +27,7 @@ from rqpkit.ingest import (
     load_corpus,
     load_frame,
     load_metadata,
+    load_pair,
     parse_metadata,
     read_manifest,
     save_corpus,
@@ -553,6 +554,15 @@ class TestCorpusOnDisk:
         with pytest.raises(MetadataError, match="16x16") as exc:
             load_corpus(manifest)
         assert str(frame_path) in str(exc.value) and str(sidecar_path) in str(exc.value)
+
+    def test_load_pair_size_mismatch_names_both_files_and_sizes(self, tiny_corpus, tmp_path):
+        manifest = save_corpus(tiny_corpus[:1], tmp_path)
+        frame_path, sidecar_path = read_manifest(manifest)[0]
+        write_pgm(frame_path, np.zeros((16, 24), dtype=np.uint8))
+        with pytest.raises(MetadataError) as info:
+            load_pair(frame_path, sidecar_path)
+        assert str(info.value) == (
+            f"{frame_path} is 24x16 but its sidecar {sidecar_path} describes 32x32")
 
     def test_malformed_frame_names_its_file(self, tiny_corpus, tmp_path):
         manifest = save_corpus(tiny_corpus[:3], tmp_path)

@@ -677,6 +677,13 @@ class TestTargetScaler:
         with pytest.raises(DegenerateLabelsError, match=r"\[0\]"):
             TargetScaler.fit(labels)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_labels_refused(self, bad):
+        labels = np.array([[1.0, 2.0, bad], [3.0, bad, 4.0], [5.0, 6.0, 7.0]])
+        with pytest.raises(ValueError) as info:
+            TargetScaler.fit(labels)
+        assert str(info.value) == "coefficients [1, 2] hold NaN or infinite training labels"
+
     def test_single_sample_falls_back_to_unit_scale(self):
         scaler = TargetScaler.fit(np.array([[3.0, -1.0]]))
         assert np.array_equal(scaler.scale, [1.0, 1.0])
@@ -770,6 +777,15 @@ class TestTraining:
         net = Network(NetworkConfig(2, 2, seed=5))
         with pytest.raises(TrainingError, match="non-finite"):
             train(net, *data, TrainConfig(learning_rate=1e30, epochs=10, seed=5))
+
+    def test_non_finite_labels_refused_before_any_step(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x, y = toy_dataset(rng, 4)
+        y[2, 1] = np.nan
+        net = Network(NetworkConfig(2, 2, seed=5))
+        monkeypatch.setattr(net, "forward", lambda _: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match=r"coefficients \[1\] hold NaN or infinite"):
+            train(net, x, y, TrainConfig(epochs=1, seed=5))
 
     @pytest.mark.parametrize("learning_rate", [np.nan, np.inf, True, np.True_, "1e-3", None, 1j])
     def test_learning_rate_must_be_finite(self, learning_rate):
