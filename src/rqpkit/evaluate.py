@@ -43,7 +43,6 @@ from .regressor import (
     TrainConfig,
     TrainResult,
     load_checkpoint,
-    mse_loss,
     save_checkpoint,
     train,
 )
@@ -240,7 +239,7 @@ class TrainedRun:
     """A trained predictor: network, target scaler, model form, feature channels
     and the frames held out to test it; `params(frame, md)` predicts a frame.
 
-    `result` and `baseline_val_mse` are None on a run loaded from a checkpoint.
+    `result` is None on a run loaded from a checkpoint, and so is `baseline_val_mse`.
     Loading checks every stored array against the array it fills, naming any it refuses.
     """
 
@@ -251,7 +250,6 @@ class TrainedRun:
     scaler: TargetScaler
     test_ids: tuple[str, ...]
     result: TrainResult | None = None
-    baseline_val_mse: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.fastened, bool):
@@ -267,6 +265,11 @@ class TrainedRun:
         if spec.param_count != config.outputs:
             raise ValueError(f"{spec.label()} takes {spec.param_count} coefficients but the "
                              f"network emits {config.outputs}")
+
+    @property
+    def baseline_val_mse(self) -> float | None:
+        """`train`'s mean-predictor loss on the validation set; None without one or a result."""
+        return None if self.result is None else self.result.baseline_val_mse
 
     @property
     def name(self) -> str:
@@ -347,31 +350,20 @@ def _dataset(by_id, ids, part, form, fastened, channels) -> tuple[np.ndarray, np
 
 def run_training(corpus, split: DatasetSplit, form: str, fastened: bool, channels,
                  train_cfg: TrainConfig) -> TrainedRun:
-    """Fit labels, build stacks, and train one network for one configuration."""
+    """Fit labels, build stacks, and train one network for one configuration.
+
+    The network reads the planes alone, so a free row reads no ln r0; ln r0
+    reaches fastened rows only, through the anchor."""
     channels = channel_order(channels)
     if not split.train:
         raise ValueError("split has no training frames")
     by_id = corpus_index(corpus)
     x, y = _dataset(by_id, split.train, "training", form, fastened, channels)
     network = Network(NetworkConfig(len(channels), y.shape[1], train_cfg.seed))
-    validation = None
-    if split.validation:
-        validation = _dataset(by_id, split.validation, "validation", form, fastened, channels)
+    validation = (_dataset(by_id, split.validation, "validation", form, fastened, channels)
+                  if split.validation else None)
     result = train(network, x, y, train_cfg, validation)
-    baseline = None
-    if validation:
-        z = result.scaler.transform(validation[1])
-        baseline = mse_loss(np.zeros_like(z), z)[0]  # the mean predictor, in standardized units
-    return TrainedRun(
-        form=form,
-        fastened=fastened,
-        channels=channels,
-        network=network,
-        scaler=result.scaler,
-        test_ids=tuple(split.test),
-        result=result,
-        baseline_val_mse=baseline,
-    )
+    return TrainedRun(form, fastened, channels, network, result.scaler, tuple(split.test), result)
 
 
 def evaluate_run(corpus, run: TrainedRun,

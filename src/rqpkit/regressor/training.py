@@ -3,9 +3,11 @@
 `train` hands the feature stacks to the network as they are, so 8-bit
 planes stay 8-bit: `Network.forward` maps them one frame at a time.  Target
 coefficients are standardized per parameter with mean/deviation taken
-from the training labels only.  One loss, `mse_loss`, the mean squared
-difference between predicted and fitted coefficients in standardized
-space, scores training, validation and the mean-predictor baseline.
+from the training labels only, after `train` has refused, naming the set,
+any NaN or infinite label or floating input.  One loss, `mse_loss`, the
+mean squared difference between predicted and fitted coefficients in
+standardized space, scores training, validation and the mean-predictor
+baseline, the last two on one standardized validation array.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ class TrainingError(RuntimeError):
     """Training aborted (non-finite loss or weights)."""
 
 
+def _refuse_non_finite_labels(labels, part: str) -> None:
+    if bad := np.flatnonzero(~np.isfinite(np.asarray(labels, dtype=float)).all(axis=0)).tolist():
+        raise ValueError(f"coefficients {bad} hold NaN or infinite {part} labels")
+
+
 class TargetScaler:
     """Per-coefficient standardizer: values map to (values - mean) / scale.
 
@@ -50,9 +57,7 @@ class TargetScaler:
         labels = np.asarray(labels, dtype=float)
         if labels.ndim != 2 or labels.shape[0] < 1:
             raise ValueError(f"labels must be (samples, coefficients), got {labels.shape}")
-        bad = np.flatnonzero(~np.isfinite(labels).all(axis=0)).tolist()
-        if bad:
-            raise ValueError(f"coefficients {bad} hold NaN or infinite training labels")
+        _refuse_non_finite_labels(labels, "training")
         std = labels.std(axis=0)
         if labels.shape[0] > 1 and np.any(std == 0):
             flat = [i for i, s in enumerate(std) if s == 0]
@@ -123,7 +128,9 @@ class TrainConfig:
 class TrainResult:
     """Per-epoch history of a run.
 
-    `epoch_s` is each epoch's wall time.  Per epoch and in
+    `baseline_val_mse` is the mean predictor's (all zeros) loss on the
+    standardized labels `val_loss` is scored against, None without
+    validation.  `epoch_s` is each epoch's wall time.  Per epoch and in
     `Network.parameters()` order, taken at the epoch's last step:
     `grad_norms` holds the L2 norm of every parameter array's gradient, and
     `update_ratios` the optimizer step's ‖Δp‖ / ‖p‖ with p the array before
@@ -133,6 +140,7 @@ class TrainResult:
     scaler: TargetScaler
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
+    baseline_val_mse: float | None = None
     epoch_s: list[float] = field(default_factory=list)
     grad_norms: list[tuple[float, ...]] = field(default_factory=list)
     update_ratios: list[tuple[float, ...]] = field(default_factory=list)
@@ -142,27 +150,31 @@ def train(network: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
           validation=None) -> TrainResult:
     """Train on feature stacks x (n, C, H, W) and raw coefficients y (n, outputs).
 
-    x is what `Network.forward` reads, and its batches reach the network as
-    they are; a dtype it refuses is a ValueError, raised before the scaler
-    is fitted.  The scaler is fitted on y only; `validation`, an (x, y)
-    pair, is scored each epoch with the same scaler and the training loss,
-    `mse_loss`, over the whole set.  Its outputs are forwarded
-    `cfg.batch_size` rows at a time, so it peaks at the training step's
-    memory.
+    x's batches reach `Network.forward` as they are.  Before the scaler is
+    fitted on y, training and then `validation`, an (x, y) pair, each raise a
+    ValueError for an x dtype the network refuses, a misshapen y, or (naming
+    the set) a NaN or infinite label or floating x.  Validation is scored each
+    epoch with that scaler and `mse_loss` over the whole set, forwarded
+    `cfg.batch_size` rows at a time, beside the mean predictor's loss.
     """
-    for xs, ys in [(x, y)] + ([validation] if validation is not None else []):
+    sets = [("training", x, y)] + ([("validation", *validation)] if validation is not None else [])
+    for part, xs, ys in sets:
         check_input_dtype(xs)
         if len(xs) == 0 or np.shape(ys) != (len(xs), network.config.outputs):
             raise ValueError(f"need a nonempty x and a y of {len(xs)} rows of "
                              f"{network.config.outputs} coefficients, got {np.shape(ys)}")
+        _refuse_non_finite_labels(ys, part)
+        if xs.dtype != np.uint8 and not np.isfinite(xs).all():
+            raise ValueError(f"{part} inputs hold NaN or infinite values")
     scaler = TargetScaler.fit(y)
     y = scaler.transform(y)
+    result = TrainResult(scaler=scaler)
     if validation is not None:
         validation = validation[0], scaler.transform(validation[1])
+        result.baseline_val_mse = mse_loss(np.zeros_like(validation[1]), validation[1])[0]
 
     optimizer = Adam(network.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
-    result = TrainResult(scaler=scaler)
     n = len(x)
     for epoch in range(cfg.epochs):
         start_s = perf_counter()

@@ -1,6 +1,7 @@
 """Pipeline evaluation: label fitting, error reports, training runs, curve dumps."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -416,6 +417,21 @@ class TestTrainingRuns:
         assert row.n_pairs == len(split.test) * (len(QP_GRID) - 1)
         assert row.features == "rec"
         assert run.name == "quadratic_fastened_rec"
+
+    def test_free_run_reads_no_anchor(self, tiny_corpus):
+        # A free row's coefficients come from the planes alone; ln r0 reaches
+        # fastened rows only, through the anchor their form pins.
+        ids = [md.frame_id for _, md in tiny_corpus]
+        split = split_dataset(ids, seed=0, test_fraction=0.25)
+        cfg = TrainConfig(epochs=1, seed=0)
+        free = run_training(tiny_corpus, split, "quadratic", False, ("rec", "seg"), cfg)
+        fastened = run_training(tiny_corpus, split, "quadratic", True, ("rec", "seg"), cfg)
+        for frame, md in tiny_corpus:
+            moved = dataclasses.replace(md, anchor=OperationalPoint(14.0, md.labels.rate_at(14.0)))
+            assert moved.anchor != md.anchor
+            want, got = free.params(frame, md), free.params(frame, moved)
+            assert (got.coeffs, got.branch_u) == (want.coeffs, want.branch_u)
+            assert fastened.params(frame, moved).spec.anchor == moved.anchor
 
     def test_save_load_round_trip(self, tiny_corpus, tmp_path):
         ids = [md.frame_id for _, md in tiny_corpus]

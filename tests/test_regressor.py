@@ -787,6 +787,39 @@ class TestTraining:
         with pytest.raises(ValueError, match=r"coefficients \[1\] hold NaN or infinite"):
             train(net, x, y, TrainConfig(epochs=1, seed=5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_validation_labels_refused_before_any_step(self, monkeypatch, bad):
+        rng = np.random.default_rng(8)
+        (x, y), (val_x, val_y) = toy_dataset(rng, 4, outputs=3), toy_dataset(rng, 3, outputs=3)
+        val_y[0, 2], val_y[2, 1] = bad, bad
+        net = Network(NetworkConfig(2, 3, seed=5))
+        monkeypatch.setattr(net, "forward", lambda _: pytest.fail("a step ran"))
+        with pytest.raises(ValueError) as info:
+            train(net, x, y, TrainConfig(epochs=1), (val_x, val_y))
+        assert str(info.value) == "coefficients [1, 2] hold NaN or infinite validation labels"
+
+    @pytest.mark.parametrize("part", ["training", "validation"])
+    def test_non_finite_floating_inputs_refused_before_any_step(self, monkeypatch, part):
+        # A NaN training input used to surface as a non-finite loss, a TrainingError
+        # that blamed the learning rate; a NaN validation input gave a NaN val_loss.
+        rng = np.random.default_rng(8)
+        (x, y), (val_x, val_y) = toy_dataset(rng, 4), toy_dataset(rng, 2)
+        (x if part == "training" else val_x)[1, 0, 3, 5] = np.nan
+        net = Network(NetworkConfig(2, 2, seed=5))
+        monkeypatch.setattr(net, "forward", lambda _: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match=f"^{part} inputs hold NaN or infinite values$"):
+            train(net, x, y, TrainConfig(epochs=1), (val_x, val_y))
+
+    def test_mean_predictor_baseline_beside_val_loss(self):
+        rng = np.random.default_rng(13)
+        data, (val_x, val_y) = toy_dataset(rng, 6), toy_dataset(rng, 3)
+        result = train(Network(NetworkConfig(2, 2, seed=11)), *data, TrainConfig(epochs=1),
+                       (val_x, val_y))
+        z = result.scaler.transform(val_y)
+        assert result.baseline_val_mse == float(np.mean(z * z))
+        alone = train(Network(NetworkConfig(2, 2, seed=11)), *data, TrainConfig(epochs=1))
+        assert alone.baseline_val_mse is None and alone.val_loss == []
+
     @pytest.mark.parametrize("learning_rate", [np.nan, np.inf, True, np.True_, "1e-3", None, 1j])
     def test_learning_rate_must_be_finite(self, learning_rate):
         with pytest.raises(ValueError, match="learning_rate"):
